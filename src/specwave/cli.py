@@ -96,22 +96,19 @@ def cmd_denominators(cfg: ExperimentConfig) -> int:
 
 
 def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, solution):
+    """Field CSVs and norms.csv; returns the norm trajectories for the reports."""
     xs = np.linspace(*solution.spectrum.domain, cfg.nx)
     ts = np.linspace(0.0, cfg.T, cfg.nt)
     grid = solution.field(xs, ts)
     manifest.files.append(write_field_csv(out / "field_re.csv", xs, ts, grid.real))
     manifest.files.append(write_field_csv(out / "field_im.csv", xs, ts, grid.imag))
-    t_norm = np.linspace(0.0, cfg.T, cfg.time_points)
+    norms = solution.norm_trajectories(np.linspace(0.0, cfg.T, cfg.time_points))
     manifest.files.append(write_csv(
         out / "norms.csv",
         "t,u_h0,u_h1,dudt_h0",
-        zip(
-            t_norm,
-            solution.norm_trajectory(0, t_norm),
-            solution.norm_trajectory(1, t_norm),
-            solution.norm_trajectory(0, t_norm, derivative=True),
-        ),
+        zip(norms.ts, norms.u_h0, norms.u_h1, norms.dudt_h0),
     ))
+    return norms
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
@@ -127,9 +124,9 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         resolve_data(cfg.g, spectrum, cfg.N, rule),
     )
     solution = solve_nonlocal(problem)
-    _write_solution_artifacts(out, manifest, cfg, solution)
+    norms = _write_solution_artifacts(out, manifest, cfg, solution)
 
-    report = stability_report(problem, solution, cfg.time_points)
+    report = stability_report(problem, solution, norms=norms)
     (out / "stability.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     manifest.files.append("stability.json")
 
@@ -165,15 +162,15 @@ def cmd_cauchy(cfg: ExperimentConfig) -> int:
         resolve_data(cfg.b, spectrum, cfg.N, rule),
     )
     solution = solve_cauchy(problem)
-    _write_solution_artifacts(out, manifest, cfg, solution)
+    norms = _write_solution_artifacts(out, manifest, cfg, solution)
 
     drift = float(verification.mode_energy_drift(solution).max())
     margin = verification.energy_estimate_margin(problem, solution)
     energy = {
         "norm_a_h1": problem.alpha.sobolev_norm(1),
         "norm_b_h0": problem.beta.sobolev_norm(0),
-        "sup_u_h1": solution.sup_norm(1, cfg.time_points),
-        "sup_dudt_h0": solution.sup_norm(0, cfg.time_points, derivative=True),
+        "sup_u_h1": float(norms.u_h1.max()),
+        "sup_dudt_h0": float(norms.dudt_h0.max()),
         "estimate_margin": margin,
         "max_mode_energy_drift": drift,
     }

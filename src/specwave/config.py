@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import DirichletLaplacian1D, SpectralVector, Spectrum, project
+from .basis import DirichletLaplacian1D, SpectralVector, Spectrum, project, projection_rule
 from .phase import ProblemClock
 from .quadrature import GaussLegendre
 
@@ -115,7 +115,7 @@ class ExperimentConfig:
         return SPECTRA[self.spectrum]()
 
     def build_rule(self) -> GaussLegendre:
-        return GaussLegendre(panels=self.quad_panels, order=self.quad_order)
+        return projection_rule(self.N, self.quad_panels, self.quad_order)
 
     def clock(self, omega: float | None = None) -> ProblemClock:
         return ProblemClock(self.T, self.omega if omega is None else omega)

@@ -7,6 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
+# complex exponentials `exp_moments` holds at once: 2**18 x 16 B = 4 MiB
+_BLOCK_ELEMENTS = 1 << 18
+
 
 @lru_cache(maxsize=64)
 def _reference_rule(order: int):
@@ -31,10 +34,10 @@ def sample(f, nodes: np.ndarray) -> np.ndarray:
 class GaussLegendre:
     """Composite Gauss-Legendre rule: `panels` equal panels, `order` nodes each.
 
-    The default 64x8 rule resolves the smooth integrands used for basis
-    projections and verification integrals to near machine precision; raise
-    `panels` for strongly oscillatory integrands (node spacing must resolve
-    the oscillation).
+    The default 64x8 rule resolves smooth, slowly oscillating integrands to
+    near machine precision; raise `panels` for strongly oscillatory integrands
+    (node spacing must resolve the oscillation, as `basis.projection_rule` and
+    the verification time rule do).
     """
 
     panels: int = 64
@@ -61,3 +64,28 @@ class GaussLegendre:
     def integrate(self, f, a: float, b: float):
         nodes, weights = self.nodes_weights(a, b)
         return weights @ sample(f, nodes)
+
+    def exp_moments(self, mu, a: float, b: float) -> np.ndarray:
+        """sum_j w_j exp(i mu t_j) over this rule's nodes on [a, b], for each mu.
+
+        The panels are equal, so a node is t = m_p + h x_i (panel midpoint m_p,
+        half-width h, reference node x_i) and the sum factors as
+        [sum_p exp(i mu m_p)] * [sum_i h w_i exp(i mu h x_i)]. Each frequency
+        costs panels + order exponentials instead of panels * order, and the
+        frequencies are taken in blocks of at most _BLOCK_ELEMENTS panel
+        exponentials, so memory stays O(len(mu) + panels).
+        """
+        mu = np.asarray(mu, dtype=float)
+        flat = mu.ravel()
+        x, w = _reference_rule(self.order)
+        edges = np.linspace(a, b, self.panels + 1)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (b - a) / self.panels
+        out = np.empty(flat.size, dtype=complex)
+        step = max(1, _BLOCK_ELEMENTS // self.panels)
+        for start in range(0, flat.size, step):
+            block = flat[start:start + step]
+            panel_sums = np.exp(1j * np.multiply.outer(block, mids)).sum(axis=1)
+            local = np.exp(1j * np.multiply.outer(block, half * x)) @ (half * w)
+            out[start:start + step] = panel_sums * local
+        return out.reshape(mu.shape)

@@ -53,6 +53,16 @@ def _compensated_sum(terms) -> complex:
 
 
 @dataclass(frozen=True, eq=False)
+class NormTrajectories:
+    """Norms of a solution on one time grid: the columns of norms.csv."""
+
+    ts: np.ndarray
+    u_h0: np.ndarray
+    u_h1: np.ndarray
+    dudt_h0: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class SeriesSolution:
     """u(x, t) = sum_{k=1..N} (C_k e^{-i theta_k t} + D_k e^{i theta_k t}) v_k(x).
 
@@ -99,23 +109,29 @@ class SeriesSolution:
         if np.any(t < -slack) or np.any(t > self.T + slack):
             raise ValueError(f"t outside the solution window [0, {self.T}]")
 
-    def mode_values(self, t) -> np.ndarray:
-        """y_k(t) for all modes; shape (N,) + shape(t)."""
+    def _phases(self, t) -> np.ndarray:
+        """e^{i theta_k t} for all modes; shape (N,) + shape(t)."""
         t = np.asarray(t, dtype=float)
         self._check_time(t)
-        ph = np.exp(1j * np.multiply.outer(self.thetas, t))
-        shape = (len(self),) + (1,) * t.ndim
+        return np.exp(1j * np.multiply.outer(self.thetas, t))
+
+    def _values(self, ph: np.ndarray) -> np.ndarray:
+        shape = (len(self),) + (1,) * (ph.ndim - 1)
         return self.C.reshape(shape) * np.conj(ph) + self.D.reshape(shape) * ph
 
-    def mode_derivatives(self, t) -> np.ndarray:
-        """y_k'(t) for all modes."""
-        t = np.asarray(t, dtype=float)
-        self._check_time(t)
-        ph = np.exp(1j * np.multiply.outer(self.thetas, t))
-        shape = (len(self),) + (1,) * t.ndim
+    def _derivatives(self, ph: np.ndarray) -> np.ndarray:
+        shape = (len(self),) + (1,) * (ph.ndim - 1)
         return (1j * self.thetas.reshape(shape)) * (
             self.D.reshape(shape) * ph - self.C.reshape(shape) * np.conj(ph)
         )
+
+    def mode_values(self, t) -> np.ndarray:
+        """y_k(t) for all modes; shape (N,) + shape(t)."""
+        return self._values(self._phases(t))
+
+    def mode_derivatives(self, t) -> np.ndarray:
+        """y_k'(t) for all modes."""
+        return self._derivatives(self._phases(t))
 
     def evaluate(self, x: float, t: float) -> complex:
         """u(x, t); modes are summed in ascending k with compensated accumulation."""
@@ -155,6 +171,21 @@ class SeriesSolution:
         ts = np.asarray(ts, dtype=float)
         y = self.mode_derivatives(ts) if derivative else self.mode_values(ts)
         return np.sqrt(self.eigenvalues**q @ np.abs(y) ** 2)
+
+    def norm_trajectories(self, ts) -> NormTrajectories:
+        """||u||_H0, ||u||_H1 and ||du/dt||_H0 at each grid time from one phase matrix.
+
+        Same arithmetic as the three `norm_trajectory` calls, so the values are
+        bit-identical; y is released before y' is formed.
+        """
+        ts = np.asarray(ts, dtype=float)
+        ph = self._phases(ts)
+        y2 = np.abs(self._values(ph)) ** 2
+        u_h0 = np.sqrt(self.eigenvalues**0 @ y2)
+        u_h1 = np.sqrt(self.eigenvalues**1 @ y2)
+        del y2
+        dudt_h0 = np.sqrt(self.eigenvalues**0 @ np.abs(self._derivatives(ph)) ** 2)
+        return NormTrajectories(ts, u_h0, u_h1, dudt_h0)
 
     def sup_norm(self, q: int, time_points: int = 1001, derivative: bool = False) -> float:
         """Grid maximum of the H^q norm over [0, T]."""

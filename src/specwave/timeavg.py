@@ -20,7 +20,7 @@ import numpy as np
 
 from .basis import SpectralVector
 from .phase import CLASSIFY_TOL, Classification, ProblemClock, _classify_theta, phi
-from .solution import SeriesSolution
+from .solution import NormTrajectories, SeriesSolution
 
 # modes with |d_k| (1 + theta_k) below this floor amplify data noise past ~1e12
 CONDITION_FLOOR_SCALE = 1e-12
@@ -188,16 +188,23 @@ class StabilityReport:
 
 
 def stability_report(
-    problem: NonlocalProblem, solution: SeriesSolution, time_points: int = 1001
+    problem: NonlocalProblem,
+    solution: SeriesSolution,
+    time_points: int = 1001,
+    norms: NormTrajectories | None = None,
 ) -> StabilityReport:
     """Norm quadruple and observed stability ratio on a uniform time grid.
 
     c_obs = (sup_t ||u||_H1 + sup_t ||du/dt||_H0) / (||a||_H1 + ||g||_H2),
     reported as 0 for zero data. A well-posed configuration keeps c_obs
-    bounded independently of the truncation order.
+    bounded independently of the truncation order. The sup norms are maxima
+    of `norms` when given (a caller that already holds the trajectories on
+    its grid), else of trajectories on `time_points` uniform times in [0, T].
     """
-    sup_u = solution.sup_norm(1, time_points)
-    sup_du = solution.sup_norm(0, time_points, derivative=True)
+    if norms is None:
+        norms = solution.norm_trajectories(np.linspace(0.0, solution.T, time_points))
+    sup_u = float(norms.u_h1.max())
+    sup_du = float(norms.dudt_h0.max())
     na = problem.alpha.sobolev_norm(1)
     ng = problem.gamma.sobolev_norm(2)
     data = na + ng

@@ -45,18 +45,35 @@ def _time_rule(problem: NonlocalProblem, rule: GaussLegendre | None) -> GaussLeg
     return GaussLegendre(panels=panels, order=8)
 
 
+def _moment_residual(
+    problem: NonlocalProblem, solution: SeriesSolution, rule: GaussLegendre | None
+) -> np.ndarray:
+    """Per mode, (quadrature of int_0^T e^{i omega t} y_k(t) dt) - gamma_k.
+
+    With y_k = C_k e^{-i theta_k t} + D_k e^{i theta_k t} the moment is
+    C_k S(omega - theta_k) + D_k S(omega + theta_k), where S(mu) is the
+    Gauss-Legendre sum of e^{i mu t} over [0, T]; never phi, which built the
+    solution.
+    """
+    clock = problem.clock
+    theta = solution.thetas
+    minus, plus = _time_rule(problem, rule).exp_moments(
+        clock.omega + np.stack([-theta, theta]), 0.0, clock.T
+    )
+    return solution.C * minus + solution.D * plus - problem.gamma.coefficients
+
+
 def integral_condition_residual(
     problem: NonlocalProblem, solution: SeriesSolution, rule: GaussLegendre | None = None
 ) -> float:
     """H^0 norm of (quadrature of int_0^T e^{i omega t} u dt) - g.
 
     The moment integral is evaluated per mode by Gauss-Legendre quadrature in
-    time, independent of the phase integrals used to build the solution.
+    time, independent of the phase integrals used to build the solution. The
+    moment vector is the one `real_system_residuals` splits; it costs
+    O(N * panels) time and O(N + panels) memory.
     """
-    clock = problem.clock
-    nodes, weights = _time_rule(problem, rule).nodes_weights(0.0, clock.T)
-    moments = solution.mode_values(nodes) @ (weights * np.exp(1j * clock.omega * nodes))
-    resid = moments - problem.gamma.coefficients
+    resid = _moment_residual(problem, solution, rule)
     return float(np.sqrt(np.sum(np.abs(resid) ** 2)))
 
 
@@ -76,20 +93,17 @@ def real_system_residuals(
     Splitting the complex condition:
         int_0^T [cos(wt) v - sin(wt) w] dt = Re g
         int_0^T [sin(wt) v + cos(wt) w] dt = Im g
-    Both are checked in coefficient space (the eigenfunctions are real, so
-    Re/Im pass through the expansion) and returned as H^0 norms.
+    Since e^{i omega t} u = [cos(wt) v - sin(wt) w] + i [sin(wt) v + cos(wt) w],
+    the two real conditions are algebraically the real and imaginary parts of
+    the complex one, so both residuals read the moment vector of
+    `integral_condition_residual`. They are checked in coefficient space (the
+    eigenfunctions are real, so Re/Im pass through the expansion) and returned
+    as H^0 norms.
     """
-    clock = problem.clock
-    nodes, weights = _time_rule(problem, rule).nodes_weights(0.0, clock.T)
-    y = solution.mode_values(nodes)
-    v, w = y.real, y.imag
-    cosw = weights * np.cos(clock.omega * nodes)
-    sinw = weights * np.sin(clock.omega * nodes)
-    re_resid = (v @ cosw - w @ sinw) - problem.gamma.coefficients.real
-    im_resid = (v @ sinw + w @ cosw) - problem.gamma.coefficients.imag
+    resid = _moment_residual(problem, solution, rule)
     return (
-        float(np.sqrt(np.sum(re_resid**2))),
-        float(np.sqrt(np.sum(im_resid**2))),
+        float(np.sqrt(np.sum(resid.real**2))),
+        float(np.sqrt(np.sum(resid.imag**2))),
     )
 
 
@@ -151,6 +165,7 @@ def weak_identity_residual(solution: SeriesSolution, pairs) -> float:
 def energy_estimate_margin(problem: CauchyProblem, solution: SeriesSolution,
                            constant: float = 4.0, time_points: int = 1001) -> float:
     """Margin of sup_t ||u||_H1 + sup_t ||u'||_H0 <= constant (||a||_H1 + ||b||_H0)."""
-    lhs = solution.sup_norm(1, time_points) + solution.sup_norm(0, time_points, derivative=True)
+    norms = solution.norm_trajectories(np.linspace(0.0, solution.T, time_points))
+    lhs = float(norms.u_h1.max()) + float(norms.dudt_h0.max())
     rhs = constant * (problem.alpha.sobolev_norm(1) + problem.beta.sobolev_norm(0))
     return rhs - lhs

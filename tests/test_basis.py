@@ -13,6 +13,7 @@ from specwave import (
     eigenfunction_matrix,
     project,
 )
+from specwave.config import ExperimentConfig, resolve_data
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 
@@ -106,6 +107,20 @@ class TestProject:
         # the closed form is quadrature-independent: a much finer rule agrees
         fine = project(parabola, dirichlet, 5, GaussLegendre(panels=256, order=12))
         assert np.abs(fine.coefficients - expected).max() < 1e-12
+
+    def test_default_rule_resolves_high_modes(self, dirichlet):
+        # a fixed 64-panel rule aliases sin(kx) above k ~ 170 and errs by up to 2.3 here
+        n = 1000
+        expected = np.array([parabola_coefficient(k) for k in range(1, n + 1)])
+        cfg = ExperimentConfig(N=n)
+        from_config = resolve_data("parabola", cfg.build_spectrum(), n, cfg.build_rule())
+        assert np.abs(from_config.coefficients - expected).max() <= 1e-9
+        assert np.abs(project(parabola, dirichlet, n).coefficients - expected).max() <= 1e-9
+
+    def test_rule_floor_leaves_small_and_explicit_rules(self):
+        assert ExperimentConfig(N=102).build_rule() == GaussLegendre(panels=64, order=8)
+        assert ExperimentConfig(N=103).build_rule().panels == 65
+        assert ExperimentConfig(N=1000, quad_panels=900).build_rule().panels == 900
 
     def test_non_finite_function_rejected(self, dirichlet):
         with pytest.raises(ValueError, match="non-finite"):

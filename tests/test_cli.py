@@ -86,6 +86,19 @@ class TestSolve:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+    @pytest.mark.parametrize("command,report", [("solve", "stability.json"), ("cauchy", "energy.json")])
+    def test_reported_sup_norms_are_norms_csv_maxima(self, tmp_path, command, report):
+        argv = [command, "--T", "5", "--N", "60", "--a", "parabola", "--out", str(tmp_path)]
+        assert main(argv + (["--omega", "0.3"] if command == "solve" else ["--b", "parabola"])) == 0
+        rows = (tmp_path / "norms.csv").read_text().splitlines()[1:]
+        columns = np.array([[float(v) for v in r.split(",")] for r in rows])
+        assert columns.shape == (1001, 4)
+        values = json.loads((tmp_path / report).read_text())
+        # the CSV keeps 13 significant digits, the JSON the full double
+        assert float(f"{values['sup_u_h1']:.12e}") == columns[:, 2].max()
+        assert float(f"{values['sup_dudt_h0']:.12e}") == columns[:, 3].max()
+
+
 class TestCauchy:
     def test_first_eigenfunction_evolves_as_cosine(self, tmp_path):
         code = main(["cauchy", "--T", "5", "--N", "8", "--a", "eigenmode:1",

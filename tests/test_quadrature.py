@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from specwave import GaussLegendre
+from specwave import GaussLegendre, quadrature
 
 
 def test_polynomials_integrated_exactly():
@@ -50,3 +50,36 @@ def test_degenerate_rule_rejected():
         GaussLegendre(panels=0)
     with pytest.raises(ValueError):
         GaussLegendre(order=0)
+
+
+def _dense_exp_moments(rule, mu, a, b):
+    nodes, weights = rule.nodes_weights(a, b)
+    return np.exp(1j * np.multiply.outer(mu, nodes)) @ weights
+
+
+def test_exp_moments_match_dense_sum():
+    # the rule verification sizes for N = 1000, T = 5, omega = 0.01
+    T, omega, theta_n = 5.0, 0.01, 1000.0
+    rule = GaussLegendre(panels=1251, order=8)
+    step = quadrature._BLOCK_ELEMENTS // rule.panels
+    special = [0.0, 1e-12, -3e-7, 2.5e-3, 0.37,
+               theta_n + omega, theta_n - omega, -theta_n + omega, -theta_n - omega]
+    rng = np.random.default_rng(7)
+    mu = np.concatenate([special, rng.uniform(-theta_n - 1, theta_n + 1, 2 * step + 5 - len(special))])
+    assert mu.size % step != 0 and mu.size > 2 * step
+    got = rule.exp_moments(mu, 0.0, T)
+    want = _dense_exp_moments(rule, mu, 0.0, T)
+    _, weights = rule.nodes_weights(0.0, T)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(weights).sum()
+    # any shape of frequencies is kept
+    assert np.array_equal(rule.exp_moments(mu[:6].reshape(2, 3), 0.0, T), got[:6].reshape(2, 3))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, -3.7, 40.0])
+def test_exp_moments_against_mpmath(mu):
+    mpmath = pytest.importorskip("mpmath")
+    a, b = 0.25, 5.0
+    with mpmath.workdps(30):
+        exact = complex(mpmath.quad(lambda t: mpmath.expj(mu * t), [a, b]))
+    got = GaussLegendre().exp_moments(np.array([mu]), a, b)[0]
+    assert abs(got - exact) <= 1e-13 * (b - a)

@@ -129,6 +129,18 @@ class TestNormTrajectory:
             spatial = math.sqrt(float(weights @ np.abs(values) ** 2))
             assert coeff_norm == pytest.approx(spatial, abs=1e-8)
 
+    @pytest.mark.parametrize("n_modes,time_points", [(1, 11), (37, 1001), (1000, 1001)])
+    def test_shared_trajectories_bit_identical(self, dirichlet, rng, n_modes, time_points):
+        C = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+        D = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+        sol = SeriesSolution(dirichlet, 5.0, C, D)
+        ts = np.linspace(0.0, 5.0, time_points)
+        shared = sol.norm_trajectories(ts)
+        assert np.array_equal(shared.ts, ts)
+        assert np.all(shared.u_h0 == sol.norm_trajectory(0, ts))
+        assert np.all(shared.u_h1 == sol.norm_trajectory(1, ts))
+        assert np.all(shared.dudt_h0 == sol.norm_trajectory(0, ts, derivative=True))
+
     def test_per_mode_energy_constant_on_grid(self, dirichlet, rng):
         C = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         D = rng.standard_normal(10) + 1j * rng.standard_normal(10)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,3 +95,47 @@ def test_residuals_at_reference_configuration(dirichlet):
     assert ver.initial_condition_residual(problem, sol) == 0.0
     trip = ver.roundtrip_check(problem, sol)
     assert trip.coefficient_rel < 1e-10
+
+
+def _parabola_problem(dirichlet, n_modes, omega):
+    rng = np.random.default_rng(n_modes)
+    k = np.arange(1, n_modes + 1)
+    a = SpectralVector((rng.uniform(-1, 1, n_modes) + 1j * rng.uniform(-1, 1, n_modes)) / k**3, dirichlet)
+    g = project(lambda x: x * (math.pi - x), dirichlet, n_modes)
+    return NonlocalProblem(dirichlet, ProblemClock(5.0, omega), a, g)
+
+
+def test_quadrature_checks_memory_bounded_at_large_n(dirichlet):
+    # a dense N x (time nodes) moment matrix would take 4.1 GiB here
+    problem = _parabola_problem(dirichlet, 3000, 0.07)
+    sol = solve_nonlocal(problem)
+    tracemalloc.start()
+    try:
+        rel = ver.relative_integral_residual(problem, sol)
+        re_resid, im_resid = ver.real_system_residuals(problem, sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    scale = 1 + problem.gamma.sobolev_norm(0)
+    assert rel < 1e-8
+    assert max(re_resid, im_resid) < 1e-8 * scale
+
+
+def test_small_scaling_flagged_at_large_n(dirichlet):
+    problem = _parabola_problem(dirichlet, 1000, 0.2137)
+    sol = solve_nonlocal(problem)
+    scale = 1 + problem.gamma.sobolev_norm(0)
+    assert ver.relative_integral_residual(problem, sol) < 1e-8
+    tampered = sol.scaled(1 + 1e-6)
+    assert ver.relative_integral_residual(problem, tampered) > 1e-8
+    assert max(ver.real_system_residuals(problem, tampered)) > 1e-8 * scale
+
+
+def test_real_split_is_the_complex_residual(solved):
+    problem, sol = solved
+    tampered = sol.scaled(1.001)
+    re_resid, im_resid = ver.real_system_residuals(problem, tampered)
+    assert math.hypot(re_resid, im_resid) == pytest.approx(
+        ver.integral_condition_residual(problem, tampered), rel=1e-12
+    )
