@@ -12,7 +12,7 @@ from .basis import (
     eigenfunction_matrix,
     project,
 )
-from .cauchy import CauchyProblem, derivative_coefficients, solve_cauchy, solve_cauchy_mode
+from .cauchy import CauchyProblem, derivative_coefficients, solve_cauchy
 from .phase import (
     Classification,
     DenominatorReport,
@@ -27,7 +27,7 @@ from .phase import (
     z_diagnostic,
 )
 from .quadrature import GaussLegendre
-from .solution import ModeCoefficients, SeriesSolution
+from .solution import SeriesSolution
 from .timeavg import (
     BoundCheck,
     IllConditionedModeError,
@@ -35,7 +35,6 @@ from .timeavg import (
     StabilityReport,
     coefficient_bound_check,
     solve_nonlocal,
-    solve_nonlocal_mode,
     stability_report,
 )
 
@@ -50,7 +49,6 @@ __all__ = [
     "GaussLegendre",
     "IllConditionedModeError",
     "ModeClass",
-    "ModeCoefficients",
     "NonlocalProblem",
     "ProblemClock",
     "SeriesSolution",
@@ -70,9 +68,7 @@ __all__ = [
     "project",
     "resonance_numerator",
     "solve_cauchy",
-    "solve_cauchy_mode",
     "solve_nonlocal",
-    "solve_nonlocal_mode",
     "stability_report",
     "z_diagnostic",
 ]

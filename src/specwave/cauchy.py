@@ -42,22 +42,13 @@ class CauchyProblem:
         return len(self.alpha)
 
 
-def solve_cauchy_mode(alpha_k: complex, beta_k: complex, theta_k: float) -> tuple[complex, complex]:
-    """(C, D) with C + D = alpha_k and i theta (D - C) = beta_k.
+def solve_cauchy(problem: CauchyProblem) -> SeriesSolution:
+    """Assemble all modes; u(0) = a and du/dt(0) = b hold at coefficient level.
 
+    Mode k has C + D = alpha_k and i theta (D - C) = beta_k, so
     D = (beta + i theta alpha) / (2 i theta), C = (-beta + i theta alpha) / (2 i theta);
     real (alpha, beta) give C = conj(D), i.e. a real oscillation.
     """
-    if not theta_k > 0:
-        raise ValueError("theta must be positive (the spectrum has lambda_k > 0)")
-    denom = 2j * theta_k
-    D = (beta_k + 1j * theta_k * alpha_k) / denom
-    C = (-beta_k + 1j * theta_k * alpha_k) / denom
-    return C, D
-
-
-def solve_cauchy(problem: CauchyProblem) -> SeriesSolution:
-    """Assemble all modes; u(0) = a and du/dt(0) = b hold at coefficient level."""
     theta = problem.alpha.frequencies()
     a = problem.alpha.coefficients
     b = problem.beta.coefficients

@@ -100,14 +100,24 @@ def phi(mu, T: float):
     return out.reshape(mu_in.shape)
 
 
+def denominators(theta, clock: ProblemClock):
+    """d = phi(omega + theta) - phi(omega - theta) and its scaled magnitude |d| (1 + theta).
+
+    The one place the per-mode determinant is computed; every solver and
+    diagnostic reads it from here. Accepts a scalar or array theta.
+    """
+    theta = np.asarray(theta, dtype=float)
+    d = phi(clock.omega + theta, clock.T) - phi(clock.omega - theta, clock.T)
+    return d, np.abs(d) * (1.0 + theta)
+
+
 def denominator(k, spectrum, clock: ProblemClock):
     """Per-mode solvability denominator d_k = phi(omega + theta_k) - phi(omega - theta_k).
 
     This is the determinant of the per-mode 2x2 system. Its sign depends on the
     row orientation; only |d_k| is convention-free.
     """
-    theta = spectrum.frequency(k)
-    return phi(clock.omega + theta, clock.T) - phi(clock.omega - theta, clock.T)
+    return denominators(spectrum.frequency(k), clock)[0]
 
 
 def resonance_numerator(x, clock: ProblemClock):
@@ -217,7 +227,6 @@ def z_diagnostic(m: int, spectrum, clock: ProblemClock, tol: float = CLASSIFY_TO
         raise ValueError("m must be >= 1")
     ks = np.arange(1, m + 1)
     theta = np.asarray(spectrum.frequency(ks), dtype=float)
-    d = phi(clock.omega + theta, clock.T) - phi(clock.omega - theta, clock.T)
-    scaled = np.abs(d) * (1.0 + theta)
+    d, scaled = denominators(theta, clock)
     classes = tuple(_classify_theta(float(t), clock, tol) for t in theta)
     return DenominatorReport(clock, ks, theta, d, scaled, classes)

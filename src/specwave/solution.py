@@ -10,48 +10,6 @@ import numpy as np
 from .basis import SOBOLEV_ORDERS, SpectralVector, eigenfunction_matrix
 
 
-@dataclass(frozen=True)
-class ModeCoefficients:
-    """One oscillator y(t) = C e^{-i theta t} + D e^{i theta t}, theta > 0."""
-
-    C: complex
-    D: complex
-    theta: float
-
-    def value(self, t):
-        ph = np.exp(1j * self.theta * np.asarray(t, dtype=float))
-        return self.C * np.conj(ph) + self.D * ph
-
-    def derivative(self, t):
-        ph = np.exp(1j * self.theta * np.asarray(t, dtype=float))
-        return 1j * self.theta * (self.D * ph - self.C * np.conj(ph))
-
-    def second_derivative(self, t):
-        return -(self.theta**2) * self.value(t)
-
-    def antiderivative(self, s, t):
-        """int_s^t y(r) dr in closed form."""
-        w = 1j * self.theta
-        es, et = np.exp(w * np.asarray(s, float)), np.exp(w * np.asarray(t, float))
-        return self.C * (np.conj(et) - np.conj(es)) / (-w) + self.D * (et - es) / w
-
-    def energy(self, t):
-        """|y'(t)|^2 + theta^2 |y(t)|^2; conserved along the mode ODE."""
-        return np.abs(self.derivative(t)) ** 2 + self.theta**2 * np.abs(self.value(t)) ** 2
-
-
-def _compensated_sum(terms) -> complex:
-    """Kahan-compensated accumulation, in the order given."""
-    total = 0.0 + 0.0j
-    carry = 0.0 + 0.0j
-    for term in terms:
-        y = term - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class NormTrajectories:
     """Norms of a solution on one time grid: the columns of norms.csv."""
@@ -99,11 +57,6 @@ class SeriesSolution:
     def eigenvalues(self) -> np.ndarray:
         return self.thetas**2
 
-    def mode(self, k: int) -> ModeCoefficients:
-        if not 1 <= k <= len(self):
-            raise IndexError(f"mode {k} out of range 1..{len(self)}")
-        return ModeCoefficients(complex(self.C[k - 1]), complex(self.D[k - 1]), float(self.thetas[k - 1]))
-
     def _check_time(self, t: np.ndarray):
         slack = 1e-9 * max(1.0, self.T)
         if np.any(t < -slack) or np.any(t > self.T + slack):
@@ -133,32 +86,10 @@ class SeriesSolution:
         """y_k'(t) for all modes."""
         return self._derivatives(self._phases(t))
 
-    def evaluate(self, x: float, t: float) -> complex:
-        """u(x, t); modes are summed in ascending k with compensated accumulation."""
-        y = self.mode_values(float(t))
-        v = eigenfunction_matrix(self.spectrum, len(self), x)[:, 0]
-        return _compensated_sum(y * v)
-
-    def time_derivative(self, x: float, t: float) -> complex:
-        """du/dt(x, t), term-wise analytic derivative."""
-        y = self.mode_derivatives(float(t))
-        v = eigenfunction_matrix(self.spectrum, len(self), x)[:, 0]
-        return _compensated_sum(y * v)
-
     def field(self, xs, ts) -> np.ndarray:
         """u sampled on a space-time grid; shape (len(xs), len(ts))."""
         basis = eigenfunction_matrix(self.spectrum, len(self), xs)
         return basis.T @ self.mode_values(np.asarray(ts, dtype=float))
-
-    def derivative_field(self, xs, ts) -> np.ndarray:
-        basis = eigenfunction_matrix(self.spectrum, len(self), xs)
-        return basis.T @ self.mode_derivatives(np.asarray(ts, dtype=float))
-
-    def coefficients_at(self, t: float) -> SpectralVector:
-        return SpectralVector(self.mode_values(float(t)), self.spectrum)
-
-    def derivative_coefficients_at(self, t: float) -> SpectralVector:
-        return SpectralVector(self.mode_derivatives(float(t)), self.spectrum)
 
     def initial_coefficients(self) -> SpectralVector:
         """Coefficients of u(0), i.e. C + D."""
@@ -191,21 +122,6 @@ class SeriesSolution:
         """Grid maximum of the H^q norm over [0, T]."""
         ts = np.linspace(0.0, self.T, time_points)
         return float(self.norm_trajectory(q, ts, derivative=derivative).max())
-
-    def real_imaginary_parts(self):
-        """Point evaluators for v = Re u and w = Im u.
-
-        Both fields solve the wave equation; together they carry the complex
-        time-average condition as two coupled real integral conditions.
-        """
-
-        def v(x, t):
-            return self.evaluate(x, t).real
-
-        def w(x, t):
-            return self.evaluate(x, t).imag
-
-        return v, w
 
     def __add__(self, other: "SeriesSolution") -> "SeriesSolution":
         if len(self) != len(other) or self.T != other.T or not (

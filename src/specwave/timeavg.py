@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .basis import SpectralVector
-from .phase import CLASSIFY_TOL, Classification, ProblemClock, _classify_theta, phi
+from .phase import CLASSIFY_TOL, Classification, ProblemClock, _classify_theta, denominators, phi
 from .solution import NormTrajectories, SeriesSolution
 
 # modes with |d_k| (1 + theta_k) below this floor amplify data noise past ~1e12
@@ -33,15 +33,14 @@ def condition_floor(T: float) -> float:
 class IllConditionedModeError(ArithmeticError):
     """A mode's scaled denominator fell below the conditioning floor."""
 
-    def __init__(self, k, theta: float, abs_d: float, classification: Classification, floor: float):
+    def __init__(self, k: int, theta: float, abs_d: float, classification: Classification, floor: float):
         self.k = k
         self.theta = theta
         self.abs_d = abs_d
         self.classification = classification
         self.floor = floor
-        where = f"mode k={k}" if k is not None else f"mode with theta={theta:g}"
         super().__init__(
-            f"{where}: |d| = {abs_d:.3e}, class {classification.label}, "
+            f"mode k={k}: |d| = {abs_d:.3e}, class {classification.label}, "
             f"scaled magnitude below floor {floor:.3e}; "
             "omega is too close to resonance for a stable solve"
         )
@@ -76,32 +75,27 @@ class NonlocalProblem:
         return len(self.alpha)
 
 
-def solve_nonlocal_mode(
-    alpha_k: complex,
-    gamma_k: complex,
-    theta_k: float,
-    clock: ProblemClock,
-    k: int | None = None,
-) -> tuple[complex, complex]:
-    """Solve one mode's 2x2 system by elimination.
+def _solve_modes(alpha, gamma, theta, clock: ProblemClock):
+    """(C, D) for every mode's 2x2 system by elimination; arrays over k = 1..len(theta).
 
     C is recovered as alpha_k - D, so the initial condition holds to rounding
     at the coefficient scale (error below eps (|C| + |D|), and exactly zero
-    whenever alpha_k = 0). Raises IllConditionedModeError when |det| (1 + theta)
-    falls below the conditioning floor. The stable phi makes this path correct
-    through the resonance theta = +/-omega without special-casing.
+    whenever alpha_k = 0). Raises IllConditionedModeError for the worst mode
+    when any |d_k| (1 + theta_k) falls below the conditioning floor. The stable
+    phi makes this path correct through the resonance theta = +/-omega without
+    special-casing. Takes a bare clock, so the diagnostics can solve at omega = 0.
     """
-    if not theta_k > 0:
-        raise ValueError("theta must be positive")
-    p = phi(clock.omega - theta_k, clock.T)
-    q = phi(clock.omega + theta_k, clock.T)
-    det = q - p
-    if abs(det) * (1.0 + theta_k) < condition_floor(clock.T):
+    theta = np.asarray(theta, dtype=float)
+    det, scaled = denominators(theta, clock)
+    floor = condition_floor(clock.T)
+    if np.any(scaled < floor):
+        i = int(np.argmin(scaled))
         raise IllConditionedModeError(
-            k, theta_k, abs(det), _classify_theta(theta_k, clock, CLASSIFY_TOL), condition_floor(clock.T)
+            i + 1, float(theta[i]), float(np.abs(det[i])),
+            _classify_theta(float(theta[i]), clock, CLASSIFY_TOL), floor,
         )
-    D = (gamma_k - p * alpha_k) / det
-    C = alpha_k - D
+    D = (gamma - phi(clock.omega - theta, clock.T) * alpha) / det
+    C = alpha - D
     return C, D
 
 
@@ -112,22 +106,11 @@ def solve_nonlocal(problem: NonlocalProblem) -> SeriesSolution:
     alpha_k - D_k by construction); the time-average condition holds
     mode-exactly and is re-checked by independent quadrature in `verification`.
     """
-    clock = problem.clock
-    theta = problem.alpha.frequencies()
-    p = phi(clock.omega - theta, clock.T)
-    q = phi(clock.omega + theta, clock.T)
-    det = q - p
-    scaled = np.abs(det) * (1.0 + theta)
-    floor = condition_floor(clock.T)
-    if np.any(scaled < floor):
-        i = int(np.argmin(scaled))
-        raise IllConditionedModeError(
-            i + 1, float(theta[i]), float(np.abs(det[i])),
-            _classify_theta(float(theta[i]), clock, CLASSIFY_TOL), floor,
-        )
-    D = (problem.gamma.coefficients - p * problem.alpha.coefficients) / det
-    C = problem.alpha.coefficients - D
-    return SeriesSolution(problem.spectrum, clock.T, C, D, omega=clock.omega)
+    C, D = _solve_modes(
+        problem.alpha.coefficients, problem.gamma.coefficients,
+        problem.alpha.frequencies(), problem.clock,
+    )
+    return SeriesSolution(problem.spectrum, problem.clock.T, C, D, omega=problem.clock.omega)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,10 +142,8 @@ def coefficient_bound_check(problem: NonlocalProblem, solution: SeriesSolution) 
     healthy floor every margin is positive, while omega ~ 0 drives near-resonant
     modes far past the bound.
     """
-    clock = problem.clock
     theta = solution.thetas
-    det = phi(clock.omega + theta, clock.T) - phi(clock.omega - theta, clock.T)
-    z_floor = float((np.abs(det) * (1.0 + theta)).min())
+    z_floor = float(denominators(theta, problem.clock)[1].min())
     c = 4.0 / z_floor
     lhs = np.abs(solution.C) + np.abs(solution.D)
     rhs = c * (np.abs(problem.alpha.coefficients) + (1.0 + theta) * np.abs(problem.gamma.coefficients))

@@ -9,6 +9,7 @@ green check is evidence rather than tautology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,63 +46,40 @@ def _time_rule(problem: NonlocalProblem, rule: GaussLegendre | None) -> GaussLeg
     return GaussLegendre(panels=panels, order=8)
 
 
-def _moment_residual(
-    problem: NonlocalProblem, solution: SeriesSolution, rule: GaussLegendre | None
-) -> np.ndarray:
-    """Per mode, (quadrature of int_0^T e^{i omega t} y_k(t) dt) - gamma_k.
+class IntegralResidual(NamedTuple):
+    """H^0 norms of (quadrature of int_0^T e^{i omega t} u dt) - g and of its parts."""
 
-    With y_k = C_k e^{-i theta_k t} + D_k e^{i theta_k t} the moment is
-    C_k S(omega - theta_k) + D_k S(omega + theta_k), where S(mu) is the
-    Gauss-Legendre sum of e^{i mu t} over [0, T]; never phi, which built the
-    solution.
+    total: float
+    re: float
+    im: float
+
+
+def integral_condition_residual(
+    problem: NonlocalProblem, solution: SeriesSolution, rule: GaussLegendre | None = None
+) -> IntegralResidual:
+    """Residual of the time-average condition, whole and as the coupled real system.
+
+    Per mode, with y_k = C_k e^{-i theta_k t} + D_k e^{i theta_k t}, the moment
+    int_0^T e^{i omega t} y_k dt is C_k S(omega - theta_k) + D_k S(omega + theta_k),
+    where S(mu) is the Gauss-Legendre sum of e^{i mu t} over [0, T]; never phi,
+    which built the solution. This costs O(N * panels) time and O(N + panels)
+    memory. For v = Re u, w = Im u the complex condition splits into two
+    coupled real integral conditions:
+        int_0^T [cos(wt) v - sin(wt) w] dt = Re g
+        int_0^T [sin(wt) v + cos(wt) w] dt = Im g
+    Since e^{i omega t} u = [cos(wt) v - sin(wt) w] + i [sin(wt) v + cos(wt) w],
+    they are algebraically the real and imaginary parts of the complex one, so
+    all three norms read one moment vector (the eigenfunctions are real, so
+    Re/Im pass through the expansion).
     """
     clock = problem.clock
     theta = solution.thetas
     minus, plus = _time_rule(problem, rule).exp_moments(
         clock.omega + np.stack([-theta, theta]), 0.0, clock.T
     )
-    return solution.C * minus + solution.D * plus - problem.gamma.coefficients
-
-
-def integral_condition_residual(
-    problem: NonlocalProblem, solution: SeriesSolution, rule: GaussLegendre | None = None
-) -> float:
-    """H^0 norm of (quadrature of int_0^T e^{i omega t} u dt) - g.
-
-    The moment integral is evaluated per mode by Gauss-Legendre quadrature in
-    time, independent of the phase integrals used to build the solution. The
-    moment vector is the one `real_system_residuals` splits; it costs
-    O(N * panels) time and O(N + panels) memory.
-    """
-    resid = _moment_residual(problem, solution, rule)
-    return float(np.sqrt(np.sum(np.abs(resid) ** 2)))
-
-
-def relative_integral_residual(
-    problem: NonlocalProblem, solution: SeriesSolution, rule: GaussLegendre | None = None
-) -> float:
-    return integral_condition_residual(problem, solution, rule) / (
-        1.0 + problem.gamma.sobolev_norm(0)
-    )
-
-
-def real_system_residuals(
-    problem: NonlocalProblem, solution: SeriesSolution, rule: GaussLegendre | None = None
-) -> tuple[float, float]:
-    """Residuals of the two coupled real integral conditions for v = Re u, w = Im u.
-
-    Splitting the complex condition:
-        int_0^T [cos(wt) v - sin(wt) w] dt = Re g
-        int_0^T [sin(wt) v + cos(wt) w] dt = Im g
-    Since e^{i omega t} u = [cos(wt) v - sin(wt) w] + i [sin(wt) v + cos(wt) w],
-    the two real conditions are algebraically the real and imaginary parts of
-    the complex one, so both residuals read the moment vector of
-    `integral_condition_residual`. They are checked in coefficient space (the
-    eigenfunctions are real, so Re/Im pass through the expansion) and returned
-    as H^0 norms.
-    """
-    resid = _moment_residual(problem, solution, rule)
-    return (
+    resid = solution.C * minus + solution.D * plus - problem.gamma.coefficients
+    return IntegralResidual(
+        float(np.sqrt(np.sum(np.abs(resid) ** 2))),
         float(np.sqrt(np.sum(resid.real**2))),
         float(np.sqrt(np.sum(resid.imag**2))),
     )
@@ -145,21 +123,24 @@ def mode_energy_drift(solution: SeriesSolution, time_points: int = 1000) -> np.n
     return (top - energy.min(axis=1)) / np.where(top > 0, top, 1.0)
 
 
+def _mode_integrals(solution: SeriesSolution, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """int_s^t y_k(r) dr in closed form for every mode and pair; shape (N, len(s))."""
+    w = 1j * solution.thetas[:, None]
+    es, et = np.exp(w * s), np.exp(w * t)
+    C, D = solution.C[:, None], solution.D[:, None]
+    return C * (np.conj(et) - np.conj(es)) / (-w) + D * (et - es) / w
+
+
 def weak_identity_residual(solution: SeriesSolution, pairs) -> float:
     """max over modes and (s, t) pairs of |y'(t) - y'(s) + lambda int_s^t y dr|.
 
     The integral uses the closed-form antiderivative, so this checks that each
     mode genuinely satisfies the integrated form of the oscillator equation.
     """
-    worst = 0.0
-    for k in range(1, len(solution) + 1):
-        mode = solution.mode(k)
-        lam = mode.theta**2
-        for s, t in pairs:
-            lhs = mode.derivative(t) - mode.derivative(s)
-            rhs = -lam * mode.antiderivative(s, t)
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    s, t = np.asarray(pairs, dtype=float).reshape(-1, 2).T
+    lhs = solution.mode_derivatives(t) - solution.mode_derivatives(s)
+    rhs = -solution.eigenvalues[:, None] * _mode_integrals(solution, s, t)
+    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def energy_estimate_margin(problem: CauchyProblem, solution: SeriesSolution,

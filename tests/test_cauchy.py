@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from specwave import (
     CauchyProblem,
     SpectralVector,
+    TabulatedSpectrum,
     derivative_coefficients,
     solve_cauchy,
-    solve_cauchy_mode,
 )
+from specwave import verification as ver
 
 
 def make_problem(dirichlet, alpha, beta, T=5.0):
@@ -20,20 +21,27 @@ def make_problem(dirichlet, alpha, beta, T=5.0):
     )
 
 
+def solve_one_mode(alpha, beta, theta):
+    """(C, D) of solve_cauchy on a one-mode spectrum with frequency theta."""
+    spectrum = TabulatedSpectrum((theta**2,))
+    sol = solve_cauchy(make_problem(spectrum, [alpha], [beta]))
+    return complex(sol.C[0]), complex(sol.D[0])
+
+
 class TestSolveCauchyMode:
     def test_cosine_split(self):
-        C, D = solve_cauchy_mode(1.0, 0.0, 1.0)
+        C, D = solve_one_mode(1.0, 0.0, 1.0)
         assert C == pytest.approx(0.5)
         assert D == pytest.approx(0.5)
 
     def test_sine_mode(self):
-        C, D = solve_cauchy_mode(0.0, 1.0, 2.0)
+        C, D = solve_one_mode(0.0, 1.0, 2.0)
         assert D == pytest.approx(1.0 / 4j)
         assert C == pytest.approx(-1.0 / 4j)
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(ValueError):
-            solve_cauchy_mode(1.0, 1.0, 0.0)
+            solve_one_mode(1.0, 1.0, 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -42,7 +50,7 @@ class TestSolveCauchyMode:
         theta=st.floats(1e-3, 1e3),
     )
     def test_real_data_gives_conjugate_pair(self, alpha, beta, theta):
-        C, D = solve_cauchy_mode(alpha, beta, theta)
+        C, D = solve_one_mode(alpha, beta, theta)
         assert C == pytest.approx(D.conjugate(), rel=1e-12, abs=1e-12)
 
     @settings(max_examples=100, deadline=None)
@@ -53,7 +61,7 @@ class TestSolveCauchyMode:
     )
     def test_mode_satisfies_both_conditions(self, ar, ai, br, bi, theta):
         alpha, beta = complex(ar, ai), complex(br, bi)
-        C, D = solve_cauchy_mode(alpha, beta, theta)
+        C, D = solve_one_mode(alpha, beta, theta)
         scale = 1 + abs(alpha) + abs(beta)
         assert abs((C + D) - alpha) < 1e-13 * scale
         assert abs(1j * theta * (D - C) - beta) < 1e-13 * scale
@@ -71,8 +79,8 @@ class TestSolveCauchy:
         for x in (0.4, math.pi / 2, 2.5):
             for t in (0.0, 0.7, 3.1):
                 expected = math.cos(t) * math.sqrt(2 / math.pi) * math.sin(x)
-                assert sol.evaluate(x, t) == pytest.approx(expected, abs=1e-14)
-        assert sol.evaluate(math.pi / 2, 0.0) == pytest.approx(math.sqrt(2 / math.pi), rel=1e-14)
+                assert sol.field([x], [t])[0, 0] == pytest.approx(expected, abs=1e-14)
+        assert sol.field([math.pi / 2], [0.0])[0, 0] == pytest.approx(math.sqrt(2 / math.pi), rel=1e-14)
 
     def test_initial_data_reproduced(self, dirichlet, rng):
         alpha = rng.standard_normal(20) + 1j * rng.standard_normal(20)
@@ -109,44 +117,38 @@ class TestModeDynamics:
         sol = solve_cauchy(make_problem(dirichlet, alpha, beta))
         h = 1e-4
         ts = rng.uniform(h, sol.T - h, size=100)
+        y = sol.mode_values
         for k in (1, 5, 12, 25):
-            mode = sol.mode(k)
-            y2 = (mode.value(ts + h) - 2 * mode.value(ts) + mode.value(ts - h)) / h**2
-            exact = mode.second_derivative(ts)
-            scale = mode.theta**2 * (abs(mode.C) + abs(mode.D))
+            i = k - 1
+            y2 = (y(ts + h)[i] - 2 * y(ts)[i] + y(ts - h)[i]) / h**2
+            exact = -sol.eigenvalues[i] * y(ts)[i]
+            scale = sol.eigenvalues[i] * (abs(sol.C[i]) + abs(sol.D[i]))
             assert (np.abs(y2 - exact) / scale).max() < 1e-6
 
     def test_per_mode_energy_conserved(self, dirichlet, rng):
         alpha = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         beta = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         sol = solve_cauchy(make_problem(dirichlet, alpha, beta))
-        ts = np.linspace(0.0, sol.T, 1000)
+        drifts = ver.mode_energy_drift(sol, time_points=1000)
         for k in (1, 10, 30):
-            energy = sol.mode(k).energy(ts)
-            drift = (energy.max() - energy.min()) / energy.max()
-            assert drift < 1e-12
+            assert drifts[k - 1] < 1e-12
 
     def test_weak_identity_closed_form(self, dirichlet, rng):
         # y'(t) - y'(s) = -lambda int_s^t y dr with the analytic antiderivative
         alpha = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         beta = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         sol = solve_cauchy(make_problem(dirichlet, alpha, beta))
-        for _ in range(20):
-            s, t = sorted(rng.uniform(0.0, sol.T, size=2))
-            for k in (1, 4, 10):
-                mode = sol.mode(k)
-                lhs = mode.derivative(t) - mode.derivative(s)
-                rhs = -mode.theta**2 * mode.antiderivative(s, t)
-                assert abs(lhs - rhs) < 1e-10
+        pairs = [sorted(rng.uniform(0.0, sol.T, size=2)) for _ in range(20)]
+        assert ver.weak_identity_residual(sol, pairs) < 1e-10
 
     def test_antiderivative_against_quadrature(self, dirichlet):
         sol = solve_cauchy(make_problem(dirichlet, [1.0, 0.5j], [0.25, -1.0]))
-        mode = sol.mode(2)
         from specwave import GaussLegendre
 
         rule = GaussLegendre(panels=64, order=8)
-        quad = rule.integrate(mode.value, 0.3, 4.1)
-        assert mode.antiderivative(0.3, 4.1) == pytest.approx(quad, abs=1e-12)
+        quad = rule.integrate(lambda t: sol.mode_values(t)[1], 0.3, 4.1)
+        closed = ver._mode_integrals(sol, np.array([0.3]), np.array([4.1]))[1, 0]
+        assert closed == pytest.approx(quad, abs=1e-12)
 
 
 class TestDerivativeCoefficients:

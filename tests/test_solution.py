@@ -10,27 +10,39 @@ from specwave import (
     ProblemClock,
     SeriesSolution,
     SpectralVector,
+    eigen_data,
+    eigenfunction_matrix,
     project,
     solve_cauchy,
     solve_nonlocal,
 )
-from specwave.verification import real_system_residuals
+from specwave.verification import integral_condition_residual
 
 
 def single_cosine(dirichlet, T=5.0):
     return SeriesSolution(dirichlet, T, C=[0.5], D=[0.5])
 
 
+def point(sol, x, t):
+    """u(x, t) through the one evaluation path, `field`."""
+    return sol.field([x], [t])[0, 0]
+
+
+def du_dt(sol, x, t):
+    """du/dt(x, t) = sum_k y_k'(t) v_k(x)."""
+    return eigenfunction_matrix(sol.spectrum, len(sol), x)[:, 0] @ sol.mode_derivatives(t)
+
+
 class TestEvaluate:
     def test_zero_modes(self, dirichlet):
         sol = SeriesSolution(dirichlet, 1.0, C=np.zeros(3), D=np.zeros(3))
-        assert sol.evaluate(1.0, 0.5) == 0
+        assert point(sol, 1.0, 0.5) == 0
 
     def test_single_cosine_mode(self, dirichlet):
         sol = single_cosine(dirichlet)
-        got = sol.evaluate(math.pi / 2, 0.0)
+        got = point(sol, math.pi / 2, 0.0)
         assert got == pytest.approx(math.sqrt(2 / math.pi), rel=1e-14)
-        assert sol.evaluate(0.8, 2.0) == pytest.approx(
+        assert point(sol, 0.8, 2.0) == pytest.approx(
             math.cos(2.0) * math.sqrt(2 / math.pi) * math.sin(0.8), rel=1e-13
         )
 
@@ -39,15 +51,15 @@ class TestEvaluate:
         D = rng.standard_normal(50) + 1j * rng.standard_normal(50)
         sol = SeriesSolution(dirichlet, 5.0, C, D)
         for t in np.linspace(0.0, 5.0, 7):
-            assert abs(sol.evaluate(0.0, t)) < 1e-12
-            assert abs(sol.evaluate(math.pi, t)) < 1e-12
+            assert abs(point(sol, 0.0, t)) < 1e-12
+            assert abs(point(sol, math.pi, t)) < 1e-12
 
     def test_time_window_enforced(self, dirichlet):
         sol = single_cosine(dirichlet, T=2.0)
         with pytest.raises(ValueError, match="outside"):
-            sol.evaluate(1.0, 2.5)
+            point(sol, 1.0, 2.5)
         with pytest.raises(ValueError, match="outside"):
-            sol.evaluate(1.0, -0.5)
+            point(sol, 1.0, -0.5)
 
     def test_linearity(self, dirichlet, rng):
         C1 = rng.standard_normal(20) + 1j * rng.standard_normal(20)
@@ -58,32 +70,36 @@ class TestEvaluate:
         s2 = SeriesSolution(dirichlet, 3.0, C2, D2)
         both = s1 + s2
         for x, t in ((0.3, 0.1), (1.7, 2.9), (2.2, 1.5)):
-            assert both.evaluate(x, t) == pytest.approx(
-                s1.evaluate(x, t) + s2.evaluate(x, t), abs=1e-12
+            assert point(both, x, t) == pytest.approx(
+                point(s1, x, t) + point(s2, x, t), abs=1e-12
             )
 
     def test_field_matches_pointwise_evaluation(self, dirichlet, rng):
-        C = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-        D = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-        sol = SeriesSolution(dirichlet, 2.0, C, D)
+        # C = D = c/2 makes u = sum_k c_k cos(k t) sqrt(2/pi) sin(k x) in closed form
+        c = rng.standard_normal(15) + 1j * rng.standard_normal(15)
+        sol = SeriesSolution(dirichlet, 2.0, c / 2, c / 2)
         xs = np.linspace(0.0, math.pi, 5)
         ts = np.linspace(0.0, 2.0, 4)
         grid = sol.field(xs, ts)
         for i, x in enumerate(xs):
             for j, t in enumerate(ts):
-                assert grid[i, j] == pytest.approx(sol.evaluate(x, t), abs=1e-12)
+                expected = sum(
+                    c[k - 1] * math.cos(k * t) * math.sqrt(2 / math.pi) * math.sin(k * x)
+                    for k in range(1, 16)
+                )
+                assert grid[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 class TestTimeDerivative:
     def test_cosine_mode_at_rest_initially(self, dirichlet):
         sol = single_cosine(dirichlet)
-        assert sol.time_derivative(1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert du_dt(sol, 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_sine_mode_initial_slope(self, dirichlet):
         # y(t) = sin(2t)/2 on mode 2: derivative at 0 is 1, so du/dt = v_2(x)
         sol = SeriesSolution(dirichlet, 5.0, C=[0.0, -1 / 4j], D=[0.0, 1 / 4j])
         for x in (0.5, 1.1):
-            assert sol.time_derivative(x, 0.0) == pytest.approx(
+            assert du_dt(sol, x, 0.0) == pytest.approx(
                 dirichlet.eigenfunction(2, x), rel=1e-13
             )
 
@@ -95,8 +111,8 @@ class TestTimeDerivative:
         for _ in range(50):
             x = rng.uniform(0.0, math.pi)
             t = rng.uniform(h, 5.0 - h)
-            fd = (sol.evaluate(x, t + h) - sol.evaluate(x, t - h)) / (2 * h)
-            exact = sol.time_derivative(x, t)
+            fd = (point(sol, x, t + h) - point(sol, x, t - h)) / (2 * h)
+            exact = du_dt(sol, x, t)
             assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
@@ -162,17 +178,21 @@ class TestRealImaginaryParts:
             SpectralVector([0.5, 1.0, 0.0], dirichlet),
         )
         sol = solve_cauchy(problem)
-        _, w = sol.real_imaginary_parts()
         for x, t in ((0.4, 0.0), (1.9, 1.3), (2.8, 3.0)):
-            assert abs(w(x, t)) < 1e-14
+            assert abs(point(sol, x, t).imag) < 1e-14
 
     def test_parts_reassemble_exactly(self, dirichlet, rng):
+        # v = Re u and w = Im u are series solutions themselves: since the
+        # eigenfunctions are real, Re y_k = (y_k + conj y_k)/2 swaps C and conj D
         C = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         D = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         sol = SeriesSolution(dirichlet, 2.0, C, D)
-        v, w = sol.real_imaginary_parts()
+        v = SeriesSolution(dirichlet, 2.0, (C + D.conj()) / 2, (D + C.conj()) / 2)
+        w = SeriesSolution(dirichlet, 2.0, (C - D.conj()) / 2j, (D - C.conj()) / 2j)
         for x, t in ((0.3, 0.2), (2.0, 1.7)):
-            assert complex(v(x, t), w(x, t)) == sol.evaluate(x, t)
+            u = point(sol, x, t)
+            assert point(v, x, t) == pytest.approx(u.real, abs=1e-14)
+            assert point(w, x, t) == pytest.approx(u.imag, abs=1e-14)
 
     def test_coupled_real_conditions_hold(self, dirichlet):
         # with real a and g the split fields satisfy the two real
@@ -181,21 +201,22 @@ class TestRealImaginaryParts:
         a = SpectralVector(np.zeros(50), dirichlet)
         problem = NonlocalProblem(dirichlet, ProblemClock(5.0, 0.01), a, g)
         sol = solve_nonlocal(problem)
-        re_resid, im_resid = real_system_residuals(problem, sol)
-        assert re_resid < 1e-8
-        assert im_resid < 1e-8
+        residual = integral_condition_residual(problem, sol)
+        assert residual.re < 1e-8
+        assert residual.im < 1e-8
 
 
 class TestModeAccess:
     def test_mode_bounds_checked(self, dirichlet):
+        # modes are 1-based, and a solution holds exactly len(sol) of them
         sol = single_cosine(dirichlet)
         with pytest.raises(IndexError):
-            sol.mode(0)
+            eigen_data(sol.spectrum, 0)
         with pytest.raises(IndexError):
-            sol.mode(2)
+            sol.mode_values(0.0)[1]
 
     def test_mode_initial_identities(self, dirichlet):
         sol = SeriesSolution(dirichlet, 1.0, C=[0.25 + 1j], D=[-0.5 + 0.5j])
-        mode = sol.mode(1)
-        assert mode.value(0.0) == pytest.approx(mode.C + mode.D)
-        assert mode.derivative(0.0) == pytest.approx(1j * mode.theta * (mode.D - mode.C))
+        C, D, theta = sol.C[0], sol.D[0], sol.thetas[0]
+        assert sol.mode_values(0.0)[0] == pytest.approx(C + D)
+        assert sol.mode_derivatives(0.0)[0] == pytest.approx(1j * theta * (D - C))

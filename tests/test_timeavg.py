@@ -15,11 +15,12 @@ from specwave import (
     coefficient_bound_check,
     phi,
     project,
+    TabulatedSpectrum,
     solve_nonlocal,
-    solve_nonlocal_mode,
     stability_report,
     z_diagnostic,
 )
+from specwave.timeavg import _solve_modes
 
 
 def make_problem(dirichlet, clock, alpha, gamma):
@@ -28,9 +29,15 @@ def make_problem(dirichlet, clock, alpha, gamma):
     )
 
 
+def solve_mode(alpha, gamma, theta, clock):
+    """One mode through the solver's array kernel, which takes a bare clock."""
+    C, D = _solve_modes(np.array([alpha], complex), np.array([gamma], complex), [theta], clock)
+    return complex(C[0]), complex(D[0])
+
+
 class TestSolveNonlocalMode:
     def test_zero_data(self):
-        C, D = solve_nonlocal_mode(0.0, 0.0, 1.0, ProblemClock(1.0, 0.5))
+        C, D = solve_mode(0.0, 0.0, 1.0, ProblemClock(1.0, 0.5))
         assert C == 0 and D == 0
 
     def test_resonant_mode_uses_stable_path(self):
@@ -38,7 +45,7 @@ class TestSolveNonlocalMode:
         # C*T + D*phi(2 omega) = gamma, solvable because phi(2 omega) != T
         clock = ProblemClock(1.0, 3.0)
         alpha, gamma = 1.0 + 0.5j, -0.2 + 0.8j
-        C, D = solve_nonlocal_mode(alpha, gamma, 3.0, clock)
+        C, D = solve_mode(alpha, gamma, 3.0, clock)
         wd = phi(6.0, 1.0)
         assert C + D == pytest.approx(alpha, abs=1e-15)
         assert C * 1.0 + D * wd == pytest.approx(gamma, abs=1e-13)
@@ -46,7 +53,7 @@ class TestSolveNonlocalMode:
     def test_generic_mode_satisfies_both_equations(self):
         clock = ProblemClock(1.0, 0.5)
         alpha, gamma = 1.0, 0.3 + 0.1j
-        C, D = solve_nonlocal_mode(alpha, gamma, 1.0, clock)
+        C, D = solve_mode(alpha, gamma, 1.0, clock)
         assert C + D == pytest.approx(alpha, abs=1e-15)
         lhs = C * phi(-0.5, 1.0) + D * phi(1.5, 1.0)
         assert abs(lhs - gamma) < 1e-12 * (1 + abs(gamma))
@@ -55,7 +62,7 @@ class TestSolveNonlocalMode:
         # independent check: integrate e^{i omega t} y(t) numerically
         clock = ProblemClock(1.0, 0.5)
         alpha, gamma = 1.0, 0.3 + 0.1j
-        C, D = solve_nonlocal_mode(alpha, gamma, 1.0, clock)
+        C, D = solve_mode(alpha, gamma, 1.0, clock)
         rule = GaussLegendre(panels=128, order=8)
         moment = rule.integrate(
             lambda t: np.exp(1j * clock.omega * t)
@@ -69,11 +76,23 @@ class TestSolveNonlocalMode:
         # omega = 0, theta T = 2 pi: the denominator vanishes identically
         clock = ProblemClock(2 * math.pi, 0.0)
         with pytest.raises(IllConditionedModeError) as err:
-            solve_nonlocal_mode(1.0, 1.0, 1.0, clock, k=1)
+            solve_mode(1.0, 1.0, 1.0, clock)
         assert err.value.k == 1
         assert err.value.abs_d < 1e-12
         assert err.value.classification.mode_class is ModeClass.LAMBDA1
         assert "resonance" in str(err.value)
+
+    def test_ill_conditioned_mode_reported_among_healthy_ones(self):
+        # omega = 0, T = 2 pi: only theta = 1 has theta T on 2 pi Z
+        spectrum = TabulatedSpectrum((0.09, 1.0, 2.89))
+        theta = spectrum.frequency(np.arange(1, 4))
+        clock = ProblemClock(2 * math.pi, 0.0)
+        with pytest.raises(IllConditionedModeError) as err:
+            _solve_modes(np.ones(3, complex), np.ones(3, complex), theta, clock)
+        assert err.value.k == 2
+        assert err.value.theta == 1.0
+        assert err.value.classification.mode_class is ModeClass.LAMBDA1
+        assert "mode k=2" in str(err.value)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -83,7 +102,7 @@ class TestSolveNonlocalMode:
     )
     def test_initial_condition_exact_at_mode_scale(self, ar, ai, gr, gi, theta):
         alpha = complex(ar, ai)
-        C, D = solve_nonlocal_mode(alpha, complex(gr, gi), float(theta), ProblemClock(5.0, 0.01))
+        C, D = solve_mode(alpha, complex(gr, gi), float(theta), ProblemClock(5.0, 0.01))
         # (alpha - D) + D re-rounds; the floor is eps at the coefficient scale
         assert abs(C + D - alpha) <= 1e-15 * (1 + abs(C) + abs(D))
 
@@ -195,7 +214,7 @@ class TestCoefficientBound:
         gamma = rng.standard_normal(500) + 1j * rng.standard_normal(500)
         worst_ratio = 0.0
         for k in near_resonant:
-            C, D = solve_nonlocal_mode(0.0, gamma[k - 1], float(k), clock0, k=int(k))
+            C, D = solve_mode(0.0, gamma[k - 1], float(k), clock0)
             lhs = abs(C) + abs(D)
             rhs = (4.0 / healthy_z) * (1 + k) * abs(gamma[k - 1])
             worst_ratio = max(worst_ratio, lhs / rhs)

@@ -6,6 +6,7 @@ import pytest
 
 from specwave import (
     CauchyProblem,
+    GaussLegendre,
     NonlocalProblem,
     ProblemClock,
     SpectralVector,
@@ -14,6 +15,7 @@ from specwave import (
     solve_nonlocal,
 )
 from specwave import verification as ver
+from specwave.cli import main
 
 
 @pytest.fixture()
@@ -38,16 +40,20 @@ def test_initial_condition_residual_at_machine_scale(solved):
     assert ver.initial_condition_residual(zero_a, solve_nonlocal(zero_a)) == 0.0
 
 
+def relative_residual(problem, sol):
+    return ver.integral_condition_residual(problem, sol).total / (1 + problem.gamma.sobolev_norm(0))
+
+
 def test_integral_condition_residual_small(solved):
     problem, sol = solved
-    rel = ver.relative_integral_residual(problem, sol)
+    rel = relative_residual(problem, sol)
     assert rel < 1e-10
 
 
 def test_integral_residual_detects_wrong_solution(solved, dirichlet):
     problem, sol = solved
     tampered = type(sol)(dirichlet, sol.T, sol.C * 1.01, sol.D, omega=sol.omega)
-    assert ver.integral_condition_residual(problem, tampered) > 1e-3
+    assert ver.integral_condition_residual(problem, tampered).total > 1e-3
 
 
 def test_roundtrip_agreement(solved):
@@ -59,7 +65,7 @@ def test_roundtrip_agreement(solved):
 
 def test_real_system_residuals(solved):
     problem, sol = solved
-    re_resid, im_resid = ver.real_system_residuals(problem, sol)
+    _, re_resid, im_resid = ver.integral_condition_residual(problem, sol)
     scale = 1 + problem.gamma.sobolev_norm(0)
     assert re_resid < 1e-8 * scale
     assert im_resid < 1e-8 * scale
@@ -91,7 +97,7 @@ def test_residuals_at_reference_configuration(dirichlet):
     a = SpectralVector(np.zeros(100), dirichlet)
     problem = NonlocalProblem(dirichlet, clock, a, g)
     sol = solve_nonlocal(problem)
-    assert ver.relative_integral_residual(problem, sol) < 1e-8
+    assert relative_residual(problem, sol) < 1e-8
     assert ver.initial_condition_residual(problem, sol) == 0.0
     trip = ver.roundtrip_check(problem, sol)
     assert trip.coefficient_rel < 1e-10
@@ -111,14 +117,13 @@ def test_quadrature_checks_memory_bounded_at_large_n(dirichlet):
     sol = solve_nonlocal(problem)
     tracemalloc.start()
     try:
-        rel = ver.relative_integral_residual(problem, sol)
-        re_resid, im_resid = ver.real_system_residuals(problem, sol)
+        total, re_resid, im_resid = ver.integral_condition_residual(problem, sol)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
     scale = 1 + problem.gamma.sobolev_norm(0)
-    assert rel < 1e-8
+    assert total / scale < 1e-8
     assert max(re_resid, im_resid) < 1e-8 * scale
 
 
@@ -126,16 +131,28 @@ def test_small_scaling_flagged_at_large_n(dirichlet):
     problem = _parabola_problem(dirichlet, 1000, 0.2137)
     sol = solve_nonlocal(problem)
     scale = 1 + problem.gamma.sobolev_norm(0)
-    assert ver.relative_integral_residual(problem, sol) < 1e-8
+    assert relative_residual(problem, sol) < 1e-8
     tampered = sol.scaled(1 + 1e-6)
-    assert ver.relative_integral_residual(problem, tampered) > 1e-8
-    assert max(ver.real_system_residuals(problem, tampered)) > 1e-8 * scale
+    assert relative_residual(problem, tampered) > 1e-8
+    assert max(ver.integral_condition_residual(problem, tampered)[1:]) > 1e-8 * scale
 
 
 def test_real_split_is_the_complex_residual(solved):
     problem, sol = solved
     tampered = sol.scaled(1.001)
-    re_resid, im_resid = ver.real_system_residuals(problem, tampered)
-    assert math.hypot(re_resid, im_resid) == pytest.approx(
-        ver.integral_condition_residual(problem, tampered), rel=1e-12
-    )
+    total, re_resid, im_resid = ver.integral_condition_residual(problem, tampered)
+    assert math.hypot(re_resid, im_resid) == pytest.approx(total, rel=1e-12)
+
+
+def test_one_moment_pass_per_solve(tmp_path, monkeypatch):
+    calls = []
+    exp_moments = GaussLegendre.exp_moments
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return exp_moments(self, *args, **kwargs)
+
+    monkeypatch.setattr(GaussLegendre, "exp_moments", counted)
+    code = main(["solve", "--T", "5", "--omega", "0.01", "--N", "50", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
