@@ -17,6 +17,9 @@ from .quadrature import GaussLegendre, sample
 
 SOBOLEV_ORDERS = (-1, 0, 1, 2)
 
+# basis values `project` forms at once: 2**18 x 8 B = 2 MiB
+_BLOCK_ELEMENTS = 1 << 18
+
 
 def _as_modes(k):
     """Validate a mode index (or array of indices); modes are 1-based."""
@@ -117,11 +120,11 @@ def eigen_data(spectrum: Spectrum, k: int) -> tuple[float, float]:
     return lam, math.sqrt(lam)
 
 
-def eigenfunction_matrix(spectrum: Spectrum, n_modes: int, x: np.ndarray) -> np.ndarray:
-    """Matrix V with V[k-1, j] = v_k(x_j) for k = 1..n_modes."""
+def eigenfunction_matrix(spectrum: Spectrum, n_modes: int, x: np.ndarray, first: int = 1) -> np.ndarray:
+    """Matrix V with V[i, j] = v_{first+i}(x_j) for the n_modes modes from `first` on."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return np.asarray(
-        [spectrum.eigenfunction(k, x) for k in range(1, n_modes + 1)]
+        [spectrum.eigenfunction(k, x) for k in range(first, first + n_modes)]
     )
 
 
@@ -191,13 +194,20 @@ def projection_rule(n_modes: int, panels: int = 64, order: int = 8) -> GaussLege
 def project(f, spectrum: Spectrum, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
     """Coefficients (f, v_k) for k = 1..n_modes by quadrature over the domain.
 
-    Without a rule, `projection_rule(n_modes)` sizes one to the modes.
+    Without a rule, `projection_rule(n_modes)` sizes one to the modes. The basis
+    is formed in blocks of modes, one matrix-vector product each, so memory
+    grows with the nodes but not with n_modes x nodes.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     rule = rule or projection_rule(n_modes)
     a, b = spectrum.domain
     nodes, weights = rule.nodes_weights(a, b)
-    values = sample(f, nodes)
-    basis = eigenfunction_matrix(spectrum, n_modes, nodes)
-    return SpectralVector(basis @ (weights * values), spectrum)
+    weighted = weights * sample(f, nodes)
+    # blocks of a multiple of 64 rows keep the coefficients bit-identical to the
+    # dense product; other block sizes change the last bit of some of them
+    rows = 64 * max(1, _BLOCK_ELEMENTS // (64 * nodes.size))
+    return SpectralVector(np.concatenate([
+        eigenfunction_matrix(spectrum, min(rows, n_modes + 1 - first), nodes, first) @ weighted
+        for first in range(1, n_modes + 1, rows)
+    ]), spectrum)

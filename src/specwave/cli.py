@@ -40,23 +40,32 @@ REFERENCE_Z500 = (
 REFERENCE_RTOL = 0.02
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return f"{value:.12e}"
-    return str(value)
+# rows formatted and written at once: bounds the row strings held in memory
+_BLOCK_ROWS = 4096
 
 
-def write_csv(path: Path, header: str, rows) -> str:
-    lines = [header]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def write_csv(path: Path, header: str, columns) -> str:
+    """Write a CSV of equal-length columns under `header`; returns the file name.
+
+    A column is a NumPy array or a list of labels. Float arrays are written as
+    %.12e and every other column as str(), through one %-format row string;
+    the rows are formatted and written in blocks of _BLOCK_ROWS.
+    """
+    line = ",".join(
+        "%.12e" if isinstance(c, np.ndarray) and c.dtype.kind == "f" else "%s" for c in columns
+    ) + "\n"
+    with path.open("w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [c[start:start + _BLOCK_ROWS] for c in columns]
+            rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))
+            fh.write("".join(map(line.__mod__, rows)))
     return path.name
 
 
 def write_field_csv(path: Path, xs, ts, grid) -> str:
-    header = "x," + ",".join(f"t={_fmt(t)}" for t in ts)
-    rows = ([x, *grid[i, :]] for i, x in enumerate(xs))
-    return write_csv(path, header, rows)
+    header = "x," + ",".join("t=%.12e" % t for t in ts)
+    return write_csv(path, header, [xs, *grid.T])
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
@@ -74,20 +83,18 @@ def cmd_denominators(cfg: ExperimentConfig) -> int:
     manifest = _manifest("denominators", cfg)
     t0 = time.perf_counter()
     report = z_diagnostic(cfg.N, cfg.build_spectrum(), cfg.clock())
+    d = report.values
     manifest.files.append(write_csv(
         out / "denominators.csv",
         "k,theta,re_d,im_d,abs_d,scaled,class",
-        (
-            [int(k), th, d.real, d.imag, abs(d), s, c.label]
-            for k, th, d, s, c in zip(
-                report.modes, report.thetas, report.values, report.scaled, report.classes
-            )
-        ),
+        [
+            report.modes, report.thetas, d.real, d.imag,
+            # hypot, as the scalar abs() of each element; np.abs differs in the last bit
+            np.hypot(d.real, d.imag), report.scaled, [c.label for c in report.classes],
+        ],
     ))
     manifest.files.append(write_csv(
-        out / "z.csv",
-        "m,z",
-        ([int(m), zm] for m, zm in zip(report.modes, report.running_min())),
+        out / "z.csv", "m,z", [report.modes, report.running_min()]
     ))
     print(f"z({cfg.N}) = {report.z:.3e}")
     manifest.wall_seconds = time.perf_counter() - t0
@@ -106,7 +113,7 @@ def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, soluti
     manifest.files.append(write_csv(
         out / "norms.csv",
         "t,u_h0,u_h1,dudt_h0",
-        zip(norms.ts, norms.u_h0, norms.u_h1, norms.dudt_h0),
+        [norms.ts, norms.u_h0, norms.u_h1, norms.dudt_h0],
     ))
     return norms
 
@@ -212,7 +219,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         report = stability_report(problem, solution, cfg.time_points)
         max_coeff = float((np.abs(solution.C) + np.abs(solution.D)).max())
         rows.append([omega, z_n, report.c_obs, max_coeff, "ok"])
-    manifest.files.append(write_csv(out / "sweep.csv", "omega,z_N,c_obs,max_mode_coeff,status", rows))
+    manifest.files.append(write_csv(
+        out / "sweep.csv", "omega,z_N,c_obs,max_mode_coeff,status", [np.array(column) for column in zip(*rows)]
+    ))
     manifest.add_check("failed_rows", float(failures), 0.0)
     manifest.wall_seconds = time.perf_counter() - t0
     manifest.write(out / "manifest.json")
@@ -243,13 +252,11 @@ def cmd_project(cfg: ExperimentConfig, preset: str) -> int:
     t0 = time.perf_counter()
     spectrum = cfg.build_spectrum()
     vec = resolve_data(preset, spectrum, cfg.N, cfg.build_rule())
+    c = vec.coefficients
     manifest.files.append(write_csv(
         out / "coefficients.csv",
         "k,re_c,im_c,abs_c",
-        (
-            [k + 1, c.real, c.imag, abs(c)]
-            for k, c in enumerate(vec.coefficients)
-        ),
+        [np.arange(1, len(c) + 1), c.real, c.imag, np.hypot(c.real, c.imag)],
     ))
     print(f"projected {preset!r} onto {cfg.N} modes; H0 norm = {vec.sobolev_norm(0):.6e}")
     manifest.wall_seconds = time.perf_counter() - t0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -70,10 +71,15 @@ class GaussLegendre:
 
         The panels are equal, so a node is t = m_p + h x_i (panel midpoint m_p,
         half-width h, reference node x_i) and the sum factors as
-        [sum_p exp(i mu m_p)] * [sum_i h w_i exp(i mu h x_i)]. Each frequency
-        costs panels + order exponentials instead of panels * order, and the
-        frequencies are taken in blocks of at most _BLOCK_ELEMENTS panel
-        exponentials, so memory stays O(len(mu) + panels).
+        [sum_p exp(i mu m_p)] * [sum_i h w_i exp(i mu h x_i)]. The midpoints are
+        equally spaced too, so the panel sum factors once more: with panels in
+        groups of G = isqrt(panels), m_{qG+r} = s_q + o_r (group start s_q,
+        offset o_r = m_r - m_0) and
+            sum_p exp(i mu m_p) = sum_q exp(i mu s_q) * sum_{r<G_q} exp(i mu o_r),
+        where G_q = G except for a last, shorter remainder group. Each frequency
+        costs about 2 sqrt(panels) + order exponentials instead of
+        panels * order, and the frequencies are taken in blocks of at most
+        _BLOCK_ELEMENTS exponentials, so memory stays O(len(mu) + panels).
         """
         mu = np.asarray(mu, dtype=float)
         flat = mu.ravel()
@@ -81,11 +87,19 @@ class GaussLegendre:
         edges = np.linspace(a, b, self.panels + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (b - a) / self.panels
+        group = math.isqrt(self.panels)
+        full, rest = divmod(self.panels, group)
+        starts = mids[::group]
+        offsets = mids[:group] - mids[0]
         out = np.empty(flat.size, dtype=complex)
-        step = max(1, _BLOCK_ELEMENTS // self.panels)
+        step = max(1, _BLOCK_ELEMENTS // (starts.size + group + self.order))
         for start in range(0, flat.size, step):
             block = flat[start:start + step]
-            panel_sums = np.exp(1j * np.multiply.outer(block, mids)).sum(axis=1)
+            inner = np.exp(1j * np.multiply.outer(block, offsets))
+            lead = np.exp(1j * np.multiply.outer(block, starts))
+            panel_sums = lead[:, :full].sum(axis=1) * inner.sum(axis=1)
+            if rest:
+                panel_sums += lead[:, full] * inner[:, :rest].sum(axis=1)
             local = np.exp(1j * np.multiply.outer(block, half * x)) @ (half * w)
             out[start:start + step] = panel_sums * local
         return out.reshape(mu.shape)

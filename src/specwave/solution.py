@@ -9,6 +9,9 @@ import numpy as np
 
 from .basis import SOBOLEV_ORDERS, SpectralVector, eigenfunction_matrix
 
+# complex phases `norm_trajectories` holds at once: 2**16 x 16 B = 1 MiB
+_BLOCK_ELEMENTS = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class NormTrajectories:
@@ -104,18 +107,28 @@ class SeriesSolution:
         return np.sqrt(self.eigenvalues**q @ np.abs(y) ** 2)
 
     def norm_trajectories(self, ts) -> NormTrajectories:
-        """||u||_H0, ||u||_H1 and ||du/dt||_H0 at each grid time from one phase matrix.
+        """||u||_H0, ||u||_H1 and ||du/dt||_H0 at each grid time.
 
         Same arithmetic as the three `norm_trajectory` calls, so the values are
-        bit-identical; y is released before y' is formed.
+        bit-identical: one real N x len(ts) buffer holds |y|^2, then |y'|^2,
+        filled in time-column blocks of at most _BLOCK_ELEMENTS phases, and each
+        norm is one product with the whole buffer (a product split by columns
+        would sum in another order).
         """
         ts = np.asarray(ts, dtype=float)
-        ph = self._phases(ts)
-        y2 = np.abs(self._values(ph)) ** 2
+        buf = np.empty((len(self), ts.size))
+        step = max(1, _BLOCK_ELEMENTS // len(self))
+
+        def fill(part):
+            for start in range(0, ts.size, step):
+                cols = slice(start, start + step)
+                buf[:, cols] = np.abs(part(self._phases(ts[cols]))) ** 2
+            return buf
+
+        y2 = fill(self._values)
         u_h0 = np.sqrt(self.eigenvalues**0 @ y2)
         u_h1 = np.sqrt(self.eigenvalues**1 @ y2)
-        del y2
-        dudt_h0 = np.sqrt(self.eigenvalues**0 @ np.abs(self._derivatives(ph)) ** 2)
+        dudt_h0 = np.sqrt(self.eigenvalues**0 @ fill(self._derivatives))
         return NormTrajectories(ts, u_h0, u_h1, dudt_h0)
 
     def sup_norm(self, q: int, time_points: int = 1001, derivative: bool = False) -> float:

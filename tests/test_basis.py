@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from specwave import (
     eigenfunction_matrix,
     project,
 )
+from specwave.basis import projection_rule
 from specwave.config import ExperimentConfig, resolve_data
 
 SQ2PI = math.sqrt(2.0 / math.pi)
@@ -121,6 +123,25 @@ class TestProject:
         assert ExperimentConfig(N=102).build_rule() == GaussLegendre(panels=64, order=8)
         assert ExperimentConfig(N=103).build_rule().panels == 65
         assert ExperimentConfig(N=1000, quad_panels=900).build_rule().panels == 900
+
+    @pytest.mark.parametrize("n_modes", [100, 1000])
+    def test_blocked_basis_bit_identical_to_dense(self, dirichlet, n_modes):
+        rule = projection_rule(n_modes)
+        nodes, weights = rule.nodes_weights(0.0, math.pi)
+        dense = eigenfunction_matrix(dirichlet, n_modes, nodes) @ (weights * parabola(nodes))
+        assert np.array_equal(project(parabola, dirichlet, n_modes).coefficients, dense)
+
+    def test_memory_bounded_at_large_n(self, dirichlet):
+        # the dense 3000 x 15000 basis would take 343 MiB, twice while it is built
+        tracemalloc.start()
+        try:
+            vec = project(parabola, dirichlet, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        k = np.arange(1, 3001)
+        assert np.abs(vec.coefficients - SQ2PI * 2 * (1 - (-1.0) ** k) / k**3).max() < 1e-9
 
     def test_non_finite_function_rejected(self, dirichlet):
         with pytest.raises(ValueError, match="non-finite"):

@@ -4,11 +4,57 @@ import math
 import numpy as np
 import pytest
 
+from specwave import cli
 from specwave.cli import main
 
 
 def read_manifest(out):
     return json.loads((out / "manifest.json").read_text())
+
+
+def rowwise_csv(header, rows):
+    """Reference: the CSV text of `rows`, formatted one cell at a time."""
+    def fmt(value):
+        if isinstance(value, (float, np.floating)):
+            return f"{value:.12e}"
+        return str(value)
+
+    return "\n".join([header, *(",".join(fmt(cell) for cell in row) for row in rows)]) + "\n"
+
+
+class TestWriteCsv:
+    def test_matches_rowwise_formatting(self, tmp_path):
+        floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.5e-310,
+                           np.finfo(float).tiny, 1e300, -1e300, 1.0 / 3.0, -2.0])
+        python_floats = [float(v) for v in floats[::-1]]
+        ints = np.arange(-3, floats.size - 3)
+        labels = [f"label{i}" if i % 3 else "generic" for i in range(floats.size)]
+        header = "f,pf,i,label"
+        columns = [floats, np.array(python_floats), ints, labels]
+        name = cli.write_csv(tmp_path / "cells.csv", header, columns)
+        assert name == "cells.csv"
+        want = rowwise_csv(header, zip(floats, python_floats, ints, labels))
+        assert (tmp_path / "cells.csv").read_text() == want
+
+    def test_rows_beyond_one_block(self, tmp_path, rng):
+        n = 2 * cli._BLOCK_ROWS + 3
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        modes = np.arange(1, n + 1)
+        cli.write_csv(tmp_path / "long.csv", "k,v", [modes, values])
+        want = rowwise_csv("k,v", ([int(k), v] for k, v in zip(modes, values)))
+        assert (tmp_path / "long.csv").read_text() == want
+
+    def test_header_only_when_no_rows(self, tmp_path):
+        cli.write_csv(tmp_path / "empty.csv", "a,b", [np.array([]), []])
+        assert (tmp_path / "empty.csv").read_text() == "a,b\n"
+
+    def test_field_csv_matches_rowwise_formatting(self, tmp_path, rng):
+        xs, ts = np.linspace(0.0, math.pi, 7), np.linspace(0.0, 5.0, 4)
+        grid = rng.standard_normal((7, 4))
+        cli.write_field_csv(tmp_path / "field.csv", xs, ts, grid)
+        header = "x," + ",".join(f"t={t:.12e}" for t in ts)
+        want = rowwise_csv(header, ([x, *grid[i]] for i, x in enumerate(xs)))
+        assert (tmp_path / "field.csv").read_text() == want
 
 
 class TestDenominators:
@@ -33,6 +79,24 @@ class TestDenominators:
         expected = 4.0 * (1 - math.cos(5.0))  # 2(1 - cos T)/k * (1 + k) at k = 1
         printed = capsys.readouterr().out
         assert f"z(1) = {expected:.3e}" in printed
+
+    def test_abs_column_is_scalar_abs(self, tmp_path, monkeypatch, capsys):
+        # np.abs of the complex array differs from the scalar abs in the last
+        # bit for about a third of these modes; the column must equal abs()
+        written = {}
+        write_csv = cli.write_csv
+
+        def capture(path, header, columns):
+            written[path.name] = dict(zip(header.split(","), columns))
+            return write_csv(path, header, columns)
+
+        monkeypatch.setattr(cli, "write_csv", capture)
+        assert main(["denominators", "--omega", "0.137", "--N", "100000",
+                     "--out", str(tmp_path)]) == 0
+        table = written["denominators.csv"]
+        d = np.asarray(table["re_d"]) + 1j * np.asarray(table["im_d"])
+        want = np.array([abs(complex(v)) for v in d])
+        assert np.array_equal(np.asarray(table["abs_d"]), want)
 
     def test_running_min_column_nonincreasing(self, tmp_path, capsys):
         main(["denominators", "--T", "10", "--omega", "0.01", "--N", "200",

@@ -83,3 +83,22 @@ def test_exp_moments_against_mpmath(mu):
         exact = complex(mpmath.quad(lambda t: mpmath.expj(mu * t), [a, b]))
     got = GaussLegendre().exp_moments(np.array([mu]), a, b)[0]
     assert abs(got - exact) <= 1e-13 * (b - a)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, -3.7, 40.0])
+def test_exp_moments_remainder_group(monkeypatch, mu):
+    # 70 panels form 8 groups of isqrt(70) = 8 and a remainder group of 6
+    rule = GaussLegendre(panels=70, order=8)
+    assert rule.panels % math.isqrt(rule.panels) != 0
+    a, b = 0.25, 5.0
+    # several blocks, the last one partial
+    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 3 * (9 + 8 + 8))
+    freqs = np.array([mu, -mu, 2 * mu + 0.1, 0.0, 7.3, -19.0, 40.0])
+    got = rule.exp_moments(freqs, a, b)
+    _, weights = rule.nodes_weights(a, b)
+    want = _dense_exp_moments(rule, freqs, a, b)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(weights).sum()
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        exact = complex(mpmath.quad(lambda t: mpmath.expj(mu * t), [a, b]))
+    assert abs(got[0] - exact) <= 1e-13 * (b - a)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,22 @@ class TestNormTrajectory:
         assert np.all(shared.u_h0 == sol.norm_trajectory(0, ts))
         assert np.all(shared.u_h1 == sol.norm_trajectory(1, ts))
         assert np.all(shared.dudt_h0 == sol.norm_trajectory(0, ts, derivative=True))
+
+    def test_shared_trajectories_memory_bounded_at_large_n(self, dirichlet, rng):
+        # the one-shot phase, value and |y|^2 arrays would take over 100 MiB here
+        n_modes = 3000
+        C = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+        D = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+        sol = SeriesSolution(dirichlet, 5.0, C, D)
+        ts = np.linspace(0.0, 5.0, 1001)
+        tracemalloc.start()
+        try:
+            norms = sol.norm_trajectories(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert norms.u_h0[0] == pytest.approx(np.linalg.norm(C + D), rel=1e-12)
 
     def test_per_mode_energy_constant_on_grid(self, dirichlet, rng):
         C = rng.standard_normal(10) + 1j * rng.standard_normal(10)
