@@ -1,9 +1,13 @@
 """Command-line front end: experiment runs with CSV/JSON artifacts.
 
-Subcommands: denominators, solve, cauchy, sweep, paper-table, project. Each run
-writes its artifacts plus a manifest.json into the output directory (flag
---out, else config, else $SPECWAVE_OUT, else the working directory). Exit code
-0 means every verification stayed within tolerance.
+Subcommands, each declared once in COMMANDS: denominators, solve, cauchy,
+sweep, paper-table, project. A handler only computes, writes its artifacts and
+adds manifest checks; `main` owns the run lifecycle: the output directory (flag
+--out, else config, else $SPECWAVE_OUT, else the working directory), the
+manifest, its wall time and manifest.json, which every subcommand writes. Exit
+code 0 iff every manifest check passed; 1 for a failed check, an
+ill-conditioned mode or an unwritable output; 2 for a config error or an
+inadmissible omega.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -68,20 +73,19 @@ def write_field_csv(path: Path, xs, ts, grid) -> str:
     return write_csv(path, header, [xs, *grid.T])
 
 
+def write_json(path: Path, obj) -> str:
+    """Write `obj` as indented JSON; returns the file name."""
+    path.write_text(json.dumps(obj, indent=2) + "\n")
+    return path.name
+
+
 def _outdir(cfg: ExperimentConfig) -> Path:
     out = Path(cfg.out if cfg.out != "." else os.environ.get(ENV_OUT, cfg.out))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _manifest(command: str, cfg: ExperimentConfig) -> RunManifest:
-    return RunManifest(command=command, config=cfg.to_dict(), version=__version__)
-
-
-def cmd_denominators(cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
-    manifest = _manifest("denominators", cfg)
-    t0 = time.perf_counter()
+def cmd_denominators(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     report = z_diagnostic(cfg.N, cfg.build_spectrum(), cfg.clock())
     d = report.values
     manifest.files.append(write_csv(
@@ -97,9 +101,6 @@ def cmd_denominators(cfg: ExperimentConfig) -> int:
         out / "z.csv", "m,z", [report.modes, report.running_min()]
     ))
     print(f"z({cfg.N}) = {report.z:.3e}")
-    manifest.wall_seconds = time.perf_counter() - t0
-    manifest.write(out / "manifest.json")
-    return 0
 
 
 def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, solution):
@@ -118,10 +119,7 @@ def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, soluti
     return norms
 
 
-def cmd_solve(cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
-    manifest = _manifest("solve", cfg)
-    t0 = time.perf_counter()
+def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     spectrum = cfg.build_spectrum()
     rule = cfg.build_rule()
     problem = NonlocalProblem(
@@ -134,8 +132,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
 
     report = stability_report(problem, solution, norms=norms)
-    (out / "stability.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    manifest.files.append("stability.json")
+    manifest.files.append(write_json(out / "stability.json", report.to_dict()))
 
     init_res = verification.initial_condition_relative(problem, solution)
     integral = verification.integral_condition_residual(problem, solution)
@@ -147,18 +144,10 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     manifest.add_check("roundtrip_field_max", trip.field_max, 1e-9 * (1.0 + trip.field_scale))
     manifest.add_check("real_system_re", integral.re, cfg.tol * g_scale)
     manifest.add_check("real_system_im", integral.im, cfg.tol * g_scale)
-    (out / "verification.json").write_text(json.dumps(manifest.checks, indent=2) + "\n")
-    manifest.files.append("verification.json")
-
-    manifest.wall_seconds = time.perf_counter() - t0
-    manifest.write(out / "manifest.json")
-    return 0 if manifest.all_passed else 1
+    manifest.files.append(write_json(out / "verification.json", manifest.checks))
 
 
-def cmd_cauchy(cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
-    manifest = _manifest("cauchy", cfg)
-    t0 = time.perf_counter()
+def cmd_cauchy(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     spectrum = cfg.build_spectrum()
     rule = cfg.build_rule()
     problem = CauchyProblem(
@@ -171,7 +160,7 @@ def cmd_cauchy(cfg: ExperimentConfig) -> int:
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
 
     drift = float(verification.mode_energy_drift(solution).max())
-    margin = verification.energy_estimate_margin(problem, solution)
+    margin = verification.energy_estimate_margin(problem, solution, norms=norms)
     energy = {
         "norm_a_h1": problem.alpha.sobolev_norm(1),
         "norm_b_h0": problem.beta.sobolev_norm(0),
@@ -180,41 +169,29 @@ def cmd_cauchy(cfg: ExperimentConfig) -> int:
         "estimate_margin": margin,
         "max_mode_energy_drift": drift,
     }
-    (out / "energy.json").write_text(json.dumps(energy, indent=2) + "\n")
-    manifest.files.append("energy.json")
+    manifest.files.append(write_json(out / "energy.json", energy))
     manifest.add_check("mode_energy_drift", drift, 1e-12)
     manifest.add_check("energy_estimate_violation", max(0.0, -margin), 0.0)
-    (out / "verification.json").write_text(json.dumps(manifest.checks, indent=2) + "\n")
-    manifest.files.append("verification.json")
-
-    manifest.wall_seconds = time.perf_counter() - t0
-    manifest.write(out / "manifest.json")
-    return 0 if manifest.all_passed else 1
+    manifest.files.append(write_json(out / "verification.json", manifest.checks))
 
 
-def cmd_sweep(cfg: ExperimentConfig) -> int:
-    out = _outdir(cfg)
-    manifest = _manifest("sweep", cfg)
-    t0 = time.perf_counter()
+def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     spectrum = cfg.build_spectrum()
     rule = cfg.build_rule()
     alpha = resolve_data(cfg.a, spectrum, cfg.N, rule)
     gamma = resolve_data(cfg.g, spectrum, cfg.N, rule)
     rows = []
-    failures = 0
     for omega in cfg.omegas:
         clock = ProblemClock(cfg.T, omega)
         z_n = z_diagnostic(cfg.N, spectrum, clock).z
         if not clock.admissible:
             rows.append([omega, z_n, float("nan"), float("nan"), "inadmissible"])
-            failures += 1
             continue
         problem = NonlocalProblem(spectrum, clock, alpha, gamma)
         try:
             solution = solve_nonlocal(problem)
         except IllConditionedModeError as exc:
             rows.append([omega, z_n, float("nan"), float("nan"), f"ill-conditioned k={exc.k}"])
-            failures += 1
             continue
         report = stability_report(problem, solution, cfg.time_points)
         max_coeff = float((np.abs(solution.C) + np.abs(solution.D)).max())
@@ -222,46 +199,34 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     manifest.files.append(write_csv(
         out / "sweep.csv", "omega,z_N,c_obs,max_mode_coeff,status", [np.array(column) for column in zip(*rows)]
     ))
-    manifest.add_check("failed_rows", float(failures), 0.0)
-    manifest.wall_seconds = time.perf_counter() - t0
-    manifest.write(out / "manifest.json")
-    return 0 if failures == 0 else 1
+    manifest.add_check("failed_rows", float(sum(row[-1] != "ok" for row in rows)), 0.0)
 
 
-def cmd_paper_table(cfg: ExperimentConfig) -> int:
+def cmd_paper_table(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     spectrum = cfg.build_spectrum()
-    all_ok = True
     t0 = time.perf_counter()
     print("     T   omega      measured      expected   rel.err  status")
     for T, omega, expected in REFERENCE_Z500:
         measured = z_diagnostic(500, spectrum, ProblemClock(T, omega)).z
         rel = abs(measured - expected) / expected
-        ok = rel <= REFERENCE_RTOL
-        all_ok &= ok
+        ok = manifest.add_check(f"z500_T{T:g}_omega{omega:g}_rel", rel, REFERENCE_RTOL)
         print(
             f"  {T:4.1f}  {omega:6.3f}  {measured:12.4e}  {expected:12.4e}  "
             f"{100 * rel:6.2f}%  {'PASS' if ok else 'FAIL'}"
         )
     print(f"table reproduced in {time.perf_counter() - t0:.3f} s")
-    return 0 if all_ok else 1
 
 
-def cmd_project(cfg: ExperimentConfig, preset: str) -> int:
-    out = _outdir(cfg)
-    manifest = _manifest("project", cfg)
-    t0 = time.perf_counter()
+def cmd_project(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     spectrum = cfg.build_spectrum()
-    vec = resolve_data(preset, spectrum, cfg.N, cfg.build_rule())
+    vec = resolve_data(args.f, spectrum, cfg.N, cfg.build_rule())
     c = vec.coefficients
     manifest.files.append(write_csv(
         out / "coefficients.csv",
         "k,re_c,im_c,abs_c",
         [np.arange(1, len(c) + 1), c.real, c.imag, np.hypot(c.real, c.imag)],
     ))
-    print(f"projected {preset!r} onto {cfg.N} modes; H0 norm = {vec.sobolev_norm(0):.6e}")
-    manifest.wall_seconds = time.perf_counter() - t0
-    manifest.write(out / "manifest.json")
-    return 0
+    print(f"projected {args.f!r} onto {cfg.N} modes; H0 norm = {vec.sobolev_norm(0):.6e}")
 
 
 def _parse_omega(text: str):
@@ -278,14 +243,49 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise ConfigError("grid", f"expected '<nx>x<nt>', got {text!r}") from None
 
 
+class Command(NamedTuple):
+    """One subcommand: its help line, config kind, data flags and handler."""
+
+    help: str
+    kind: str
+    flags: tuple[str, ...]
+    run: Callable
+
+
+# data flag -> (help, default)
+DATA_FLAGS = {
+    "a": ("position datum preset", None),
+    "b": ("velocity datum preset", None),
+    "g": ("time-average datum preset", None),
+    "f": ("function preset to project", "parabola"),
+}
+
+# the handlers name the module functions at call time, so a function patched
+# on this module (tests, profilers) is used
+COMMANDS = {
+    "denominators": Command("per-mode denominators and the z diagnostic", "denominators", (),
+                            lambda *run: cmd_denominators(*run)),
+    "solve": Command("solve the time-averaged problem and verify", "nonlocal", ("a", "g"),
+                     lambda *run: cmd_solve(*run)),
+    "cauchy": Command("solve the initial-value problem", "cauchy", ("a", "b"),
+                      lambda *run: cmd_cauchy(*run)),
+    "sweep": Command("z and stability across an omega list", "sweep", ("a", "g"),
+                     lambda *run: cmd_sweep(*run)),
+    "paper-table": Command("reproduce the published z(500) table", "denominators", (),
+                           lambda *run: cmd_paper_table(*run)),
+    "project": Command("project a preset onto the eigenbasis", "denominators", ("f",),
+                       lambda *run: cmd_project(*run)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specwave",
         description="Spectral wave-equation experiments with a weighted time-average condition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
         sp.add_argument("--out", type=str, default=None, help="output directory")
         sp.add_argument("--N", type=int, default=None, help="truncation order")
@@ -293,65 +293,43 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--omega", type=str, default=None, help="weight frequency (or comma list)")
         sp.add_argument("--tol", type=float, default=None, help="verification tolerance")
         sp.add_argument("--grid", type=str, default=None, help="field grid as <nx>x<nt>")
-        return sp
-
-    common(sub.add_parser("denominators", help="per-mode denominators and the z diagnostic"))
-    sp = common(sub.add_parser("solve", help="solve the time-averaged problem and verify"))
-    sp.add_argument("--a", type=str, default=None, help="position datum preset")
-    sp.add_argument("--g", type=str, default=None, help="time-average datum preset")
-    sp = common(sub.add_parser("cauchy", help="solve the initial-value problem"))
-    sp.add_argument("--a", type=str, default=None, help="position datum preset")
-    sp.add_argument("--b", type=str, default=None, help="velocity datum preset")
-    sp = common(sub.add_parser("sweep", help="z and stability across an omega list"))
-    sp.add_argument("--a", type=str, default=None, help="position datum preset")
-    sp.add_argument("--g", type=str, default=None, help="time-average datum preset")
-    common(sub.add_parser("paper-table", help="reproduce the published z(500) table"))
-    sp = common(sub.add_parser("project", help="project a preset onto the eigenbasis"))
-    sp.add_argument("--f", type=str, default="parabola", help="function preset to project")
+        for flag in command.flags:
+            text, default = DATA_FLAGS[flag]
+            sp.add_argument(f"--{flag}", type=str, default=default, help=text)
     return parser
-
-
-# subcommand -> (config kind, handler); the handlers name the module functions
-# at call time, so a function patched on this module (tests, profilers) is used
-COMMANDS = {
-    "denominators": ("denominators", lambda cfg, args: cmd_denominators(cfg)),
-    "solve": ("nonlocal", lambda cfg, args: cmd_solve(cfg)),
-    "cauchy": ("cauchy", lambda cfg, args: cmd_cauchy(cfg)),
-    "sweep": ("sweep", lambda cfg, args: cmd_sweep(cfg)),
-    "paper-table": ("denominators", lambda cfg, args: cmd_paper_table(cfg)),
-    "project": ("denominators", lambda cfg, args: cmd_project(cfg, args.f)),
-}
 
 
 def _config_from_args(args, kind: str) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     cfg = cfg.merged(kind=kind)
     overrides = {}
-    for key in ("out", "N", "T", "tol"):
+    for key in ("out", "N", "T", "tol", "a", "b", "g"):
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    if getattr(args, "omega", None) is not None:
+    if args.omega is not None:
         parsed = _parse_omega(args.omega)
         if kind == "sweep" and not isinstance(parsed, list):
             parsed = [parsed]
         if isinstance(parsed, list) and kind != "sweep":
             raise ConfigError("omega", "a list is only meaningful for the sweep command")
         overrides["omega"] = parsed
-    if getattr(args, "grid", None) is not None:
+    if args.grid is not None:
         overrides["nx"], overrides["nt"] = _parse_grid(args.grid)
-    for key in ("a", "b", "g"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
     return cfg.merged(**overrides).validate()
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    kind, handler = COMMANDS[args.command]
+    command = COMMANDS[args.command]
     try:
-        return handler(_config_from_args(args, kind), args)
+        cfg = _config_from_args(args, command.kind)
+        out = _outdir(cfg)
+        manifest = RunManifest(command=args.command, config=cfg.to_dict(), version=__version__)
+        t0 = time.perf_counter()
+        command.run(cfg, args, out, manifest)
+        manifest.wall_seconds = time.perf_counter() - t0
+        manifest.write(out / "manifest.json")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -364,6 +342,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if manifest.all_passed else 1
 
 
 if __name__ == "__main__":

@@ -31,8 +31,6 @@ class ConfigError(ValueError):
 def preset_function(name: str, spectrum: Spectrum):
     """Named analytic data functions on the spectrum's spatial domain."""
     a, b = spectrum.domain
-    if name == "zero":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
     if name == "parabola":
         # (x - a)(b - x): smooth, vanishes at both ends, coefficients decay ~ k^-3
         return lambda x: (np.asarray(x, dtype=float) - a) * (b - np.asarray(x, dtype=float))
@@ -49,10 +47,12 @@ def resolve_data(spec_text: str, spectrum: Spectrum, n_modes: int,
                  rule: GaussLegendre | None = None) -> SpectralVector:
     """Turn a data specification string into a coefficient vector.
 
-    Either a preset name ('zero', 'parabola', 'eigenmode:3'), projected by
-    quadrature, or an explicit list 'coeffs:1,0,0.5-0.5j' padded with zeros up
-    to the truncation order.
+    Either 'zero' (exact zeros, nothing to project), a preset name
+    ('parabola', 'eigenmode:3') projected by quadrature, or an explicit list
+    'coeffs:1,0,0.5-0.5j' padded with zeros up to the truncation order.
     """
+    if spec_text == "zero":
+        return SpectralVector(np.zeros(n_modes, dtype=complex), spectrum)
     if spec_text.startswith("coeffs:"):
         body = spec_text[len("coeffs:"):].strip()
         try:

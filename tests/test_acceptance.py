@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one pass/fail line (visible with `pytest -s tests/test_acceptance.py`)."""
 
+import json
 import time
 from contextlib import contextmanager
 
@@ -61,14 +62,16 @@ def random_instances(spectrum):
     return instances
 
 
-def test_criterion_1_reference_table(capsys):
+def test_criterion_1_reference_table(tmp_path, capsys):
     with criterion(1, "published z(500) table within 2%, under 1 s"):
         start = time.perf_counter()
-        code = main(["paper-table"])
+        code = main(["paper-table", "--out", str(tmp_path)])
         elapsed = time.perf_counter() - start
         out = capsys.readouterr().out
         assert code == 0, out
         assert out.count("PASS") == 4 and "FAIL" not in out
+        checks = json.loads((tmp_path / "manifest.json").read_text())["checks"]
+        assert len(checks) == 4 and all(c["pass"] for c in checks)
         assert elapsed < 1.0
 
 

@@ -15,6 +15,7 @@ from specwave import (
     project,
 )
 from specwave.basis import projection_rule
+from specwave import config
 from specwave.config import ExperimentConfig, resolve_data
 
 SQ2PI = math.sqrt(2.0 / math.pi)
@@ -118,6 +119,16 @@ class TestProject:
         from_config = resolve_data("parabola", cfg.build_spectrum(), n, cfg.build_rule())
         assert np.abs(from_config.coefficients - expected).max() <= 1e-9
         assert np.abs(project(parabola, dirichlet, n).coefficients - expected).max() <= 1e-9
+
+    def test_zero_preset_is_exact_zeros_without_projection(self, dirichlet, monkeypatch):
+        def no_projection(*args, **kwargs):
+            raise AssertionError("the zero preset needs no projection")
+
+        monkeypatch.setattr(config, "project", no_projection)
+        vec = resolve_data("zero", dirichlet, 3000, projection_rule(3000))
+        assert vec.coefficients.dtype == complex
+        assert np.array_equal(vec.coefficients, np.zeros(3000, dtype=complex))
+        assert not np.signbit(vec.coefficients.view(float)).any()
 
     def test_rule_floor_leaves_small_and_explicit_rules(self):
         assert ExperimentConfig(N=102).build_rule() == GaussLegendre(panels=64, order=8)

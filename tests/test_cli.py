@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specwave import cli
+from specwave.solution import SeriesSolution
 from specwave.cli import main
 
 
@@ -217,11 +218,17 @@ class TestSweep:
 
 
 class TestPaperTable:
-    def test_all_cells_pass(self, capsys):
-        assert main(["paper-table"]) == 0
+    def test_all_cells_pass(self, tmp_path, capsys):
+        assert main(["paper-table", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 4
         assert "FAIL" not in out
+        checks = read_manifest(tmp_path)["checks"]
+        assert [c["name"] for c in checks] == [
+            "z500_T5_omega0_rel", "z500_T5_omega0.01_rel",
+            "z500_T10_omega0_rel", "z500_T10_omega0.01_rel",
+        ]
+        assert all(c["pass"] and c["tolerance"] == cli.REFERENCE_RTOL for c in checks)
 
 
 class TestProject:
@@ -283,3 +290,44 @@ class TestConfigPlumbing:
                      "--out", str(blocker / "sub")])
         assert code == 1
         assert "cannot write" in capsys.readouterr().err
+
+
+class TestRunLifecycle:
+    ARGV = {
+        "denominators": ["--N", "20"],
+        "solve": ["--N", "10", "--grid", "5x5"],
+        "cauchy": ["--N", "10", "--grid", "5x5", "--a", "parabola"],
+        "sweep": ["--N", "10", "--omega", "0.3,0.1"],
+        "paper-table": [],
+        "project": ["--N", "8"],
+    }
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_manifest_lists_exactly_the_run_files(self, command, tmp_path, capsys):
+        assert main([command, *self.ARGV[command], "--out", str(tmp_path)]) == 0
+        manifest = read_manifest(tmp_path)
+        assert manifest["command"] == command
+        assert sorted(manifest["files"]) == sorted(p.name for p in tmp_path.iterdir())
+        assert manifest["wall_seconds"] > 0
+        assert all(c["pass"] for c in manifest["checks"])
+
+    def test_failed_check_exits_1_and_still_writes_manifest(self, tmp_path):
+        code = main(["solve", "--N", "20", "--tol", "1e-30", "--out", str(tmp_path)])
+        assert code == 1
+        failed = [c["name"] for c in read_manifest(tmp_path)["checks"] if not c["pass"]]
+        assert "integral_condition_rel" in failed
+        checks = json.loads((tmp_path / "verification.json").read_text())
+        assert [c["name"] for c in checks if not c["pass"]] == failed
+
+    def test_cauchy_computes_norm_trajectories_once(self, tmp_path, monkeypatch):
+        calls = []
+        norm_trajectories = SeriesSolution.norm_trajectories
+
+        def counted(self, ts):
+            calls.append(len(ts))
+            return norm_trajectories(self, ts)
+
+        monkeypatch.setattr(SeriesSolution, "norm_trajectories", counted)
+        code = main(["cauchy", "--N", "30", "--a", "parabola", "--out", str(tmp_path)])
+        assert code == 0
+        assert calls == [1001]

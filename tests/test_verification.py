@@ -16,6 +16,7 @@ from specwave import (
 )
 from specwave import verification as ver
 from specwave.cli import main
+from specwave.solution import SeriesSolution
 
 
 @pytest.fixture()
@@ -125,6 +126,40 @@ def test_quadrature_checks_memory_bounded_at_large_n(dirichlet):
     scale = 1 + problem.gamma.sobolev_norm(0)
     assert total / scale < 1e-8
     assert max(re_resid, im_resid) < 1e-8 * scale
+
+
+def _dense_mode_energy_drift(solution, time_points=1000):
+    ts = np.linspace(0.0, solution.T, time_points)
+    y, yp = solution.mode_values(ts), solution.mode_derivatives(ts)
+    energy = np.abs(yp) ** 2 + solution.eigenvalues[:, None] * np.abs(y) ** 2
+    top = energy.max(axis=1)
+    return (top - energy.min(axis=1)) / np.where(top > 0, top, 1.0)
+
+
+def _random_solution(dirichlet, n_modes):
+    rng = np.random.default_rng(n_modes)
+    C = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+    D = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+    return SeriesSolution(dirichlet, 5.0, C, D)
+
+
+@pytest.mark.parametrize("n_modes", [1, 100, 1000])
+def test_streamed_mode_energy_drift_equals_dense(dirichlet, n_modes):
+    sol = _random_solution(dirichlet, n_modes)
+    assert np.array_equal(ver.mode_energy_drift(sol), _dense_mode_energy_drift(sol))
+
+
+def test_mode_energy_drift_memory_bounded_at_large_n(dirichlet):
+    # the dense N x 1000 y and y' arrays would take over 200 MiB here
+    sol = _random_solution(dirichlet, 3000)
+    tracemalloc.start()
+    try:
+        drift = ver.mode_energy_drift(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert drift.shape == (3000,) and drift.max() < 1e-12
 
 
 def test_small_scaling_flagged_at_large_n(dirichlet):
