@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import GaussLegendre, sample
+from .quadrature import GaussLegendre, _reference_rule, sample
 
 SOBOLEV_ORDERS = (-1, 0, 1, 2)
-
-# basis values `project` forms at once: 2**18 x 8 B = 2 MiB
-_BLOCK_ELEMENTS = 1 << 18
 
 
 def _as_modes(k):
@@ -48,8 +45,20 @@ class Spectrum:
         return np.sqrt(self.eigenvalue(k))
 
     def eigenfunction(self, k, x):
-        """v_k evaluated at points x; unit norm in L2 over the domain."""
+        """v_k evaluated at points x; unit norm in L2 over the domain.
+
+        For a 1-d array of modes the result has one row per mode.
+        """
         raise NotImplementedError
+
+    def coefficients(self, weighted: np.ndarray, rule: GaussLegendre, n_modes: int) -> np.ndarray:
+        """sum_j v_k(x_j) weighted_j for k = 1..n_modes over `rule`'s nodes on the domain.
+
+        The dense product with the mode x node basis; spectra with structure
+        override it with a faster route to the same sums.
+        """
+        nodes, _ = rule.nodes_weights(*self.domain)
+        return eigenfunction_matrix(self, n_modes, nodes) @ weighted
 
 
 @dataclass(frozen=True)
@@ -71,7 +80,33 @@ class DirichletLaplacian1D(Spectrum):
 
     def eigenfunction(self, k, x):
         k = _as_modes(k)
-        return math.sqrt(2.0 / math.pi) * np.sin(k * np.asarray(x, dtype=float))
+        return math.sqrt(2.0 / math.pi) * np.sin(np.multiply.outer(k, np.asarray(x, dtype=float)))
+
+    def coefficients(self, weighted: np.ndarray, rule: GaussLegendre, n_modes: int) -> np.ndarray:
+        """The dense product's sums by one inverse FFT over the panels.
+
+        A node is x = m_0 + 2hp + h r_j (first panel midpoint m_0 = a + h,
+        half-width h = pi / (2P), reference node r_j), so with W[p, j] the
+        weighted samples of panel p,
+            sum_{p,j} W[p, j] e^{ikx} = e^{ik m_0} sum_j e^{ikh r_j} sum_p W[p, j] e^{2 pi i kp / 2P},
+        and the inner sum is row k mod 2P of an inverse FFT of length 2P down
+        the panels. The coefficient is sqrt(2/pi) times the imaginary part.
+        Reading row k mod 2P aliases exactly as the dense product does on a
+        rule with too few panels. Costs O(P log P + n_modes * order).
+        """
+        if np.iscomplexobj(weighted):
+            return (self.coefficients(weighted.real, rule, n_modes)
+                    + 1j * self.coefficients(weighted.imag, rule, n_modes))
+        a, b = self.domain
+        period = 2 * rule.panels
+        half = 0.5 * (b - a) / rule.panels
+        x, _ = _reference_rule(rule.order)
+        ks = np.arange(1, n_modes + 1)
+        panel_sums = np.fft.ifft(weighted.reshape(rule.panels, rule.order), n=period, axis=0)
+        rows = panel_sums[ks % period] * period
+        local = np.exp(1j * np.multiply.outer(ks, half * x))
+        sums = np.exp(1j * ks * (a + half)) * np.einsum("kj,kj->k", rows, local)
+        return math.sqrt(2.0 / math.pi) * sums.imag
 
 
 @dataclass(frozen=True)
@@ -120,12 +155,10 @@ def eigen_data(spectrum: Spectrum, k: int) -> tuple[float, float]:
     return lam, math.sqrt(lam)
 
 
-def eigenfunction_matrix(spectrum: Spectrum, n_modes: int, x: np.ndarray, first: int = 1) -> np.ndarray:
-    """Matrix V with V[i, j] = v_{first+i}(x_j) for the n_modes modes from `first` on."""
+def eigenfunction_matrix(spectrum: Spectrum, n_modes: int, x: np.ndarray) -> np.ndarray:
+    """Matrix V with V[k-1, j] = v_k(x_j) for k = 1..n_modes."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.asarray(
-        [spectrum.eigenfunction(k, x) for k in range(first, first + n_modes)]
-    )
+    return np.asarray(spectrum.eigenfunction(np.arange(1, n_modes + 1), x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,20 +227,11 @@ def projection_rule(n_modes: int, panels: int = 64, order: int = 8) -> GaussLege
 def project(f, spectrum: Spectrum, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
     """Coefficients (f, v_k) for k = 1..n_modes by quadrature over the domain.
 
-    Without a rule, `projection_rule(n_modes)` sizes one to the modes. The basis
-    is formed in blocks of modes, one matrix-vector product each, so memory
-    grows with the nodes but not with n_modes x nodes.
+    Without a rule, `projection_rule(n_modes)` sizes one to the modes. The sums
+    over the nodes are the spectrum's `coefficients`.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     rule = rule or projection_rule(n_modes)
-    a, b = spectrum.domain
-    nodes, weights = rule.nodes_weights(a, b)
-    weighted = weights * sample(f, nodes)
-    # blocks of a multiple of 64 rows keep the coefficients bit-identical to the
-    # dense product; other block sizes change the last bit of some of them
-    rows = 64 * max(1, _BLOCK_ELEMENTS // (64 * nodes.size))
-    return SpectralVector(np.concatenate([
-        eigenfunction_matrix(spectrum, min(rows, n_modes + 1 - first), nodes, first) @ weighted
-        for first in range(1, n_modes + 1, rows)
-    ]), spectrum)
+    nodes, weights = rule.nodes_weights(*spectrum.domain)
+    return SpectralVector(spectrum.coefficients(weights * sample(f, nodes), rule, n_modes), spectrum)

@@ -4,8 +4,9 @@ Subcommands, each declared once in COMMANDS: denominators, solve, cauchy,
 sweep, paper-table, project. A handler only computes, writes its artifacts and
 adds manifest checks; `main` owns the run lifecycle: the output directory (flag
 --out, else config, else $SPECWAVE_OUT, else the working directory), the
-manifest, its wall time and manifest.json, which every subcommand writes. Exit
-code 0 iff every manifest check passed; 1 for a failed check, an
+manifest, its wall time and manifest.json, which every subcommand writes, also
+when the run fails after making its output directory (with `exit_code` and
+`error`). Exit code 0 iff every manifest check passed; 1 for a failed check, an
 ill-conditioned mode or an unwritable output; 2 for a config error or an
 inadmissible omega.
 """
@@ -110,7 +111,7 @@ def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, soluti
     grid = solution.field(xs, ts)
     manifest.files.append(write_field_csv(out / "field_re.csv", xs, ts, grid.real))
     manifest.files.append(write_field_csv(out / "field_im.csv", xs, ts, grid.imag))
-    norms = solution.norm_trajectories(np.linspace(0.0, cfg.T, cfg.time_points))
+    norms = solution.norm_trajectories(cfg.time_points)
     manifest.files.append(write_csv(
         out / "norms.csv",
         "t,u_h0,u_h1,dudt_h0",
@@ -322,27 +323,33 @@ def _config_from_args(args, kind: str) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     command = COMMANDS[args.command]
+    manifest = error = None
     try:
         cfg = _config_from_args(args, command.kind)
         out = _outdir(cfg)
         manifest = RunManifest(command=args.command, config=cfg.to_dict(), version=__version__)
         t0 = time.perf_counter()
         command.run(cfg, args, out, manifest)
-        manifest.wall_seconds = time.perf_counter() - t0
-        manifest.write(out / "manifest.json")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = 0 if manifest.all_passed else 1
     except IllConditionedModeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error, code = str(exc), 1
     except OSError as exc:
-        print(f"error: cannot write artifacts: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0 if manifest.all_passed else 1
+        error, code = f"cannot write artifacts: {exc}", 1
+    except ValueError as exc:  # ConfigError among them
+        error, code = str(exc), 2
+    if manifest is not None:
+        # a run that got as far as its output directory explains itself there,
+        # failed or not
+        manifest.wall_seconds = time.perf_counter() - t0
+        manifest.exit_code, manifest.error = code, error
+        try:
+            manifest.write(out / "manifest.json")
+        except OSError as exc:
+            if error is None:
+                error, code = f"cannot write artifacts: {exc}", 1
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -156,13 +156,16 @@ class ExperimentConfig:
 
 @dataclass
 class RunManifest:
-    """What a run did: config echo, version, timings, artifacts, check outcomes."""
+    """What a run did: config echo, version, timings, exit code and error, artifacts,
+    check outcomes."""
 
     command: str
     config: dict
     version: str
     started_utc: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
     wall_seconds: float = 0.0
+    exit_code: int = 0
+    error: str | None = None
     files: list = field(default_factory=list)
     checks: list = field(default_factory=list)
 

@@ -101,14 +101,17 @@ def phi(mu, T: float):
 
 
 def denominators(theta, clock: ProblemClock):
-    """d = phi(omega + theta) - phi(omega - theta) and its scaled magnitude |d| (1 + theta).
+    """d = phi(omega + theta) - phi(omega - theta), its scaled magnitude |d| (1 + theta),
+    and phi(omega - theta).
 
     The one place the per-mode determinant is computed; every solver and
-    diagnostic reads it from here. Accepts a scalar or array theta.
+    diagnostic reads it from here, and the solver eliminates with the
+    phi(omega - theta) returned. Accepts a scalar or array theta.
     """
     theta = np.asarray(theta, dtype=float)
-    d = phi(clock.omega + theta, clock.T) - phi(clock.omega - theta, clock.T)
-    return d, np.abs(d) * (1.0 + theta)
+    phi_minus = phi(clock.omega - theta, clock.T)
+    d = phi(clock.omega + theta, clock.T) - phi_minus
+    return d, np.abs(d) * (1.0 + theta), phi_minus
 
 
 def denominator(k, spectrum, clock: ProblemClock):
@@ -227,6 +230,6 @@ def z_diagnostic(m: int, spectrum, clock: ProblemClock, tol: float = CLASSIFY_TO
         raise ValueError("m must be >= 1")
     ks = np.arange(1, m + 1)
     theta = np.asarray(spectrum.frequency(ks), dtype=float)
-    d, scaled = denominators(theta, clock)
+    d, scaled, _ = denominators(theta, clock)
     classes = tuple(_classify_theta(float(t), clock, tol) for t in theta)
     return DenominatorReport(clock, ks, theta, d, scaled, classes)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -9,8 +10,12 @@ import numpy as np
 
 from .basis import SOBOLEV_ORDERS, SpectralVector, eigenfunction_matrix
 
-# complex phases `norm_trajectories` holds at once: 2**16 x 16 B = 1 MiB
+# complex phases a blocked evaluation holds at once: 2**16 x 16 B = 1 MiB
 _BLOCK_ELEMENTS = 1 << 16
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,29 +111,33 @@ class SeriesSolution:
         y = self.mode_derivatives(ts) if derivative else self.mode_values(ts)
         return np.sqrt(self.eigenvalues**q @ np.abs(y) ** 2)
 
-    def norm_trajectories(self, ts) -> NormTrajectories:
-        """||u||_H0, ||u||_H1 and ||du/dt||_H0 at each grid time.
+    def norm_trajectories(self, time_points: int) -> NormTrajectories:
+        """||u||_H0, ||u||_H1 and ||du/dt||_H0 on `time_points` uniform times in [0, T].
 
-        Same arithmetic as the three `norm_trajectory` calls, so the values are
-        bit-identical: one real N x len(ts) buffer holds |y|^2, then |y'|^2,
-        filled in time-column blocks of at most _BLOCK_ELEMENTS phases, and each
-        norm is one product with the whole buffer (a product split by columns
-        would sum in another order).
+        The grid is t_j = j dt, so with G = isqrt(time_points) and j = qG + r the
+        phase factors as e^{i theta t_j} = e^{i theta qG dt} e^{i theta r dt}: about
+        2 N sqrt(time_points) exponentials and one complex product per entry of
+        the N x time_points table instead of one exponential each. Modes are
+        taken in blocks of about _BLOCK_ELEMENTS entries and every squared norm
+        is summed block by block, so no N x time_points buffer is held.
         """
-        ts = np.asarray(ts, dtype=float)
-        buf = np.empty((len(self), ts.size))
-        step = max(1, _BLOCK_ELEMENTS // len(self))
-
-        def fill(part):
-            for start in range(0, ts.size, step):
-                cols = slice(start, start + step)
-                buf[:, cols] = np.abs(part(self._phases(ts[cols]))) ** 2
-            return buf
-
-        y2 = fill(self._values)
-        u_h0 = np.sqrt(self.eigenvalues**0 @ y2)
-        u_h1 = np.sqrt(self.eigenvalues**1 @ y2)
-        dudt_h0 = np.sqrt(self.eigenvalues**0 @ fill(self._derivatives))
+        ts = np.linspace(0.0, self.T, time_points)
+        group = math.isqrt(time_points)
+        starts, offsets = ts[::group], ts[:group]
+        squares = np.zeros((3, time_points))
+        step = max(1, _BLOCK_ELEMENTS // (starts.size * group))
+        for start in range(0, len(self), step):
+            modes = slice(start, start + step)
+            theta = self.thetas[modes, None]
+            ph = np.exp(1j * theta * starts)[:, :, None] * np.exp(1j * theta * offsets)[:, None, :]
+            ph = ph.reshape(theta.size, -1)[:, :time_points]
+            back, ahead = self.C[modes, None] * np.conj(ph), self.D[modes, None] * ph
+            y2 = _abs2(back + ahead)
+            lam = self.eigenvalues[modes]
+            squares[0] += y2.sum(axis=0)
+            squares[1] += lam @ y2
+            squares[2] += lam @ _abs2(ahead - back)
+        u_h0, u_h1, dudt_h0 = np.sqrt(squares)
         return NormTrajectories(ts, u_h0, u_h1, dudt_h0)
 
     def sup_norm(self, q: int, time_points: int = 1001, derivative: bool = False) -> float:

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .basis import SpectralVector
-from .phase import CLASSIFY_TOL, Classification, ProblemClock, _classify_theta, denominators, phi
+from .phase import CLASSIFY_TOL, Classification, ProblemClock, _classify_theta, denominators
 from .solution import NormTrajectories, SeriesSolution
 
 # modes with |d_k| (1 + theta_k) below this floor amplify data noise past ~1e12
@@ -86,7 +86,7 @@ def _solve_modes(alpha, gamma, theta, clock: ProblemClock):
     special-casing. Takes a bare clock, so the diagnostics can solve at omega = 0.
     """
     theta = np.asarray(theta, dtype=float)
-    det, scaled = denominators(theta, clock)
+    det, scaled, phi_minus = denominators(theta, clock)
     floor = condition_floor(clock.T)
     if np.any(scaled < floor):
         i = int(np.argmin(scaled))
@@ -94,7 +94,7 @@ def _solve_modes(alpha, gamma, theta, clock: ProblemClock):
             i + 1, float(theta[i]), float(np.abs(det[i])),
             _classify_theta(float(theta[i]), clock, CLASSIFY_TOL), floor,
         )
-    D = (gamma - phi(clock.omega - theta, clock.T) * alpha) / det
+    D = (gamma - phi_minus * alpha) / det
     C = alpha - D
     return C, D
 
@@ -183,7 +183,7 @@ def stability_report(
     its grid), else of trajectories on `time_points` uniform times in [0, T].
     """
     if norms is None:
-        norms = solution.norm_trajectories(np.linspace(0.0, solution.T, time_points))
+        norms = solution.norm_trajectories(time_points)
     sup_u = float(norms.u_h1.max())
     sup_du = float(norms.dudt_h0.max())
     na = problem.alpha.sobolev_norm(1)

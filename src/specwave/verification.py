@@ -164,7 +164,7 @@ def energy_estimate_margin(problem: CauchyProblem, solution: SeriesSolution,
     times in [0, T].
     """
     if norms is None:
-        norms = solution.norm_trajectories(np.linspace(0.0, solution.T, time_points))
+        norms = solution.norm_trajectories(time_points)
     lhs = float(norms.u_h1.max()) + float(norms.dudt_h0.max())
     rhs = constant * (problem.alpha.sobolev_norm(1) + problem.beta.sobolev_norm(0))
     return rhs - lhs

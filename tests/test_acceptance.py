@@ -177,3 +177,18 @@ def test_criterion_8_stable_phase_integral(spectrum):
             d = denominator(ks, spectrum, clock)
             dv = denominator_via_f(ks, spectrum, clock)
             assert np.all(np.abs(dv - d) <= 1e-9 * np.abs(d))
+
+
+def test_criterion_9_c_obs_independent_of_truncation(tmp_path):
+    with criterion(9, "sweep c_obs at N = 100, 1000 within 5e-3, 1e-3 of N = 10000"):
+        c_obs = {}
+        for n in (100, 1000, 10000):
+            out = tmp_path / str(n)
+            assert main(["sweep", "--N", str(n), "--omega", "0.3,0.01", "--g", "parabola",
+                         "--out", str(out)]) == 0
+            rows = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1, usecols=(0, 2))
+            c_obs[n] = dict(rows.tolist())
+        for omega in (0.3, 0.01):
+            limit = c_obs[10000][omega]
+            assert abs(c_obs[100][omega] - limit) <= 5e-3 * limit
+            assert abs(c_obs[1000][omega] - limit) <= 1e-3 * limit

@@ -135,12 +135,39 @@ class TestProject:
         assert ExperimentConfig(N=103).build_rule().panels == 65
         assert ExperimentConfig(N=1000, quad_panels=900).build_rule().panels == 900
 
-    @pytest.mark.parametrize("n_modes", [100, 1000])
-    def test_blocked_basis_bit_identical_to_dense(self, dirichlet, n_modes):
-        rule = projection_rule(n_modes)
+    @pytest.mark.parametrize("n_modes,panels", [(100, None), (1000, None), (3000, None), (1000, 64)])
+    def test_fft_projection_matches_dense_product(self, dirichlet, n_modes, panels):
+        # 64 panels do not resolve the modes above about 170 (the parabola's
+        # coefficients come out wrong by up to 2.3), and there the FFT must alias
+        # exactly as the dense product does: modes k and k + 128 share a panel sum
+        rule = GaussLegendre(panels=panels) if panels else projection_rule(n_modes)
         nodes, weights = rule.nodes_weights(0.0, math.pi)
-        dense = eigenfunction_matrix(dirichlet, n_modes, nodes) @ (weights * parabola(nodes))
-        assert np.array_equal(project(parabola, dirichlet, n_modes).coefficients, dense)
+        weighted = weights * parabola(nodes)
+        dense = eigenfunction_matrix(dirichlet, n_modes, nodes) @ weighted
+        fft = project(parabola, dirichlet, n_modes, rule).coefficients
+        assert np.abs(fft - dense).max() <= 1e-13 * np.abs(weighted).sum()
+        if panels is None:
+            k = np.arange(1, n_modes + 1)
+            assert np.abs(fft - SQ2PI * 2 * (1 - (-1.0) ** k) / k**3).max() <= 2e-13
+
+    def test_complex_function_projects_by_parts(self, dirichlet):
+        f = lambda x: parabola(x) + 1j * dirichlet.eigenfunction(2, x)
+        vec = project(f, dirichlet, 6)
+        expected = np.array([parabola_coefficient(k) for k in range(1, 7)]) + 1j * (np.arange(1, 7) == 2)
+        assert np.abs(vec.coefficients - expected).max() < 1e-12
+
+    def test_tabulated_spectrum_projects_by_dense_product(self):
+        funcs = tuple(lambda x, k=k: SQ2PI * np.sin(k * np.asarray(x)) for k in (1, 2, 3))
+        spectrum = TabulatedSpectrum((1.0, 4.0, 9.0), funcs, domain=(0.0, math.pi))
+        vec = project(parabola, spectrum, 3)
+        expected = [parabola_coefficient(k) for k in (1, 2, 3)]
+        assert np.abs(vec.coefficients - expected).max() < 1e-12
+
+    def test_eigenfunction_matrix_rows_are_the_modes(self, dirichlet):
+        x = np.linspace(0.0, math.pi, 7)
+        matrix = eigenfunction_matrix(dirichlet, 5, x)
+        assert matrix.shape == (5, 7)
+        assert np.array_equal(matrix, np.array([dirichlet.eigenfunction(k, x) for k in range(1, 6)]))
 
     def test_memory_bounded_at_large_n(self, dirichlet):
         # the dense 3000 x 15000 basis would take 343 MiB, twice while it is built

@@ -309,7 +309,29 @@ class TestRunLifecycle:
         assert manifest["command"] == command
         assert sorted(manifest["files"]) == sorted(p.name for p in tmp_path.iterdir())
         assert manifest["wall_seconds"] > 0
+        assert manifest["exit_code"] == 0 and manifest["error"] is None
         assert all(c["pass"] for c in manifest["checks"])
+
+    def test_handler_error_still_writes_manifest(self, tmp_path, capsys):
+        code = main(["project", "--f", "whatever", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        manifest = read_manifest(tmp_path)
+        assert manifest["exit_code"] == 2
+        assert "unknown preset 'whatever'" in manifest["error"]
+        assert err == f"error: {manifest['error']}\n"
+        assert manifest["files"] == ["manifest.json"]
+
+    def test_write_error_still_writes_manifest(self, tmp_path, monkeypatch, capsys):
+        def unwritable(path, header, columns):
+            raise OSError(f"{path.name}: disk full")
+
+        monkeypatch.setattr(cli, "write_csv", unwritable)
+        assert main(["denominators", "--N", "5", "--out", str(tmp_path)]) == 1
+        manifest = read_manifest(tmp_path)
+        assert manifest["exit_code"] == 1
+        assert manifest["error"] == "cannot write artifacts: denominators.csv: disk full"
+        assert "error: cannot write artifacts" in capsys.readouterr().err
 
     def test_failed_check_exits_1_and_still_writes_manifest(self, tmp_path):
         code = main(["solve", "--N", "20", "--tol", "1e-30", "--out", str(tmp_path)])
@@ -323,9 +345,9 @@ class TestRunLifecycle:
         calls = []
         norm_trajectories = SeriesSolution.norm_trajectories
 
-        def counted(self, ts):
-            calls.append(len(ts))
-            return norm_trajectories(self, ts)
+        def counted(self, time_points):
+            calls.append(time_points)
+            return norm_trajectories(self, time_points)
 
         monkeypatch.setattr(SeriesSolution, "norm_trajectories", counted)
         code = main(["cauchy", "--N", "30", "--a", "parabola", "--out", str(tmp_path)])

@@ -147,16 +147,35 @@ class TestNormTrajectory:
             assert coeff_norm == pytest.approx(spatial, abs=1e-8)
 
     @pytest.mark.parametrize("n_modes,time_points", [(1, 11), (37, 1001), (1000, 1001)])
-    def test_shared_trajectories_bit_identical(self, dirichlet, rng, n_modes, time_points):
+    def test_grid_norms_match_pointwise(self, dirichlet, rng, n_modes, time_points):
         C = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
         D = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
         sol = SeriesSolution(dirichlet, 5.0, C, D)
         ts = np.linspace(0.0, 5.0, time_points)
-        shared = sol.norm_trajectories(ts)
+        shared = sol.norm_trajectories(time_points)
         assert np.array_equal(shared.ts, ts)
-        assert np.all(shared.u_h0 == sol.norm_trajectory(0, ts))
-        assert np.all(shared.u_h1 == sol.norm_trajectory(1, ts))
-        assert np.all(shared.dudt_h0 == sol.norm_trajectory(0, ts, derivative=True))
+        for grid, pointwise in (
+            (shared.u_h0, sol.norm_trajectory(0, ts)),
+            (shared.u_h1, sol.norm_trajectory(1, ts)),
+            (shared.dudt_h0, sol.norm_trajectory(0, ts, derivative=True)),
+        ):
+            assert np.all(np.abs(grid - pointwise) <= 1e-13 * pointwise)
+
+    @pytest.mark.parametrize("time_points", [2, 3, 10, 17, 1002])
+    def test_grid_norms_on_point_counts_off_a_square(self, dirichlet, time_points):
+        # the last group of isqrt(time_points) points is cut short, or padded past T
+        sol = SeriesSolution(dirichlet, 3.0, C=[0.5, 0.25j], D=[0.5, -0.25j])
+        ts = np.linspace(0.0, 3.0, time_points)
+        norms = sol.norm_trajectories(time_points)
+        assert np.abs(norms.u_h0 - sol.norm_trajectory(0, ts)).max() < 1e-14
+        assert np.abs(norms.dudt_h0 - sol.norm_trajectory(0, ts, derivative=True)).max() < 1e-14
+
+    def test_grid_norms_vanish_where_a_cosine_does(self, dirichlet):
+        # no cancellation floor: |cos t| is resolved to rounding near its zeros
+        sol = single_cosine(dirichlet, T=math.pi)
+        norms = sol.norm_trajectories(101)
+        assert np.abs(norms.u_h0 - np.abs(np.cos(norms.ts))).max() < 1e-15
+        assert norms.dudt_h0[0] == 0.0
 
     def test_shared_trajectories_memory_bounded_at_large_n(self, dirichlet, rng):
         # the one-shot phase, value and |y|^2 arrays would take over 100 MiB here
@@ -164,10 +183,9 @@ class TestNormTrajectory:
         C = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
         D = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
         sol = SeriesSolution(dirichlet, 5.0, C, D)
-        ts = np.linspace(0.0, 5.0, 1001)
         tracemalloc.start()
         try:
-            norms = sol.norm_trajectories(ts)
+            norms = sol.norm_trajectories(1001)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

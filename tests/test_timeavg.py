@@ -20,6 +20,7 @@ from specwave import (
     stability_report,
     z_diagnostic,
 )
+from specwave import phase
 from specwave.timeavg import _solve_modes
 
 
@@ -167,6 +168,19 @@ class TestSolveNonlocal:
         p = make_problem(dirichlet, clock, alpha, gamma)
         s1, s2 = solve_nonlocal(p), solve_nonlocal(p)
         assert np.array_equal(s1.C, s2.C) and np.array_equal(s1.D, s2.D)
+
+    def test_elimination_reuses_the_denominators_phi(self, dirichlet, rng, monkeypatch):
+        clock = ProblemClock(3.0, 0.2)
+        alpha = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        gamma = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        theta = np.arange(1.0, 41.0)
+        det = phi(clock.omega + theta, clock.T) - phi(clock.omega - theta, clock.T)
+        D = (gamma - phi(clock.omega - theta, clock.T) * alpha) / det
+        calls = []
+        monkeypatch.setattr(phase, "phi", lambda mu, T: calls.append(mu) or phi(mu, T))
+        solution = solve_nonlocal(make_problem(dirichlet, clock, alpha, gamma))
+        assert len(calls) == 2
+        assert np.array_equal(solution.D, D) and np.array_equal(solution.C, alpha - D)
 
     def test_perturbation_response_bounded_by_c_obs(self, dirichlet):
         # scale-proportional perturbation of g: the sup norms respond with
