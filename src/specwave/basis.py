@@ -214,14 +214,14 @@ class SpectralVector:
     __rmul__ = __mul__
 
 
-def projection_rule(n_modes: int, panels: int = 64, order: int = 8) -> GaussLegendre:
-    """Projection rule for modes 1..n_modes: at least ceil(5 n_modes / 8) panels.
+def projection_rule(n_modes: int, panels: int = 64) -> GaussLegendre:
+    """Projection rule for modes 1..n_modes: at least ceil(5 n_modes / 8) panels of 8 nodes.
 
     With 8 nodes a panel that puts ten nodes in each period of sin(n_modes x)
     on (0, pi); a fixed panel count aliases the high modes (64 panels return
     the parabola's coefficients wrong by up to 2.3 at n_modes = 1000).
     """
-    return GaussLegendre(panels=max(panels, -(-5 * n_modes // 8)), order=order)
+    return GaussLegendre(panels=max(panels, -(-5 * n_modes // 8)), order=8)
 
 
 def project(f, spectrum: Spectrum, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:

@@ -7,8 +7,8 @@ adds manifest checks; `main` owns the run lifecycle: the output directory (flag
 manifest, its wall time and manifest.json, which every subcommand writes, also
 when the run fails after making its output directory (with `exit_code` and
 `error`). Exit code 0 iff every manifest check passed; 1 for a failed check, an
-ill-conditioned mode or an unwritable output; 2 for a config error or an
-inadmissible omega.
+ill-conditioned mode or an unwritable output; 2 for a config error, an
+inadmissible omega or an omega that overflows 2*omega*T.
 """
 
 from __future__ import annotations
@@ -18,12 +18,14 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__, verification
+from .basis import DirichletLaplacian1D
 from .cauchy import CauchyProblem, solve_cauchy
 from .config import ConfigError, ExperimentConfig, RunManifest, resolve_data
 from .phase import ProblemClock, z_diagnostic
@@ -35,6 +37,9 @@ from .timeavg import (
 )
 
 ENV_OUT = "SPECWAVE_OUT"
+
+# the one spectrum the command line solves on
+SPECTRUM = DirichletLaplacian1D()
 
 # reference diagnostics: z(500) for the four (T, omega) cells, 2% tolerance
 REFERENCE_Z500 = (
@@ -81,13 +86,13 @@ def write_json(path: Path, obj) -> str:
 
 
 def _outdir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out if cfg.out != "." else os.environ.get(ENV_OUT, cfg.out))
+    out = Path(cfg.out if cfg.out is not None else os.environ.get(ENV_OUT, "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def cmd_denominators(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    report = z_diagnostic(cfg.N, cfg.build_spectrum(), cfg.clock())
+    report = z_diagnostic(cfg.N, SPECTRUM, cfg.clock())
     d = report.values
     manifest.files.append(write_csv(
         out / "denominators.csv",
@@ -121,13 +126,12 @@ def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, soluti
 
 
 def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    spectrum = cfg.build_spectrum()
     rule = cfg.build_rule()
     problem = NonlocalProblem(
-        spectrum,
+        SPECTRUM,
         cfg.clock(),
-        resolve_data(cfg.a, spectrum, cfg.N, rule),
-        resolve_data(cfg.g, spectrum, cfg.N, rule),
+        resolve_data(cfg.a, SPECTRUM, cfg.N, rule),
+        resolve_data(cfg.g, SPECTRUM, cfg.N, rule),
     )
     solution = solve_nonlocal(problem)
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
@@ -149,13 +153,12 @@ def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
 
 
 def cmd_cauchy(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    spectrum = cfg.build_spectrum()
     rule = cfg.build_rule()
     problem = CauchyProblem(
-        spectrum,
+        SPECTRUM,
         cfg.T,
-        resolve_data(cfg.a, spectrum, cfg.N, rule),
-        resolve_data(cfg.b, spectrum, cfg.N, rule),
+        resolve_data(cfg.a, SPECTRUM, cfg.N, rule),
+        resolve_data(cfg.b, SPECTRUM, cfg.N, rule),
     )
     solution = solve_cauchy(problem)
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
@@ -177,18 +180,17 @@ def cmd_cauchy(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
 
 
 def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    spectrum = cfg.build_spectrum()
     rule = cfg.build_rule()
-    alpha = resolve_data(cfg.a, spectrum, cfg.N, rule)
-    gamma = resolve_data(cfg.g, spectrum, cfg.N, rule)
+    alpha = resolve_data(cfg.a, SPECTRUM, cfg.N, rule)
+    gamma = resolve_data(cfg.g, SPECTRUM, cfg.N, rule)
     rows = []
-    for omega in cfg.omegas:
+    for omega in cfg.omega:
         clock = ProblemClock(cfg.T, omega)
-        z_n = z_diagnostic(cfg.N, spectrum, clock).z
+        z_n = z_diagnostic(cfg.N, SPECTRUM, clock).z
         if not clock.admissible:
             rows.append([omega, z_n, float("nan"), float("nan"), "inadmissible"])
             continue
-        problem = NonlocalProblem(spectrum, clock, alpha, gamma)
+        problem = NonlocalProblem(SPECTRUM, clock, alpha, gamma)
         try:
             solution = solve_nonlocal(problem)
         except IllConditionedModeError as exc:
@@ -204,11 +206,10 @@ def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
 
 
 def cmd_paper_table(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    spectrum = cfg.build_spectrum()
     t0 = time.perf_counter()
     print("     T   omega      measured      expected   rel.err  status")
     for T, omega, expected in REFERENCE_Z500:
-        measured = z_diagnostic(500, spectrum, ProblemClock(T, omega)).z
+        measured = z_diagnostic(500, SPECTRUM, ProblemClock(T, omega)).z
         rel = abs(measured - expected) / expected
         ok = manifest.add_check(f"z500_T{T:g}_omega{omega:g}_rel", rel, REFERENCE_RTOL)
         print(
@@ -219,8 +220,7 @@ def cmd_paper_table(cfg: ExperimentConfig, args, out: Path, manifest: RunManifes
 
 
 def cmd_project(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    spectrum = cfg.build_spectrum()
-    vec = resolve_data(args.f, spectrum, cfg.N, cfg.build_rule())
+    vec = resolve_data(args.f, SPECTRUM, cfg.N, cfg.build_rule())
     c = vec.coefficients
     manifest.files.append(write_csv(
         out / "coefficients.csv",
@@ -230,10 +230,14 @@ def cmd_project(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     print(f"projected {args.f!r} onto {cfg.N} modes; H0 norm = {vec.sobolev_norm(0):.6e}")
 
 
-def _parse_omega(text: str):
-    parts = [p for p in text.split(",") if p.strip()]
-    values = [float(p) for p in parts]
-    return values if len(values) > 1 else values[0]
+def _parse_omega(text: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        values = ()
+    if not values:
+        raise ConfigError("omega", f"expected a number or a comma list of numbers, got {text!r}")
+    return values
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -245,12 +249,13 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 class Command(NamedTuple):
-    """One subcommand: its help line, config kind, data flags and handler."""
+    """One subcommand: help line, data flags, handler, and its demands on omega."""
 
     help: str
-    kind: str
     flags: tuple[str, ...]
     run: Callable
+    omega_list: bool = False
+    admissible: bool = False
 
 
 # data flag -> (help, default)
@@ -264,17 +269,17 @@ DATA_FLAGS = {
 # the handlers name the module functions at call time, so a function patched
 # on this module (tests, profilers) is used
 COMMANDS = {
-    "denominators": Command("per-mode denominators and the z diagnostic", "denominators", (),
+    "denominators": Command("per-mode denominators and the z diagnostic", (),
                             lambda *run: cmd_denominators(*run)),
-    "solve": Command("solve the time-averaged problem and verify", "nonlocal", ("a", "g"),
-                     lambda *run: cmd_solve(*run)),
-    "cauchy": Command("solve the initial-value problem", "cauchy", ("a", "b"),
+    "solve": Command("solve the time-averaged problem and verify", ("a", "g"),
+                     lambda *run: cmd_solve(*run), admissible=True),
+    "cauchy": Command("solve the initial-value problem", ("a", "b"),
                       lambda *run: cmd_cauchy(*run)),
-    "sweep": Command("z and stability across an omega list", "sweep", ("a", "g"),
-                     lambda *run: cmd_sweep(*run)),
-    "paper-table": Command("reproduce the published z(500) table", "denominators", (),
+    "sweep": Command("z and stability across an omega list", ("a", "g"),
+                     lambda *run: cmd_sweep(*run), omega_list=True),
+    "paper-table": Command("reproduce the published z(500) table", (),
                            lambda *run: cmd_paper_table(*run)),
-    "project": Command("project a preset onto the eigenbasis", "denominators", ("f",),
+    "project": Command("project a preset onto the eigenbasis", ("f",),
                        lambda *run: cmd_project(*run)),
 }
 
@@ -300,24 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args, kind: str) -> ExperimentConfig:
+def _config_from_args(args, command: Command) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    cfg = cfg.merged(kind=kind)
-    overrides = {}
-    for key in ("out", "N", "T", "tol", "a", "b", "g"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: getattr(args, key, None) for key in ("out", "N", "T", "tol", "a", "b", "g")}
     if args.omega is not None:
-        parsed = _parse_omega(args.omega)
-        if kind == "sweep" and not isinstance(parsed, list):
-            parsed = [parsed]
-        if isinstance(parsed, list) and kind != "sweep":
-            raise ConfigError("omega", "a list is only meaningful for the sweep command")
-        overrides["omega"] = parsed
+        overrides["omega"] = _parse_omega(args.omega)
     if args.grid is not None:
         overrides["nx"], overrides["nt"] = _parse_grid(args.grid)
-    return cfg.merged(**overrides).validate()
+    return cfg.merged(**overrides).validate(command.omega_list, command.admissible)
 
 
 def main(argv=None) -> int:
@@ -325,9 +320,9 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     manifest = error = None
     try:
-        cfg = _config_from_args(args, command.kind)
+        cfg = _config_from_args(args, command)
         out = _outdir(cfg)
-        manifest = RunManifest(command=args.command, config=cfg.to_dict(), version=__version__)
+        manifest = RunManifest(command=args.command, config=asdict(cfg), version=__version__)
         t0 = time.perf_counter()
         command.run(cfg, args, out, manifest)
         code = 0 if manifest.all_passed else 1

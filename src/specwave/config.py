@@ -3,21 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .basis import DirichletLaplacian1D, SpectralVector, Spectrum, project, projection_rule
+from .basis import SpectralVector, Spectrum, project, projection_rule
 from .phase import ProblemClock
 from .quadrature import GaussLegendre
-
-KINDS = ("cauchy", "nonlocal", "denominators", "sweep")
-
-SPECTRA = {
-    "dirichlet-1d": DirichletLaplacian1D,
-}
 
 
 class ConfigError(ValueError):
@@ -39,6 +34,8 @@ def preset_function(name: str, spectrum: Spectrum):
             j = int(name.split(":", 1)[1])
         except ValueError:
             raise ConfigError("data", f"bad eigenmode preset {name!r}") from None
+        if j < 1:
+            raise ConfigError("data", f"eigenmode preset {name!r}: modes start at 1")
         return lambda x: spectrum.eigenfunction(j, x)
     raise ConfigError("data", f"unknown preset {name!r}; use zero, parabola, eigenmode:<k>, or coeffs:<list>")
 
@@ -67,90 +64,100 @@ def resolve_data(spec_text: str, spectrum: Spectrum, n_modes: int,
     return project(preset_function(spec_text, spectrum), spectrum, n_modes, rule)
 
 
+# a key's type is its default's; `out` is unset (None) by default, a string when given
+_TYPES = {int: (Integral, "an integer"), float: (Real, "a real number"), str: (str, "a string")}
+
+
+def _typed(key: str, value, default):
+    """`value` converted to its key's type, else a ConfigError naming the key.
+    Bools are not numbers; omega may also be a list of numbers."""
+    kind = str if default is None else type(default)
+    accepted, name = _TYPES[kind]
+
+    def one(item):
+        if isinstance(item, bool) or not isinstance(item, accepted):
+            raise ConfigError(key, f"expected {name}, got {item!r}")
+        try:
+            return kind(item)
+        except OverflowError:
+            raise ConfigError(key, f"{item!r} is out of range") from None
+
+    if key == "omega" and isinstance(value, (list, tuple)):
+        return tuple(map(one, value))
+    return one(value)
+
+
 @dataclass
 class ExperimentConfig:
-    """One experiment run: problem kind, clock, truncation, data, grids, output."""
+    """One experiment run: clock (omega a number, or a list for sweep), truncation,
+    data, grids, output."""
 
-    kind: str = "nonlocal"
     T: float = 5.0
-    omega: float = 0.01
-    omegas: tuple[float, ...] = ()  # sweep only
+    omega: float | tuple[float, ...] = 0.01
     N: int = 100
-    spectrum: str = "dirichlet-1d"
     a: str = "zero"
     b: str = "zero"  # velocity datum, cauchy only
     g: str = "parabola"
     nx: int = 201
     nt: int = 201
     time_points: int = 1001
-    out: str = "."
+    out: str | None = None  # then $SPECWAVE_OUT, then the working directory
     tol: float = 1e-8
     quad_panels: int = 64
-    quad_order: int = 8
 
-    def validate(self):
-        if self.kind not in KINDS:
-            raise ConfigError("kind", f"{self.kind!r} not one of {KINDS}")
+    def validate(self, omega_list: bool = False, admissible: bool = False) -> "ExperimentConfig":
+        """This config checked, a one-element omega list read as its number. With
+        `omega_list` (sweep) omega must be a nonempty list, else one number; with
+        `admissible` (solve) its clock must be admissible too."""
         if not self.T > 0:
             raise ConfigError("T", "must be positive")
         if self.N < 1:
             raise ConfigError("N", "must be >= 1")
-        if self.spectrum not in SPECTRA:
-            raise ConfigError("spectrum", f"{self.spectrum!r} not one of {tuple(SPECTRA)}")
         if self.nx < 2 or self.nt < 2 or self.time_points < 2:
             raise ConfigError("grid", "nx, nt, and time_points must be >= 2")
         if not self.tol > 0:
             raise ConfigError("tol", "must be positive")
-        if self.kind == "sweep" and not self.omegas:
+        listed, cfg = isinstance(self.omega, tuple), self
+        if omega_list and not (listed and self.omega):
             raise ConfigError("omega", "sweep needs a nonempty omega list")
-        if self.kind == "nonlocal" and not self.clock().admissible:
+        if listed and not omega_list:
+            if len(self.omega) != 1:
+                raise ConfigError("omega", "a list is only meaningful for the sweep command")
+            cfg = replace(self, omega=self.omega[0])
+        if admissible and not cfg.clock().admissible:
             raise ConfigError(
                 "omega",
-                f"(T={self.T}, omega={self.omega}) is inadmissible: exp(2i*omega*T) = 1 "
-                "within tolerance (use kind=denominators to study this regime)",
+                f"(T={cfg.T}, omega={cfg.omega}) is inadmissible: exp(2i*omega*T) = 1 "
+                "within tolerance (use the denominators command to study this regime)",
             )
-        return self
-
-    def build_spectrum(self) -> Spectrum:
-        return SPECTRA[self.spectrum]()
+        return cfg
 
     def build_rule(self) -> GaussLegendre:
-        return projection_rule(self.N, self.quad_panels, self.quad_order)
+        return projection_rule(self.N, self.quad_panels)
 
-    def clock(self, omega: float | None = None) -> ProblemClock:
-        return ProblemClock(self.T, self.omega if omega is None else omega)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["omegas"] = list(self.omegas)
-        return d
+    def clock(self) -> ProblemClock:
+        return ProblemClock(self.T, self.omega)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         try:
             raw = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError("<file>", f"{path}: not valid JSON ({exc})") from None
+        except (OSError, ValueError) as exc:  # unreadable, or not JSON
+            raise ConfigError("<file>", f"{path}: not a readable JSON file ({exc})") from None
         if not isinstance(raw, dict):
             raise ConfigError("<file>", f"{path}: expected a JSON object")
         return cls().merged(**raw)
 
     def merged(self, **overrides) -> "ExperimentConfig":
-        """New config with non-None overrides applied; unknown keys are errors."""
-        known = {f.name for f in fields(self)}
+        """New config with non-None overrides applied, each checked against its
+        key's type; unknown keys are errors."""
+        defaults = {f.name: f.default for f in fields(self)}
         values = asdict(self)
         for key, val in overrides.items():
-            if key not in known:
+            if key not in defaults:
                 raise ConfigError(key, "unknown configuration key")
-            if val is None:
-                continue
-            if key == "omega" and isinstance(val, (list, tuple)):
-                values["omegas"] = tuple(float(v) for v in val)
-            elif key == "omegas":
-                values["omegas"] = tuple(float(v) for v in val)
-            else:
-                values[key] = val
-        values["omegas"] = tuple(values.get("omegas") or ())
+            if val is not None:
+                values[key] = _typed(key, val, defaults[key])
         return ExperimentConfig(**values)
 
 

@@ -50,8 +50,9 @@ class ProblemClock:
     def __post_init__(self):
         if not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"horizon T must be positive and finite, got {self.T!r}")
-        if not math.isfinite(self.omega):
-            raise ValueError("omega must be finite")
+        if not math.isfinite(2.0 * self.omega * self.T):
+            # (omega +/- theta) T would overflow in phi
+            raise ValueError(f"2*omega*T must be finite, got omega={self.omega!r} at T={self.T!r}")
         margin = self.phase_margin
         if ADMISSIBILITY_TOL < margin <= ADMISSIBILITY_WARN:
             warnings.warn(

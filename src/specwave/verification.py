@@ -37,9 +37,7 @@ def initial_condition_relative(problem, solution: SeriesSolution) -> float:
     return float(np.max(diff / scale))
 
 
-def _time_rule(problem: NonlocalProblem, rule: GaussLegendre | None) -> GaussLegendre:
-    if rule is not None:
-        return rule
+def _time_rule(problem: NonlocalProblem) -> GaussLegendre:
     # resolve the fastest oscillation exp(i (omega + theta_N) t) comfortably
     top = float(problem.alpha.frequencies()[-1]) + abs(problem.clock.omega)
     panels = max(64, int(np.ceil(top * problem.clock.T / 4.0)))
@@ -54,9 +52,7 @@ class IntegralResidual(NamedTuple):
     im: float
 
 
-def integral_condition_residual(
-    problem: NonlocalProblem, solution: SeriesSolution, rule: GaussLegendre | None = None
-) -> IntegralResidual:
+def integral_condition_residual(problem: NonlocalProblem, solution: SeriesSolution) -> IntegralResidual:
     """Residual of the time-average condition, whole and as the coupled real system.
 
     Per mode, with y_k = C_k e^{-i theta_k t} + D_k e^{i theta_k t}, the moment
@@ -74,7 +70,7 @@ def integral_condition_residual(
     """
     clock = problem.clock
     theta = solution.thetas
-    minus, plus = _time_rule(problem, rule).exp_moments(
+    minus, plus = _time_rule(problem).exp_moments(
         clock.omega + np.stack([-theta, theta]), 0.0, clock.T
     )
     resid = solution.C * minus + solution.D * plus - problem.gamma.coefficients

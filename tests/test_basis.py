@@ -115,8 +115,7 @@ class TestProject:
         # a fixed 64-panel rule aliases sin(kx) above k ~ 170 and errs by up to 2.3 here
         n = 1000
         expected = np.array([parabola_coefficient(k) for k in range(1, n + 1)])
-        cfg = ExperimentConfig(N=n)
-        from_config = resolve_data("parabola", cfg.build_spectrum(), n, cfg.build_rule())
+        from_config = resolve_data("parabola", dirichlet, n, ExperimentConfig(N=n).build_rule())
         assert np.abs(from_config.coefficients - expected).max() <= 1e-9
         assert np.abs(project(parabola, dirichlet, n).coefficients - expected).max() <= 1e-9
 

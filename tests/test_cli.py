@@ -7,6 +7,7 @@ import pytest
 from specwave import cli
 from specwave.solution import SeriesSolution
 from specwave.cli import main
+from specwave.config import ExperimentConfig
 
 
 def read_manifest(out):
@@ -283,6 +284,84 @@ class TestConfigPlumbing:
         assert code == 2
         assert "sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("kind", "sweep"), ("omegas", [0.3, 0.1]),
+                                           ("spectrum", "dirichlet-1d"), ("quad_order", 8)])
+    def test_removed_config_keys_are_unknown(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config field '{key}': unknown configuration key\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("N", "10"), ("T", "5"), ("nx", 3.5), ("N", True), ("tol", [1e-8]), ("omega", "0.1"),
+        ("omega", [0.1, "0.2"]), ("omega", [[0.1]]), ("a", 3), ("out", 1), ("quad_panels", 64.0),
+        ("T", 10**400),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main(["sweep", "--config", str(cfg), "--omega", "0.3", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config field '{key}': ")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_values_are_converted_to_their_key_type(self):
+        cfg = ExperimentConfig().merged(T=5, omega=[1, 0.5], N=np.int64(7), tol=1)
+        assert (cfg.T, cfg.omega, cfg.N, cfg.tol) == (5.0, (1.0, 0.5), 7, 1.0)
+        assert [type(v) for v in (cfg.T, cfg.omega[0], cfg.N, cfg.tol)] == [float, float, int, float]
+
+    def test_one_element_omega_list_is_its_number(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"omega": [0.3]}))
+        assert main(["solve", "--config", str(cfg), "--N", "8", "--grid", "5x5",
+                     "--out", str(tmp_path)]) == 0
+        assert read_manifest(tmp_path)["config"]["omega"] == 0.3
+
+    def test_sweep_needs_an_omega_list_not_a_number(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"omega": 0.3}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "sweep needs a nonempty omega list" in capsys.readouterr().err
+        assert main(["sweep", "--omega", "0.3", "--N", "8", "--out", str(tmp_path)]) == 0
+        assert read_manifest(tmp_path)["config"]["omega"] == [0.3]
+
+    @pytest.mark.parametrize("text", [",", " , ", "", "abc", "0.1,x"])
+    def test_bad_omega_flag_is_config_error(self, tmp_path, capsys, text):
+        code = main(["sweep", "--omega", text, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config field 'omega': expected a number or a comma list of numbers, got {text!r}\n"
+
+    @pytest.mark.parametrize("name", ["missing.json", ".", "binary.json", "broken.json"])
+    def test_unreadable_config_file_is_config_error(self, tmp_path, capsys, name):
+        path = tmp_path / name
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
+        (tmp_path / "broken.json").write_text('{"N": 10,')
+        code = main(["denominators", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '<file>': {path}: not a readable JSON file (")
+        assert not (tmp_path / "out").exists()
+
+    def test_out_flag_beats_env_var_even_for_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SPECWAVE_OUT", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["denominators", "--N", "5", "--out", "."]) == 0
+        assert (tmp_path / "z.csv").exists()
+        assert not (tmp_path / "envout").exists()
+        assert read_manifest(tmp_path)["config"]["out"] == "."
+        assert main(["denominators", "--N", "5"]) == 0
+        assert read_manifest(tmp_path / "envout")["config"]["out"] is None
+
+    def test_omega_with_overflowing_phase_exits_2(self, tmp_path, capsys):
+        code = main(["denominators", "--omega", "1e308", "--out", str(tmp_path)])
+        assert code == 2
+        assert "2*omega*T must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "denominators.csv").exists()
+        assert read_manifest(tmp_path)["exit_code"] == 2
+
     def test_unwritable_output_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where a directory must go\n")
@@ -320,6 +399,16 @@ class TestRunLifecycle:
         assert manifest["exit_code"] == 2
         assert "unknown preset 'whatever'" in manifest["error"]
         assert err == f"error: {manifest['error']}\n"
+        assert manifest["files"] == ["manifest.json"]
+
+    @pytest.mark.parametrize("preset", ["eigenmode:0", "eigenmode:-2"])
+    def test_eigenmode_below_one_writes_manifest(self, tmp_path, capsys, preset):
+        code = main(["project", "--f", preset, "--out", str(tmp_path)])
+        assert code == 2
+        manifest = read_manifest(tmp_path)
+        assert manifest["exit_code"] == 2
+        assert manifest["error"] == f"config field 'data': eigenmode preset {preset!r}: modes start at 1"
+        assert capsys.readouterr().err == f"error: {manifest['error']}\n"
         assert manifest["files"] == ["manifest.json"]
 
     def test_write_error_still_writes_manifest(self, tmp_path, monkeypatch, capsys):

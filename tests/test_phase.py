@@ -94,6 +94,12 @@ class TestProblemClock:
         with pytest.raises(ValueError):
             ProblemClock(-1.0, 1.0)
 
+    @pytest.mark.parametrize("omega", [1e308, -1e308, math.inf, math.nan])
+    def test_omega_with_overflowing_phase_rejected(self, omega):
+        with pytest.raises(ValueError, match="2\\*omega\\*T must be finite"):
+            ProblemClock(5.0, omega)
+        assert ProblemClock(5.0, 1e307).phase_margin >= 0.0
+
     def test_omega_zero_is_representable_but_inadmissible(self):
         clock = ProblemClock(5.0, 0.0)
         assert not clock.admissible
