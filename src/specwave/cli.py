@@ -8,7 +8,7 @@ manifest, its wall time and manifest.json, which every subcommand writes, also
 when the run fails after making its output directory (with `exit_code` and
 `error`). Exit code 0 iff every manifest check passed; 1 for a failed check, an
 ill-conditioned mode or an unwritable output; 2 for a config error, an
-inadmissible omega or an omega that overflows 2*omega*T.
+inadmissible omega or an overflowing phase, 2*omega*T or (omega +/- theta_k)*T.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import __version__, verification
 from .basis import DirichletLaplacian1D
 from .cauchy import CauchyProblem, solve_cauchy
 from .config import ConfigError, ExperimentConfig, RunManifest, resolve_data
-from .phase import ProblemClock, z_diagnostic
+from .phase import LABELS, ProblemClock, z_diagnostic
 from .timeavg import (
     IllConditionedModeError,
     NonlocalProblem,
@@ -100,7 +100,7 @@ def cmd_denominators(cfg: ExperimentConfig, args, out: Path, manifest: RunManife
         [
             report.modes, report.thetas, d.real, d.imag,
             # hypot, as the scalar abs() of each element; np.abs differs in the last bit
-            np.hypot(d.real, d.imag), report.scaled, [c.label for c in report.classes],
+            np.hypot(d.real, d.imag), report.scaled, [LABELS[c] for c in report.codes.tolist()],
         ],
     ))
     manifest.files.append(write_csv(

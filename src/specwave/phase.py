@@ -81,14 +81,14 @@ def phi(mu, T: float):
     For |mu*T| below PHI_SERIES_THRESHOLD the quotient is replaced by the series
     T*(1 + z/2 + z^2/6 + z^3/24 + z^4/120), z = i*mu*T, whose truncation error
     there is under 1e-22*T; the direct formula would lose ~8 digits to
-    cancellation. Accepts a scalar or array mu.
+    cancellation. Accepts a scalar or array mu; a non-finite mu*T raises ValueError.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"T must be positive and finite, got {T!r}")
     mu_in = np.asarray(mu, dtype=float)
-    if not np.all(np.isfinite(mu_in)):
-        raise ValueError("mu must be finite")
     m = np.atleast_1d(mu_in)
+    if not math.isfinite(float(np.abs(m).max(initial=0.0)) * T):  # floats: no overflow warning
+        raise ValueError(f"mu and mu*T must be finite, got T={T!r}")
     z = 1j * m * T
     out = np.empty(m.shape, dtype=complex)
     small = np.abs(m) * T < PHI_SERIES_THRESHOLD
@@ -174,39 +174,43 @@ class Classification:
         return f"{self.mode_class.value}({self.subcase})"
 
 
-def _classify_theta(theta: float, clock: ProblemClock, tol: float) -> Classification:
-    if abs(theta - clock.omega) <= tol:
-        return Classification(ModeClass.LAMBDA0, "theta=+omega")
-    if abs(theta + clock.omega) <= tol:
-        return Classification(ModeClass.LAMBDA0, "theta=-omega")
-    if phase_distance((theta - clock.omega) * clock.T) <= tol * clock.T:
-        return Classification(ModeClass.LAMBDA1, "phase=+omega")
-    if phase_distance((theta + clock.omega) * clock.T) <= tol * clock.T:
-        return Classification(ModeClass.LAMBDA1, "phase=-omega")
-    return Classification(ModeClass.LAMBDA2, "generic")
+CLASSES = (
+    Classification(ModeClass.LAMBDA0, "theta=+omega"),
+    Classification(ModeClass.LAMBDA0, "theta=-omega"),
+    Classification(ModeClass.LAMBDA1, "phase=+omega"),
+    Classification(ModeClass.LAMBDA1, "phase=-omega"),
+    Classification(ModeClass.LAMBDA2, "generic"),
+)
+LABELS = tuple(c.label for c in CLASSES)
 
 
-def classify(k, spectrum, clock: ProblemClock, tol: float = CLASSIFY_TOL) -> Classification:
-    """Assign one mode to the resonant / phase-matched / generic partition.
+def _classify_codes(theta, clock: ProblemClock, tol: float) -> np.ndarray:
+    """Index into CLASSES of each theta: the first of its bands that holds.
 
-    Resonant: theta_k = +/-omega within tol. Phase-matched: exp(i*theta_k*T)
+    Resonant: theta = +/-omega within tol. Phase-matched: exp(i*theta*T)
     equals exp(+/-i*omega*T) within tol (phase distance). Everything else is
     generic. The bands exist only to absorb floating point; near-misses
     outside them are handled stably by phi.
     """
-    return _classify_theta(float(spectrum.frequency(k)), clock, tol)
+    gaps = (theta - clock.omega, theta + clock.omega)
+    bands = [np.abs(g) <= tol for g in gaps] + [phase_distance(g * clock.T) <= tol * clock.T for g in gaps]
+    return np.select(bands, range(len(bands)), default=len(bands)).astype(np.int8)
+
+
+def classify(k, spectrum, clock: ProblemClock, tol: float = CLASSIFY_TOL) -> Classification:
+    """Assign mode k to the resonant / phase-matched / generic partition."""
+    return CLASSES[int(_classify_codes(spectrum.frequency(k), clock, tol))]
 
 
 @dataclass(frozen=True, eq=False)
 class DenominatorReport:
-    """Per-mode denominators with scaled magnitudes, classes, and the z diagnostic."""
+    """Per-mode denominators with scaled magnitudes, codes into CLASSES, and the z diagnostic."""
 
-    clock: ProblemClock
     modes: np.ndarray
     thetas: np.ndarray
     values: np.ndarray
     scaled: np.ndarray
-    classes: tuple[Classification, ...]
+    codes: np.ndarray
 
     @property
     def z(self) -> float:
@@ -221,9 +225,6 @@ class DenominatorReport:
         """z(m) for every prefix m = 1..len(modes); nonincreasing."""
         return np.minimum.accumulate(self.scaled)
 
-    def __len__(self) -> int:
-        return self.modes.size
-
 
 def z_diagnostic(m: int, spectrum, clock: ProblemClock, tol: float = CLASSIFY_TOL) -> DenominatorReport:
     """Evaluate d_k for k = 1..m and aggregate the separation diagnostic z(m)."""
@@ -232,5 +233,4 @@ def z_diagnostic(m: int, spectrum, clock: ProblemClock, tol: float = CLASSIFY_TO
     ks = np.arange(1, m + 1)
     theta = np.asarray(spectrum.frequency(ks), dtype=float)
     d, scaled, _ = denominators(theta, clock)
-    classes = tuple(_classify_theta(float(t), clock, tol) for t in theta)
-    return DenominatorReport(clock, ks, theta, d, scaled, classes)
+    return DenominatorReport(ks, theta, d, scaled, _classify_codes(theta, clock, tol))

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .basis import SpectralVector
-from .phase import CLASSIFY_TOL, Classification, ProblemClock, _classify_theta, denominators
+from .phase import CLASSES, CLASSIFY_TOL, Classification, ProblemClock, _classify_codes, denominators
 from .solution import NormTrajectories, SeriesSolution
 
 # modes with |d_k| (1 + theta_k) below this floor amplify data noise past ~1e12
@@ -92,7 +92,7 @@ def _solve_modes(alpha, gamma, theta, clock: ProblemClock):
         i = int(np.argmin(scaled))
         raise IllConditionedModeError(
             i + 1, float(theta[i]), float(np.abs(det[i])),
-            _classify_theta(float(theta[i]), clock, CLASSIFY_TOL), floor,
+            CLASSES[int(_classify_codes(theta[i], clock, CLASSIFY_TOL))], floor,
         )
     D = (gamma - phi_minus * alpha) / det
     C = alpha - D

@@ -27,6 +27,7 @@ from specwave import (
 )
 from specwave import verification as ver
 from specwave.cli import main
+from specwave.phase import CLASSES
 
 
 @contextmanager
@@ -168,11 +169,11 @@ def test_criterion_8_stable_phase_integral(spectrum):
                 continue
             clock = ProblemClock(T, omega)
             report = z_diagnostic(500, spectrum, clock)
-            generic = np.array([
-                c.mode_class is ModeClass.LAMBDA2
-                and min(abs(t - omega), abs(t + omega)) > 1e-3
-                for c, t in zip(report.classes, report.thetas)
-            ])
+            t = report.thetas
+            generic = (
+                np.array([CLASSES[c].mode_class is ModeClass.LAMBDA2 for c in report.codes])
+                & (np.minimum(abs(t - omega), abs(t + omega)) > 1e-3)
+            )
             ks = report.modes[generic]
             d = denominator(ks, spectrum, clock)
             dv = denominator_via_f(ks, spectrum, clock)

@@ -100,6 +100,21 @@ class TestDenominators:
         want = np.array([abs(complex(v)) for v in d])
         assert np.array_equal(np.asarray(table["abs_d"]), want)
 
+    @pytest.mark.parametrize("omega,labels", [
+        ("1", ["resonant(theta=+omega)", "phase-matched(phase=-omega)", "generic",
+               "phase-matched(phase=+omega)", "phase-matched(phase=-omega)", "generic"]),
+        ("-1", ["resonant(theta=-omega)", "phase-matched(phase=+omega)", "generic",
+                "phase-matched(phase=-omega)", "phase-matched(phase=+omega)", "generic"]),
+    ])
+    def test_class_column_pins_every_label(self, tmp_path, capsys, omega, labels):
+        # T = 2 pi / 3 with theta_k = k: (k -/+ omega) T lands on 2 pi Z for
+        # every third k, so the two clocks between them yield all five labels
+        code = main(["denominators", "--T", repr(2 * math.pi / 3), "--omega", omega, "--N", "6",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        rows = (tmp_path / "denominators.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[1] for row in rows] == labels
+
     def test_running_min_column_nonincreasing(self, tmp_path, capsys):
         main(["denominators", "--T", "10", "--omega", "0.01", "--N", "200",
               "--out", str(tmp_path)])
@@ -359,6 +374,17 @@ class TestConfigPlumbing:
         code = main(["denominators", "--omega", "1e308", "--out", str(tmp_path)])
         assert code == 2
         assert "2*omega*T must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "denominators.csv").exists()
+        assert read_manifest(tmp_path)["exit_code"] == 2
+
+    def test_huge_horizon_exits_2(self, tmp_path, capsys):
+        # (omega + theta_k) T overflows although 2 omega T does not
+        code = main(["denominators", "--T", "1e307", "--N", "100", "--omega", "0",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "mu and mu*T must be finite" in captured.err
+        assert "z(100)" not in captured.out
         assert not (tmp_path / "denominators.csv").exists()
         assert read_manifest(tmp_path)["exit_code"] == 2
 

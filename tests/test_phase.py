@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from specwave import (
     resonance_numerator,
     z_diagnostic,
 )
+from specwave.phase import CLASSES, CLASSIFY_TOL, TWO_PI, _classify_codes
 
 # regression values from this implementation; the published ones are checked
 # at 2% in the acceptance suite
@@ -79,6 +81,16 @@ class TestPhi:
             phi(np.nan, 1.0)
         with pytest.raises(ValueError):
             phi(1.0, 0.0)
+
+    def test_huge_horizon_rejected_without_overflow_warning(self, dirichlet):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="mu and mu\\*T must be finite"):
+                phi(np.array([0.0, 100.0]), 1e307)
+            with pytest.raises(ValueError, match="mu and mu\\*T must be finite"):
+                z_diagnostic(100, dirichlet, ProblemClock(1e307, 0.0))
+            assert phi(np.array([0.0, 1.0]), 1e307).shape == (2,)
+            assert phi(np.array([], dtype=float), 1.0).shape == (0,)
 
     @settings(max_examples=100, deadline=None)
     @given(mu=st.floats(-1e6, 1e6), T=st.floats(1e-3, 1e3))
@@ -228,10 +240,52 @@ class TestClassify:
             assert classify(k, dirichlet, clock).mode_class is ModeClass.LAMBDA2
 
     def test_classes_exhaustive_and_exclusive(self, dirichlet):
+        # one code per mode, each naming exactly one entry of the class table
         clock = ProblemClock(5.0, 0.37)
         report = z_diagnostic(200, dirichlet, clock)
-        assert len(report.classes) == 200
-        assert all(c.mode_class in ModeClass for c in report.classes)
+        assert report.codes.shape == (200,) and report.codes.dtype == np.int8
+        assert set(report.codes.tolist()) <= set(range(len(CLASSES)))
+        assert all(CLASSES[c] == classify(k, dirichlet, clock) for k, c in zip(report.modes, report.codes))
+
+
+def reference_code(theta, omega, T, tol):
+    """Scalar reference: the four band tests, first hit wins, as an index into CLASSES."""
+    if abs(theta - omega) <= tol:
+        return 0
+    if abs(theta + omega) <= tol:
+        return 1
+    if phase_distance((theta - omega) * T) <= tol * T:
+        return 2
+    if phase_distance((theta + omega) * T) <= tol * T:
+        return 3
+    return 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    omega=st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),
+    T=st.floats(0.1, 100.0),
+    free=st.lists(st.floats(-1e3, 1e3), max_size=5),
+    n=st.integers(-20, 20),
+    tol=st.sampled_from([CLASSIFY_TOL, 1e-6, 0.0]),
+)
+def test_classify_codes_match_scalar_rule(omega, T, free, n, tol):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # near-inadmissible clocks are fine here
+        clock = ProblemClock(T, omega)
+    shift = TWO_PI * n / T
+    # theta on each band, on a band edge, and on two bands at once: theta = omega
+    # also has (theta - omega) T = 0, and at omega = 0 every band holds
+    thetas = np.array([
+        omega, -omega, omega + shift, -omega + shift, omega + tol, -omega - tol,
+        omega + 2 * tol, omega + shift + tol, *free,
+    ])
+    codes = _classify_codes(thetas, clock, tol)
+    assert codes.dtype == np.int8
+    assert codes.tolist() == [reference_code(float(t), omega, T, tol) for t in thetas]
+    assert codes[0] == 0
+    # one mode alone gets the code it gets among others
+    assert all(int(_classify_codes(t, clock, tol)) == c for t, c in zip(thetas, codes))
 
 
 class TestZDiagnostic:
