@@ -8,7 +8,6 @@ from .basis import (
     Spectrum,
     SpectralVector,
     TabulatedSpectrum,
-    eigen_data,
     eigenfunction_matrix,
     project,
 )
@@ -18,8 +17,6 @@ from .phase import (
     DenominatorReport,
     ModeClass,
     ProblemClock,
-    classify,
-    denominator,
     denominator_via_f,
     phase_distance,
     phi,
@@ -56,12 +53,9 @@ __all__ = [
     "Spectrum",
     "StabilityReport",
     "TabulatedSpectrum",
-    "classify",
     "coefficient_bound_check",
-    "denominator",
     "denominator_via_f",
     "derivative_coefficients",
-    "eigen_data",
     "eigenfunction_matrix",
     "phase_distance",
     "phi",

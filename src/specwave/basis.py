@@ -149,12 +149,6 @@ class TabulatedSpectrum(Spectrum):
         return self.eigenfunctions[int(k) - 1](x)
 
 
-def eigen_data(spectrum: Spectrum, k: int) -> tuple[float, float]:
-    """(lambda_k, theta_k) for one mode; IndexError for k < 1 or an exhausted table."""
-    lam = float(spectrum.eigenvalue(int(k)))
-    return lam, math.sqrt(lam)
-
-
 def eigenfunction_matrix(spectrum: Spectrum, n_modes: int, x: np.ndarray) -> np.ndarray:
     """Matrix V with V[k-1, j] = v_k(x_j) for k = 1..n_modes."""
     x = np.atleast_1d(np.asarray(x, dtype=float))

@@ -136,7 +136,7 @@ def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     solution = solve_nonlocal(problem)
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
 
-    report = stability_report(problem, solution, norms=norms)
+    report = stability_report(problem, solution, norms)
     manifest.files.append(write_json(out / "stability.json", report.to_dict()))
 
     init_res = verification.initial_condition_relative(problem, solution)
@@ -164,7 +164,7 @@ def cmd_cauchy(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
 
     drift = float(verification.mode_energy_drift(solution).max())
-    margin = verification.energy_estimate_margin(problem, solution, norms=norms)
+    margin = verification.energy_estimate_margin(problem, solution, norms)
     energy = {
         "norm_a_h1": problem.alpha.sobolev_norm(1),
         "norm_b_h0": problem.beta.sobolev_norm(0),
@@ -196,7 +196,7 @@ def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
         except IllConditionedModeError as exc:
             rows.append([omega, z_n, float("nan"), float("nan"), f"ill-conditioned k={exc.k}"])
             continue
-        report = stability_report(problem, solution, cfg.time_points)
+        report = stability_report(problem, solution, solution.norm_trajectories(cfg.time_points))
         max_coeff = float((np.abs(solution.C) + np.abs(solution.D)).max())
         rows.append([omega, z_n, report.c_obs, max_coeff, "ok"])
     manifest.files.append(write_csv(
@@ -249,13 +249,12 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 class Command(NamedTuple):
-    """One subcommand: help line, data flags, handler, and its demands on omega."""
+    """One subcommand: help line, data flags, handler, and whether omega is a list."""
 
     help: str
     flags: tuple[str, ...]
     run: Callable
     omega_list: bool = False
-    admissible: bool = False
 
 
 # data flag -> (help, default)
@@ -272,7 +271,7 @@ COMMANDS = {
     "denominators": Command("per-mode denominators and the z diagnostic", (),
                             lambda *run: cmd_denominators(*run)),
     "solve": Command("solve the time-averaged problem and verify", ("a", "g"),
-                     lambda *run: cmd_solve(*run), admissible=True),
+                     lambda *run: cmd_solve(*run)),
     "cauchy": Command("solve the initial-value problem", ("a", "b"),
                       lambda *run: cmd_cauchy(*run)),
     "sweep": Command("z and stability across an omega list", ("a", "g"),
@@ -312,7 +311,7 @@ def _config_from_args(args, command: Command) -> ExperimentConfig:
         overrides["omega"] = _parse_omega(args.omega)
     if args.grid is not None:
         overrides["nx"], overrides["nt"] = _parse_grid(args.grid)
-    return cfg.merged(**overrides).validate(command.omega_list, command.admissible)
+    return cfg.merged(**overrides).validate(command.omega_list)
 
 
 def main(argv=None) -> int:

@@ -105,10 +105,11 @@ class ExperimentConfig:
     tol: float = 1e-8
     quad_panels: int = 64
 
-    def validate(self, omega_list: bool = False, admissible: bool = False) -> "ExperimentConfig":
+    def validate(self, omega_list: bool = False) -> "ExperimentConfig":
         """This config checked, a one-element omega list read as its number. With
-        `omega_list` (sweep) omega must be a nonempty list, else one number; with
-        `admissible` (solve) its clock must be admissible too."""
+        `omega_list` (sweep) omega must be a nonempty list, else one number. The
+        clock is checked where it is built: `ProblemClock` rejects a non-finite
+        2*omega*T, and `NonlocalProblem` an inadmissible clock."""
         if not self.T > 0:
             raise ConfigError("T", "must be positive")
         if self.N < 1:
@@ -124,12 +125,6 @@ class ExperimentConfig:
             if len(self.omega) != 1:
                 raise ConfigError("omega", "a list is only meaningful for the sweep command")
             cfg = replace(self, omega=self.omega[0])
-        if admissible and not cfg.clock().admissible:
-            raise ConfigError(
-                "omega",
-                f"(T={cfg.T}, omega={cfg.omega}) is inadmissible: exp(2i*omega*T) = 1 "
-                "within tolerance (use the denominators command to study this regime)",
-            )
         return cfg
 
     def build_rule(self) -> GaussLegendre:

@@ -27,7 +27,7 @@ PHI_SERIES_THRESHOLD = 1e-4
 ADMISSIBILITY_TOL = 1e-9
 ADMISSIBILITY_WARN = 1e-3
 
-# half-width of the resonance / phase-coincidence bands used by classify
+# half-width of the resonance / phase-coincidence bands of the mode classification
 CLASSIFY_TOL = 1e-9
 
 # denominator_via_f degenerates within this distance of theta = +/- omega
@@ -58,7 +58,7 @@ class ProblemClock:
             warnings.warn(
                 f"2*omega*T is within {margin:.3e} of a multiple of 2*pi; "
                 "mode conditioning degrades like the reciprocal of this distance",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the line that built the clock
             )
 
     @property
@@ -115,15 +115,6 @@ def denominators(theta, clock: ProblemClock):
     return d, np.abs(d) * (1.0 + theta), phi_minus
 
 
-def denominator(k, spectrum, clock: ProblemClock):
-    """Per-mode solvability denominator d_k = phi(omega + theta_k) - phi(omega - theta_k).
-
-    This is the determinant of the per-mode 2x2 system. Its sign depends on the
-    row orientation; only |d_k| is convention-free.
-    """
-    return denominators(spectrum.frequency(k), clock)[0]
-
-
 def resonance_numerator(x, clock: ProblemClock):
     """f(x) = exp(i*omega*T) * (i*omega*sin(xT) - x*cos(xT)) + x.
 
@@ -138,7 +129,7 @@ def resonance_numerator(x, clock: ProblemClock):
 def denominator_via_f(k, spectrum, clock: ProblemClock, min_gap: float = F_FORM_MIN_GAP):
     """Closed form d_k = 2 f(theta_k) / (i (omega^2 - theta_k^2)) for generic modes.
 
-    Independent cross-check of `denominator`; refuses within `min_gap` of the
+    Independent cross-check of `denominators`; refuses within `min_gap` of the
     resonance points theta_k = +/- omega, where the division degenerates and
     the stable phi-based route must be used instead.
     """
@@ -146,7 +137,7 @@ def denominator_via_f(k, spectrum, clock: ProblemClock, min_gap: float = F_FORM_
     gap = np.minimum(np.abs(theta - clock.omega), np.abs(theta + clock.omega))
     if np.any(gap <= min_gap):
         raise ValueError(
-            f"theta within {min_gap:g} of +/-omega: closed form degenerates, use denominator()"
+            f"theta within {min_gap:g} of +/-omega: closed form degenerates, use denominators()"
         )
     value = 2.0 * resonance_numerator(theta, clock) / (1j * (clock.omega**2 - theta**2))
     if np.asarray(k).ndim == 0:
@@ -197,11 +188,6 @@ def _classify_codes(theta, clock: ProblemClock, tol: float) -> np.ndarray:
     return np.select(bands, range(len(bands)), default=len(bands)).astype(np.int8)
 
 
-def classify(k, spectrum, clock: ProblemClock, tol: float = CLASSIFY_TOL) -> Classification:
-    """Assign mode k to the resonant / phase-matched / generic partition."""
-    return CLASSES[int(_classify_codes(spectrum.frequency(k), clock, tol))]
-
-
 @dataclass(frozen=True, eq=False)
 class DenominatorReport:
     """Per-mode denominators with scaled magnitudes, codes into CLASSES, and the z diagnostic."""
@@ -226,11 +212,11 @@ class DenominatorReport:
         return np.minimum.accumulate(self.scaled)
 
 
-def z_diagnostic(m: int, spectrum, clock: ProblemClock, tol: float = CLASSIFY_TOL) -> DenominatorReport:
+def z_diagnostic(m: int, spectrum, clock: ProblemClock) -> DenominatorReport:
     """Evaluate d_k for k = 1..m and aggregate the separation diagnostic z(m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     ks = np.arange(1, m + 1)
     theta = np.asarray(spectrum.frequency(ks), dtype=float)
     d, scaled, _ = denominators(theta, clock)
-    return DenominatorReport(ks, theta, d, scaled, _classify_codes(theta, clock, tol))
+    return DenominatorReport(ks, theta, d, scaled, _classify_codes(theta, clock, CLASSIFY_TOL))

@@ -33,15 +33,13 @@ class SeriesSolution:
     """u(x, t) = sum_{k=1..N} (C_k e^{-i theta_k t} + D_k e^{i theta_k t}) v_k(x).
 
     Immutable after assembly; evaluation at distinct points is safe to run
-    concurrently. `omega` records the weight frequency when the solution came
-    from the time-average solver (None for Cauchy solutions).
+    concurrently.
     """
 
     spectrum: object
     T: float
     C: np.ndarray
     D: np.ndarray
-    omega: float | None = None
 
     def __post_init__(self):
         C = np.atleast_1d(np.asarray(self.C, dtype=complex))
@@ -140,18 +138,12 @@ class SeriesSolution:
         u_h0, u_h1, dudt_h0 = np.sqrt(squares)
         return NormTrajectories(ts, u_h0, u_h1, dudt_h0)
 
-    def sup_norm(self, q: int, time_points: int = 1001, derivative: bool = False) -> float:
-        """Grid maximum of the H^q norm over [0, T]."""
-        ts = np.linspace(0.0, self.T, time_points)
-        return float(self.norm_trajectory(q, ts, derivative=derivative).max())
-
     def __add__(self, other: "SeriesSolution") -> "SeriesSolution":
         if len(self) != len(other) or self.T != other.T or not (
             self.spectrum is other.spectrum or self.spectrum == other.spectrum
         ):
             raise ValueError("solutions must share spectrum, horizon, and truncation")
-        omega = self.omega if self.omega == other.omega else None
-        return SeriesSolution(self.spectrum, self.T, self.C + other.C, self.D + other.D, omega)
+        return SeriesSolution(self.spectrum, self.T, self.C + other.C, self.D + other.D)
 
     def scaled(self, s) -> "SeriesSolution":
         return replace(self, C=self.C * complex(s), D=self.D * complex(s))

@@ -110,7 +110,7 @@ def solve_nonlocal(problem: NonlocalProblem) -> SeriesSolution:
         problem.alpha.coefficients, problem.gamma.coefficients,
         problem.alpha.frequencies(), problem.clock,
     )
-    return SeriesSolution(problem.spectrum, problem.clock.T, C, D, omega=problem.clock.omega)
+    return SeriesSolution(problem.spectrum, problem.clock.T, C, D)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,21 +169,15 @@ class StabilityReport:
 
 
 def stability_report(
-    problem: NonlocalProblem,
-    solution: SeriesSolution,
-    time_points: int = 1001,
-    norms: NormTrajectories | None = None,
+    problem: NonlocalProblem, solution: SeriesSolution, norms: NormTrajectories
 ) -> StabilityReport:
-    """Norm quadruple and observed stability ratio on a uniform time grid.
+    """Norm quadruple and observed stability ratio on the time grid of `norms`.
 
     c_obs = (sup_t ||u||_H1 + sup_t ||du/dt||_H0) / (||a||_H1 + ||g||_H2),
     reported as 0 for zero data. A well-posed configuration keeps c_obs
-    bounded independently of the truncation order. The sup norms are maxima
-    of `norms` when given (a caller that already holds the trajectories on
-    its grid), else of trajectories on `time_points` uniform times in [0, T].
+    bounded independently of the truncation order. The sup norms are the
+    maxima of `norms`, the solution's trajectories (`norm_trajectories`).
     """
-    if norms is None:
-        norms = solution.norm_trajectories(time_points)
     sup_u = float(norms.u_h1.max())
     sup_du = float(norms.dudt_h0.max())
     na = problem.alpha.sobolev_norm(1)

@@ -19,12 +19,6 @@ from .solution import _BLOCK_ELEMENTS, NormTrajectories, SeriesSolution
 from .timeavg import NonlocalProblem
 
 
-def initial_condition_residual(problem, solution: SeriesSolution) -> float:
-    """max_k |(C_k + D_k) - alpha_k|."""
-    diff = solution.initial_coefficients().coefficients - problem.alpha.coefficients
-    return float(np.max(np.abs(diff)))
-
-
 def initial_condition_relative(problem, solution: SeriesSolution) -> float:
     """max_k |(C_k + D_k) - alpha_k| / (1 + |C_k| + |D_k|).
 
@@ -90,10 +84,9 @@ class RoundTrip:
     field_scale: float
 
 
-def roundtrip_check(
-    problem: NonlocalProblem, solution: SeriesSolution, grid: tuple[int, int] = (20, 20)
-) -> RoundTrip:
-    """Extract b = du/dt(0), re-solve as a Cauchy problem, compare both ways."""
+def roundtrip_check(problem: NonlocalProblem, solution: SeriesSolution) -> RoundTrip:
+    """Extract b = du/dt(0), re-solve as a Cauchy problem, compare in coefficients
+    and on a 20 x 20 space-time field grid."""
     b = derivative_coefficients(solution)
     redone = solve_cauchy(CauchyProblem(problem.spectrum, problem.clock.T, problem.alpha, b))
     scale = max(np.abs(solution.C).max(), np.abs(solution.D).max(), 1e-300)
@@ -101,22 +94,22 @@ def roundtrip_check(
         np.abs(redone.C - solution.C).max(), np.abs(redone.D - solution.D).max()
     ) / scale
     a, bb = problem.spectrum.domain
-    xs = np.linspace(a, bb, grid[0])
-    ts = np.linspace(0.0, problem.clock.T, grid[1])
+    xs = np.linspace(a, bb, 20)
+    ts = np.linspace(0.0, problem.clock.T, 20)
     f1 = solution.field(xs, ts)
     f2 = redone.field(xs, ts)
     fscale = float(np.abs(f1).max())
     return RoundTrip(float(coeff), float(np.abs(f1 - f2).max()), fscale)
 
 
-def mode_energy_drift(solution: SeriesSolution, time_points: int = 1000) -> np.ndarray:
-    """Per-mode relative drift of |y'|^2 + lambda |y|^2 over [0, T].
+def mode_energy_drift(solution: SeriesSolution) -> np.ndarray:
+    """Per-mode relative drift of |y'|^2 + lambda |y|^2 over 1000 uniform times in [0, T].
 
     Streamed over time-column blocks of at most _BLOCK_ELEMENTS phases with a
     running per-mode max and min, so memory stays O(N) beyond one block; the
-    extrema, and so the result, equal the one-shot N x time_points formula.
+    extrema, and so the result, equal the one-shot N x 1000 formula.
     """
-    ts = np.linspace(0.0, solution.T, time_points)
+    ts = np.linspace(0.0, solution.T, 1000)
     step = max(1, _BLOCK_ELEMENTS // len(solution))
     top = np.full(len(solution), -np.inf)
     low = np.full(len(solution), np.inf)
@@ -151,16 +144,12 @@ def weak_identity_residual(solution: SeriesSolution, pairs) -> float:
 
 
 def energy_estimate_margin(problem: CauchyProblem, solution: SeriesSolution,
-                           constant: float = 4.0, time_points: int = 1001,
-                           norms: NormTrajectories | None = None) -> float:
-    """Margin of sup_t ||u||_H1 + sup_t ||u'||_H0 <= constant (||a||_H1 + ||b||_H0).
+                           norms: NormTrajectories) -> float:
+    """Margin of sup_t ||u||_H1 + sup_t ||u'||_H0 <= 4 (||a||_H1 + ||b||_H0).
 
-    The sups are maxima of `norms` when given (a caller that already holds the
-    trajectories on its grid), else of trajectories on `time_points` uniform
-    times in [0, T].
+    The sups are the maxima of `norms`, the solution's trajectories
+    (`norm_trajectories`).
     """
-    if norms is None:
-        norms = solution.norm_trajectories(time_points)
     lhs = float(norms.u_h1.max()) + float(norms.dudt_h0.max())
-    rhs = constant * (problem.alpha.sobolev_norm(1) + problem.beta.sobolev_norm(0))
+    rhs = 4.0 * (problem.alpha.sobolev_norm(1) + problem.beta.sobolev_norm(0))
     return rhs - lhs

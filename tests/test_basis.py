@@ -10,7 +10,6 @@ from specwave import (
     GaussLegendre,
     SpectralVector,
     TabulatedSpectrum,
-    eigen_data,
     eigenfunction_matrix,
     project,
 )
@@ -33,23 +32,27 @@ def parabola_coefficient(k: int) -> float:
 
 class TestEigenData:
     def test_third_mode(self, dirichlet):
-        assert eigen_data(dirichlet, 3) == (9.0, 3.0)
+        assert (dirichlet.eigenvalue(3), dirichlet.frequency(3)) == (9.0, 3.0)
 
     def test_first_mode(self, dirichlet):
-        assert eigen_data(dirichlet, 1) == (1.0, 1.0)
+        assert (dirichlet.eigenvalue(1), dirichlet.frequency(1)) == (1.0, 1.0)
 
     def test_large_mode(self, dirichlet):
-        assert eigen_data(dirichlet, 500) == (250000.0, 500.0)
+        assert (dirichlet.eigenvalue(500), dirichlet.frequency(500)) == (250000.0, 500.0)
 
     def test_zero_index_rejected(self, dirichlet):
         with pytest.raises(IndexError):
-            eigen_data(dirichlet, 0)
+            dirichlet.eigenvalue(0)
+        with pytest.raises(IndexError):
+            dirichlet.frequency(0)
 
     def test_tabulated_exhaustion(self):
         spectrum = TabulatedSpectrum(eigenvalues=(1.0, 4.0))
-        assert eigen_data(spectrum, 2) == (4.0, 2.0)
+        assert (spectrum.eigenvalue(2), spectrum.frequency(2)) == (4.0, 2.0)
         with pytest.raises(IndexError, match="exhausted"):
-            eigen_data(spectrum, 3)
+            spectrum.eigenvalue(3)
+        with pytest.raises(IndexError, match="exhausted"):
+            spectrum.frequency(3)
 
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):
@@ -89,7 +92,7 @@ class TestDirichletBasis:
         assert np.array_equal(dirichlet.frequency(ks) ** 2, dirichlet.eigenvalue(ks))
         tab = TabulatedSpectrum(eigenvalues=(0.7, 2.0, 13.5))
         for k in (1, 2, 3):
-            lam, theta = eigen_data(tab, k)
+            lam, theta = tab.eigenvalue(k), tab.frequency(k)
             assert theta**2 == pytest.approx(lam, rel=1e-15)
 
 

@@ -149,6 +149,18 @@ class TestSolve:
         code = main(["solve", "--T", "5", "--omega", "0", "--out", str(tmp_path)])
         assert code == 2
         assert "inadmissible" in capsys.readouterr().err
+        assert (tmp_path / "manifest.json").exists()
+        manifest = read_manifest(tmp_path)
+        assert manifest["exit_code"] == 2
+        assert "inadmissible" in manifest["error"]
+
+    def test_near_inadmissible_clock_warns_once(self, tmp_path):
+        # 2 omega T is 1.0e-4 from 2 pi: the solve runs, and its one clock warns
+        with pytest.warns(UserWarning, match="conditioning") as record:
+            code = main(["solve", "--T", "5", "--omega", "0.6283285", "--N", "20",
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert len(record) == 1
 
     def test_field_grid_dimensions(self, tmp_path):
         main(["solve", "--T", "5", "--omega", "0.1", "--N", "10",

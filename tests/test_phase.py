@@ -13,15 +13,13 @@ from specwave import (
     ModeClass,
     ProblemClock,
     TabulatedSpectrum,
-    classify,
-    denominator,
     denominator_via_f,
     phase_distance,
     phi,
     resonance_numerator,
     z_diagnostic,
 )
-from specwave.phase import CLASSES, CLASSIFY_TOL, TWO_PI, _classify_codes
+from specwave.phase import CLASSES, CLASSIFY_TOL, TWO_PI, _classify_codes, denominators
 
 # regression values from this implementation; the published ones are checked
 # at 2% in the acceptance suite
@@ -127,8 +125,10 @@ class TestProblemClock:
     def test_near_resonance_warns(self):
         T = 5.0
         omega = (2 * math.pi + 5e-4) / (2 * T)
-        with pytest.warns(UserWarning, match="conditioning"):
+        with pytest.warns(UserWarning, match="conditioning") as record:
             ProblemClock(T, omega)
+        # the warning names the line that built the clock, not the dataclass __init__
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestDenominator:
@@ -138,12 +138,13 @@ class TestDenominator:
             clock = ProblemClock(T, 0.0)
             for k in (1, 2, 5, 40):
                 expected = 2.0 * (1 - math.cos(k * T)) / k
-                assert abs(denominator(k, dirichlet, clock)) == pytest.approx(expected, abs=1e-13)
+                d = denominators(dirichlet.frequency(k), clock)[0]
+                assert abs(d) == pytest.approx(expected, abs=1e-13)
 
     def test_resonant_mode_solvable(self, dirichlet):
         # theta = omega: d = phi(2 omega) - T, nonzero for admissible clocks
         clock = ProblemClock(1.0, 3.0)
-        d = denominator(3, dirichlet, clock)
+        d = denominators(dirichlet.frequency(3), clock)[0]
         expected = phi(6.0, 1.0) - 1.0
         assert d == pytest.approx(expected, abs=1e-14)
         assert abs(d) > 0.1
@@ -152,7 +153,7 @@ class TestDenominator:
         clock = ProblemClock(1.0, 0.5)
         t = np.linspace(0.0, 1.0, 100001)
         integrand = np.exp(1j * (0.5 + 1.0) * t) - np.exp(1j * (0.5 - 1.0) * t)
-        assert denominator(1, dirichlet, clock) == pytest.approx(
+        assert denominators(dirichlet.frequency(1), clock)[0] == pytest.approx(
             complex(trapezoid(integrand, t)), abs=1e-10
         )
 
@@ -164,7 +165,7 @@ class TestDenominator:
             sympy.exp(sympy.I * (omega + theta) * t) - sympy.exp(sympy.I * (omega - theta) * t),
             (t, 0, T),
         )
-        got = denominator(2, dirichlet, ProblemClock(3.0, 0.5))
+        got = denominators(dirichlet.frequency(2), ProblemClock(3.0, 0.5))[0]
         assert got == pytest.approx(complex(exact.evalf(20)), abs=1e-14)
 
     @settings(max_examples=50, deadline=None)
@@ -181,8 +182,8 @@ class TestDenominator:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            plus = denominator(k, spectrum, ProblemClock(T, omega))
-            minus = denominator(k, spectrum, ProblemClock(T, -omega))
+            plus = denominators(spectrum.frequency(k), ProblemClock(T, omega))[0]
+            minus = denominators(spectrum.frequency(k), ProblemClock(T, -omega))[0]
         assert abs(plus) == pytest.approx(abs(minus), rel=1e-9, abs=1e-12)
 
 
@@ -190,7 +191,7 @@ class TestDenominatorViaF:
     def test_agrees_on_generic_modes(self, dirichlet):
         clock = ProblemClock(5.0, 0.01)
         for k in (1, 7, 100, 500):
-            d = denominator(k, dirichlet, clock)
+            d = denominators(dirichlet.frequency(k), clock)[0]
             dv = denominator_via_f(k, dirichlet, clock)
             assert abs(dv - d) < 1e-10 * (1 + abs(d))
 
@@ -211,33 +212,33 @@ class TestDenominatorViaF:
 
 class TestClassify:
     def test_exact_resonance(self, dirichlet):
-        got = classify(3, dirichlet, ProblemClock(1.0, 3.0))
+        got = CLASSES[z_diagnostic(3, dirichlet, ProblemClock(1.0, 3.0)).codes[2]]
         assert got.mode_class is ModeClass.LAMBDA0
         assert got.subcase == "theta=+omega"
 
     def test_negative_resonance(self, dirichlet):
-        got = classify(3, dirichlet, ProblemClock(1.0, -3.0))
+        got = CLASSES[z_diagnostic(3, dirichlet, ProblemClock(1.0, -3.0)).codes[2]]
         assert got.mode_class is ModeClass.LAMBDA0
         assert got.subcase == "theta=-omega"
 
     def test_phase_coincidence(self):
         # (theta - omega) T = 2 pi exactly
         spectrum = TabulatedSpectrum(eigenvalues=(1.5**2,))
-        got = classify(1, spectrum, ProblemClock(2 * math.pi, 0.5))
+        got = CLASSES[z_diagnostic(1, spectrum, ProblemClock(2 * math.pi, 0.5)).codes[0]]
         assert got.mode_class is ModeClass.LAMBDA1
         assert got.subcase == "phase=+omega"
 
     def test_phase_coincidence_conjugate_branch(self):
         # (theta + omega) T = 2 pi exactly
         spectrum = TabulatedSpectrum(eigenvalues=(0.75**2,))
-        got = classify(1, spectrum, ProblemClock(2 * math.pi, 0.25))
+        got = CLASSES[z_diagnostic(1, spectrum, ProblemClock(2 * math.pi, 0.25)).codes[0]]
         assert got.mode_class is ModeClass.LAMBDA1
         assert got.subcase == "phase=-omega"
 
     def test_generic_for_the_reference_clock(self, dirichlet):
         clock = ProblemClock(1.0, 0.5)
-        for k in range(1, 501):
-            assert classify(k, dirichlet, clock).mode_class is ModeClass.LAMBDA2
+        codes = z_diagnostic(500, dirichlet, clock).codes
+        assert all(CLASSES[c].mode_class is ModeClass.LAMBDA2 for c in codes)
 
     def test_classes_exhaustive_and_exclusive(self, dirichlet):
         # one code per mode, each naming exactly one entry of the class table
@@ -245,7 +246,6 @@ class TestClassify:
         report = z_diagnostic(200, dirichlet, clock)
         assert report.codes.shape == (200,) and report.codes.dtype == np.int8
         assert set(report.codes.tolist()) <= set(range(len(CLASSES)))
-        assert all(CLASSES[c] == classify(k, dirichlet, clock) for k, c in zip(report.modes, report.codes))
 
 
 def reference_code(theta, omega, T, tol):

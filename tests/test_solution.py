@@ -11,7 +11,6 @@ from specwave import (
     ProblemClock,
     SeriesSolution,
     SpectralVector,
-    eigen_data,
     eigenfunction_matrix,
     project,
     solve_cauchy,
@@ -246,7 +245,7 @@ class TestModeAccess:
         # modes are 1-based, and a solution holds exactly len(sol) of them
         sol = single_cosine(dirichlet)
         with pytest.raises(IndexError):
-            eigen_data(sol.spectrum, 0)
+            sol.spectrum.eigenvalue(0)
         with pytest.raises(IndexError):
             sol.mode_values(0.0)[1]
 

@@ -24,6 +24,12 @@ from specwave import phase
 from specwave.timeavg import _solve_modes
 
 
+def solved_report(problem):
+    """stability_report of the solved problem on 1001 uniform times, as the CLI runs it."""
+    sol = solve_nonlocal(problem)
+    return stability_report(problem, sol, sol.norm_trajectories(1001))
+
+
 def make_problem(dirichlet, clock, alpha, gamma):
     return NonlocalProblem(
         dirichlet, clock, SpectralVector(alpha, dirichlet), SpectralVector(gamma, dirichlet)
@@ -121,7 +127,7 @@ class TestNonlocalProblem:
 class TestSolveNonlocal:
     def test_zero_data_gives_zero_solution(self, dirichlet):
         sol = solve_nonlocal(make_problem(dirichlet, ProblemClock(5.0, 0.01), np.zeros(5), np.zeros(5)))
-        assert sol.sup_norm(1) == 0.0
+        assert sol.norm_trajectories(1001).u_h1.max() == 0.0
 
     def test_real_data_yields_complex_solution(self, dirichlet):
         # the weighted condition makes u genuinely complex even for real data
@@ -190,13 +196,14 @@ class TestSolveNonlocal:
         a = SpectralVector(np.zeros(60), dirichlet)
         base = NonlocalProblem(dirichlet, clock, a, g)
         sol = solve_nonlocal(base)
-        report = stability_report(base, sol)
+        norms = sol.norm_trajectories(1001)
+        report = stability_report(base, sol, norms)
         delta = 0.1 * g
         perturbed = NonlocalProblem(dirichlet, clock, a, g + delta)
-        sol2 = solve_nonlocal(perturbed)
+        norms2 = solve_nonlocal(perturbed).norm_trajectories(1001)
         change = abs(
-            (sol2.sup_norm(1) + sol2.sup_norm(0, derivative=True))
-            - (sol.sup_norm(1) + sol.sup_norm(0, derivative=True))
+            (norms2.u_h1.max() + norms2.dudt_h0.max())
+            - (norms.u_h1.max() + norms.dudt_h0.max())
         )
         assert change <= report.c_obs * delta.sobolev_norm(2) * 1.1
 
@@ -238,7 +245,7 @@ class TestCoefficientBound:
 class TestStabilityReport:
     def test_zero_data_reports_zero_ratio(self, dirichlet):
         p = make_problem(dirichlet, ProblemClock(5.0, 0.01), np.zeros(5), np.zeros(5))
-        report = stability_report(p, solve_nonlocal(p))
+        report = solved_report(p)
         assert report.c_obs == 0.0
         assert report.sup_u_h1 == 0.0
         assert report.to_dict()["bound_all_ok"] is True
@@ -250,7 +257,7 @@ class TestStabilityReport:
             a = project(lambda x: x * (math.pi - x), dirichlet, n)
             g = project(lambda x: x * (math.pi - x), dirichlet, n)
             p = NonlocalProblem(dirichlet, clock, a, g)
-            ratios.append(stability_report(p, solve_nonlocal(p)).c_obs)
+            ratios.append(solved_report(p).c_obs)
         assert max(ratios) < 2.0 * min(ratios)
 
     def test_entries_finite_and_nonnegative(self, dirichlet, rng):
@@ -258,7 +265,7 @@ class TestStabilityReport:
         alpha = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         gamma = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         p = make_problem(dirichlet, clock, alpha, gamma)
-        report = stability_report(p, solve_nonlocal(p))
+        report = solved_report(p)
         for name in ("norm_a_h1", "norm_g_h2", "sup_u_h1", "sup_dudt_h0", "c_obs"):
             value = getattr(report, name)
             assert np.isfinite(value) and value >= 0.0, name
@@ -269,6 +276,6 @@ class TestStabilityReport:
         ratios = {}
         for omega in (0.1, 0.01):
             p = NonlocalProblem(dirichlet, ProblemClock(5.0, omega), a, g)
-            ratios[omega] = stability_report(p, solve_nonlocal(p)).c_obs
+            ratios[omega] = solved_report(p).c_obs
         assert all(np.isfinite(r) for r in ratios.values())
         assert ratios[0.01] != ratios[0.1]
