@@ -13,14 +13,10 @@ from .basis import (
 )
 from .cauchy import CauchyProblem, derivative_coefficients, solve_cauchy
 from .phase import (
-    Classification,
     DenominatorReport,
-    ModeClass,
     ProblemClock,
-    denominator_via_f,
     phase_distance,
     phi,
-    resonance_numerator,
     z_diagnostic,
 )
 from .quadrature import GaussLegendre
@@ -40,12 +36,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundCheck",
     "CauchyProblem",
-    "Classification",
     "DenominatorReport",
     "DirichletLaplacian1D",
     "GaussLegendre",
     "IllConditionedModeError",
-    "ModeClass",
     "NonlocalProblem",
     "ProblemClock",
     "SeriesSolution",
@@ -54,13 +48,11 @@ __all__ = [
     "StabilityReport",
     "TabulatedSpectrum",
     "coefficient_bound_check",
-    "denominator_via_f",
     "derivative_coefficients",
     "eigenfunction_matrix",
     "phase_distance",
     "phi",
     "project",
-    "resonance_numerator",
     "solve_cauchy",
     "solve_nonlocal",
     "stability_report",

@@ -194,19 +194,6 @@ class SpectralVector:
         ):
             raise ValueError("spectral vectors must share spectrum and truncation order")
 
-    def __add__(self, other: "SpectralVector") -> "SpectralVector":
-        self._check_compatible(other)
-        return SpectralVector(self.coefficients + other.coefficients, self.spectrum)
-
-    def __sub__(self, other: "SpectralVector") -> "SpectralVector":
-        self._check_compatible(other)
-        return SpectralVector(self.coefficients - other.coefficients, self.spectrum)
-
-    def __mul__(self, scalar) -> "SpectralVector":
-        return SpectralVector(self.coefficients * complex(scalar), self.spectrum)
-
-    __rmul__ = __mul__
-
 
 def projection_rule(n_modes: int, panels: int = 64) -> GaussLegendre:
     """Projection rule for modes 1..n_modes: at least ceil(5 n_modes / 8) panels of 8 nodes.

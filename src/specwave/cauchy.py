@@ -38,9 +38,6 @@ class CauchyProblem:
         ):
             raise ValueError("data vectors must live on the problem spectrum")
 
-    def __len__(self) -> int:
-        return len(self.alpha)
-
 
 def solve_cauchy(problem: CauchyProblem) -> SeriesSolution:
     """Assemble all modes; u(0) = a and du/dt(0) = b hold at coefficient level.

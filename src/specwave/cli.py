@@ -7,8 +7,9 @@ adds manifest checks; `main` owns the run lifecycle: the output directory (flag
 manifest, its wall time and manifest.json, which every subcommand writes, also
 when the run fails after making its output directory (with `exit_code` and
 `error`). Exit code 0 iff every manifest check passed; 1 for a failed check, an
-ill-conditioned mode or an unwritable output; 2 for a config error, an
-inadmissible omega or an overflowing phase, 2*omega*T or (omega +/- theta_k)*T.
+ill-conditioned mode, an unwritable output or an allocation the machine
+refuses; 2 for a config error, an inadmissible omega or an overflowing phase,
+2*omega*T or (omega +/- theta_k)*T.
 """
 
 from __future__ import annotations
@@ -329,6 +330,8 @@ def main(argv=None) -> int:
         error, code = str(exc), 1
     except OSError as exc:
         error, code = f"cannot write artifacts: {exc}", 1
+    except MemoryError as exc:
+        error, code = f"out of memory: {str(exc) or 'allocation refused'}", 1
     except ValueError as exc:  # ConfigError among them
         error, code = str(exc), 2
     if manifest is not None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -29,9 +28,6 @@ ADMISSIBILITY_WARN = 1e-3
 
 # half-width of the resonance / phase-coincidence bands of the mode classification
 CLASSIFY_TOL = 1e-9
-
-# denominator_via_f degenerates within this distance of theta = +/- omega
-F_FORM_MIN_GAP = 1e-3
 
 
 def phase_distance(x):
@@ -115,68 +111,18 @@ def denominators(theta, clock: ProblemClock):
     return d, np.abs(d) * (1.0 + theta), phi_minus
 
 
-def resonance_numerator(x, clock: ProblemClock):
-    """f(x) = exp(i*omega*T) * (i*omega*sin(xT) - x*cos(xT)) + x.
-
-    The zeros of f among the mode frequencies are exactly the zeros of the
-    denominator, which is why f drives the generic-mode closed form.
-    """
-    x = np.asarray(x, dtype=float)
-    w = np.exp(1j * clock.omega * clock.T)
-    return w * (1j * clock.omega * np.sin(x * clock.T) - x * np.cos(x * clock.T)) + x
-
-
-def denominator_via_f(k, spectrum, clock: ProblemClock, min_gap: float = F_FORM_MIN_GAP):
-    """Closed form d_k = 2 f(theta_k) / (i (omega^2 - theta_k^2)) for generic modes.
-
-    Independent cross-check of `denominators`; refuses within `min_gap` of the
-    resonance points theta_k = +/- omega, where the division degenerates and
-    the stable phi-based route must be used instead.
-    """
-    theta = np.asarray(spectrum.frequency(k), dtype=float)
-    gap = np.minimum(np.abs(theta - clock.omega), np.abs(theta + clock.omega))
-    if np.any(gap <= min_gap):
-        raise ValueError(
-            f"theta within {min_gap:g} of +/-omega: closed form degenerates, use denominators()"
-        )
-    value = 2.0 * resonance_numerator(theta, clock) / (1j * (clock.omega**2 - theta**2))
-    if np.asarray(k).ndim == 0:
-        return complex(value)
-    return value
-
-
-class ModeClass(Enum):
-    LAMBDA0 = "resonant"
-    LAMBDA1 = "phase-matched"
-    LAMBDA2 = "generic"
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Partition label for one mode plus the matched sub-case."""
-
-    mode_class: ModeClass
-    subcase: str
-
-    @property
-    def label(self) -> str:
-        if self.subcase == "generic":
-            return self.mode_class.value
-        return f"{self.mode_class.value}({self.subcase})"
-
-
-CLASSES = (
-    Classification(ModeClass.LAMBDA0, "theta=+omega"),
-    Classification(ModeClass.LAMBDA0, "theta=-omega"),
-    Classification(ModeClass.LAMBDA1, "phase=+omega"),
-    Classification(ModeClass.LAMBDA1, "phase=-omega"),
-    Classification(ModeClass.LAMBDA2, "generic"),
+# the label of each code that `_classify_codes` returns
+LABELS = (
+    "resonant(theta=+omega)",
+    "resonant(theta=-omega)",
+    "phase-matched(phase=+omega)",
+    "phase-matched(phase=-omega)",
+    "generic",
 )
-LABELS = tuple(c.label for c in CLASSES)
 
 
 def _classify_codes(theta, clock: ProblemClock, tol: float) -> np.ndarray:
-    """Index into CLASSES of each theta: the first of its bands that holds.
+    """Index into LABELS of each theta: the first of its bands that holds.
 
     Resonant: theta = +/-omega within tol. Phase-matched: exp(i*theta*T)
     equals exp(+/-i*omega*T) within tol (phase distance). Everything else is
@@ -190,7 +136,7 @@ def _classify_codes(theta, clock: ProblemClock, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DenominatorReport:
-    """Per-mode denominators with scaled magnitudes, codes into CLASSES, and the z diagnostic."""
+    """Per-mode denominators with scaled magnitudes, codes into LABELS, and the z diagnostic."""
 
     modes: np.ndarray
     thetas: np.ndarray

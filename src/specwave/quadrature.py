@@ -48,10 +48,6 @@ class GaussLegendre:
         if self.panels < 1 or self.order < 1:
             raise ValueError("panels and order must both be >= 1")
 
-    @property
-    def total_nodes(self) -> int:
-        return self.panels * self.order
-
     def nodes_weights(self, a: float, b: float):
         """Nodes and weights for integration over [a, b]."""
         x, w = _reference_rule(self.order)
@@ -62,9 +58,14 @@ class GaussLegendre:
         weights = (half[:, None] * w).ravel()
         return nodes, weights
 
-    def integrate(self, f, a: float, b: float):
-        nodes, weights = self.nodes_weights(a, b)
-        return weights @ sample(f, nodes)
+    def _midpoints(self, a: float, b: float, index: np.ndarray) -> np.ndarray:
+        """Midpoints of the panels `index` on [a, b], bit for bit those of the edges
+        np.linspace(a, b, panels + 1): edge i is i * step + a, and the last edge is b."""
+        step = (b - a) / self.panels
+        left = index * step + a
+        right = (index + 1) * step + a
+        right[index + 1 == self.panels] = b
+        return 0.5 * (left + right)
 
     def exp_moments(self, mu, a: float, b: float) -> np.ndarray:
         """sum_j w_j exp(i mu t_j) over this rule's nodes on [a, b], for each mu.
@@ -79,18 +80,18 @@ class GaussLegendre:
         where G_q = G except for a last, shorter remainder group. Each frequency
         costs about 2 sqrt(panels) + order exponentials instead of
         panels * order, and the frequencies are taken in blocks of at most
-        _BLOCK_ELEMENTS exponentials, so memory stays O(len(mu) + panels).
+        _BLOCK_ELEMENTS exponentials. Only the 2 sqrt(panels) midpoints read
+        are formed, so memory stays O(len(mu) + sqrt(panels)).
         """
         mu = np.asarray(mu, dtype=float)
         flat = mu.ravel()
         x, w = _reference_rule(self.order)
-        edges = np.linspace(a, b, self.panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (b - a) / self.panels
         group = math.isqrt(self.panels)
         full, rest = divmod(self.panels, group)
-        starts = mids[::group]
-        offsets = mids[:group] - mids[0]
+        starts = self._midpoints(a, b, np.arange(0, self.panels, group))
+        offsets = self._midpoints(a, b, np.arange(group))
+        offsets -= offsets[0]
         out = np.empty(flat.size, dtype=complex)
         step = max(1, _BLOCK_ELEMENTS // (starts.size + group + self.order))
         for start in range(0, flat.size, step):

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .basis import SOBOLEV_ORDERS, SpectralVector, eigenfunction_matrix
+from .basis import SpectralVector, eigenfunction_matrix
 
 # complex phases a blocked evaluation holds at once: 2**16 x 16 B = 1 MiB
 _BLOCK_ELEMENTS = 1 << 16
@@ -101,14 +101,6 @@ class SeriesSolution:
         """Coefficients of u(0), i.e. C + D."""
         return SpectralVector(self.C + self.D, self.spectrum)
 
-    def norm_trajectory(self, q: int, ts, derivative: bool = False) -> np.ndarray:
-        """H^q norm of u (or du/dt) at each grid time, from coefficients alone."""
-        if q not in SOBOLEV_ORDERS:
-            raise ValueError(f"unsupported Sobolev order q={q}; expected one of {SOBOLEV_ORDERS}")
-        ts = np.asarray(ts, dtype=float)
-        y = self.mode_derivatives(ts) if derivative else self.mode_values(ts)
-        return np.sqrt(self.eigenvalues**q @ np.abs(y) ** 2)
-
     def norm_trajectories(self, time_points: int) -> NormTrajectories:
         """||u||_H0, ||u||_H1 and ||du/dt||_H0 on `time_points` uniform times in [0, T].
 
@@ -137,13 +129,3 @@ class SeriesSolution:
             squares[2] += lam @ _abs2(ahead - back)
         u_h0, u_h1, dudt_h0 = np.sqrt(squares)
         return NormTrajectories(ts, u_h0, u_h1, dudt_h0)
-
-    def __add__(self, other: "SeriesSolution") -> "SeriesSolution":
-        if len(self) != len(other) or self.T != other.T or not (
-            self.spectrum is other.spectrum or self.spectrum == other.spectrum
-        ):
-            raise ValueError("solutions must share spectrum, horizon, and truncation")
-        return SeriesSolution(self.spectrum, self.T, self.C + other.C, self.D + other.D)
-
-    def scaled(self, s) -> "SeriesSolution":
-        return replace(self, C=self.C * complex(s), D=self.D * complex(s))

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .basis import SpectralVector
-from .phase import CLASSES, CLASSIFY_TOL, Classification, ProblemClock, _classify_codes, denominators
+from .phase import CLASSIFY_TOL, LABELS, ProblemClock, _classify_codes, denominators
 from .solution import NormTrajectories, SeriesSolution
 
 # modes with |d_k| (1 + theta_k) below this floor amplify data noise past ~1e12
@@ -33,14 +33,14 @@ def condition_floor(T: float) -> float:
 class IllConditionedModeError(ArithmeticError):
     """A mode's scaled denominator fell below the conditioning floor."""
 
-    def __init__(self, k: int, theta: float, abs_d: float, classification: Classification, floor: float):
+    def __init__(self, k: int, theta: float, abs_d: float, label: str, floor: float):
         self.k = k
         self.theta = theta
         self.abs_d = abs_d
-        self.classification = classification
+        self.label = label
         self.floor = floor
         super().__init__(
-            f"mode k={k}: |d| = {abs_d:.3e}, class {classification.label}, "
+            f"mode k={k}: |d| = {abs_d:.3e}, class {label}, "
             f"scaled magnitude below floor {floor:.3e}; "
             "omega is too close to resonance for a stable solve"
         )
@@ -71,9 +71,6 @@ class NonlocalProblem:
         if not (self.spectrum is self.alpha.spectrum or self.spectrum == self.alpha.spectrum):
             raise ValueError("data vectors must live on the problem spectrum")
 
-    def __len__(self) -> int:
-        return len(self.alpha)
-
 
 def _solve_modes(alpha, gamma, theta, clock: ProblemClock):
     """(C, D) for every mode's 2x2 system by elimination; arrays over k = 1..len(theta).
@@ -92,7 +89,7 @@ def _solve_modes(alpha, gamma, theta, clock: ProblemClock):
         i = int(np.argmin(scaled))
         raise IllConditionedModeError(
             i + 1, float(theta[i]), float(np.abs(det[i])),
-            CLASSES[int(_classify_codes(theta[i], clock, CLASSIFY_TOL))], floor,
+            LABELS[int(_classify_codes(theta[i], clock, CLASSIFY_TOL))], floor,
         )
     D = (gamma - phi_minus * alpha) / det
     C = alpha - D

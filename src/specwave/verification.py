@@ -1,9 +1,10 @@
 """Independent checks of assembled solutions: residuals, round trips, conservation.
 
-Every check here goes through a route different from the one that produced the
-solution (time quadrature instead of phase integrals, the Cauchy solver as a
-round-trip oracle, closed-form antiderivatives for the weak identity), so a
-green check is evidence rather than tautology.
+The checks the CLI runs: the initial condition in coefficients, the
+time-average condition by Gauss-Legendre time quadrature (never phi), a Cauchy
+re-solve from du/dt(0), per-mode energy drift and the energy estimate. Each goes
+through a route different from the one that produced the solution, so a green
+check is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -121,26 +122,6 @@ def mode_energy_drift(solution: SeriesSolution) -> np.ndarray:
         np.maximum(top, energy.max(axis=1), out=top)
         np.minimum(low, energy.min(axis=1), out=low)
     return (top - low) / np.where(top > 0, top, 1.0)
-
-
-def _mode_integrals(solution: SeriesSolution, s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """int_s^t y_k(r) dr in closed form for every mode and pair; shape (N, len(s))."""
-    w = 1j * solution.thetas[:, None]
-    es, et = np.exp(w * s), np.exp(w * t)
-    C, D = solution.C[:, None], solution.D[:, None]
-    return C * (np.conj(et) - np.conj(es)) / (-w) + D * (et - es) / w
-
-
-def weak_identity_residual(solution: SeriesSolution, pairs) -> float:
-    """max over modes and (s, t) pairs of |y'(t) - y'(s) + lambda int_s^t y dr|.
-
-    The integral uses the closed-form antiderivative, so this checks that each
-    mode genuinely satisfies the integrated form of the oscillator equation.
-    """
-    s, t = np.asarray(pairs, dtype=float).reshape(-1, 2).T
-    lhs = solution.mode_derivatives(t) - solution.mode_derivatives(s)
-    rhs = -solution.eigenvalues[:, None] * _mode_integrals(solution, s, t)
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def energy_estimate_margin(problem: CauchyProblem, solution: SeriesSolution,

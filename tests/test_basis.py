@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import integrate
 from specwave import (
+    CauchyProblem,
     GaussLegendre,
     SpectralVector,
     TabulatedSpectrum,
@@ -70,7 +72,7 @@ class TestDirichletBasis:
     def test_unit_normalization(self, dirichlet):
         rule = GaussLegendre(panels=256, order=8)
         for k in (1, 3, 10):
-            nsq = rule.integrate(lambda x, k=k: dirichlet.eigenfunction(k, x) ** 2, 0.0, math.pi)
+            nsq = integrate(rule, lambda x, k=k: dirichlet.eigenfunction(k, x) ** 2, 0.0, math.pi)
             assert nsq == pytest.approx(1.0, abs=1e-12)
 
     def test_gram_matrix_is_identity(self, dirichlet):
@@ -193,7 +195,7 @@ class TestProject:
 
     def test_parseval_upper_bound(self, dirichlet):
         rule = GaussLegendre(panels=128, order=8)
-        l2 = math.sqrt(rule.integrate(lambda x: parabola(x) ** 2, 0.0, math.pi))
+        l2 = math.sqrt(integrate(rule, lambda x: parabola(x) ** 2, 0.0, math.pi))
         assert l2 == pytest.approx(math.sqrt(math.pi**5 / 30.0), rel=1e-13)
         for n in (5, 20, 50):
             assert project(parabola, dirichlet, n).sobolev_norm(0) <= l2 + 1e-12
@@ -250,7 +252,7 @@ class TestSobolevNorm:
         c = np.array([re + 1j * im for re, im in parts])
         s = complex(*scale)
         vec = SpectralVector(c, spectrum)
-        lhs = (s * vec).sobolev_norm(q)
+        lhs = SpectralVector(s * c, spectrum).sobolev_norm(q)
         rhs = abs(s) * vec.sobolev_norm(q)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
@@ -258,14 +260,9 @@ class TestSobolevNorm:
 class TestSpectralVectorPlumbing:
     def test_mismatched_lengths_rejected(self, dirichlet):
         with pytest.raises(ValueError):
-            SpectralVector([1.0], dirichlet) + SpectralVector([1.0, 2.0], dirichlet)
+            CauchyProblem(dirichlet, 1.0, SpectralVector([1.0], dirichlet),
+                          SpectralVector([1.0, 2.0], dirichlet))
 
     def test_non_finite_rejected(self, dirichlet):
         with pytest.raises(ValueError):
             SpectralVector([np.nan], dirichlet)
-
-    def test_addition(self, dirichlet):
-        a = SpectralVector([1.0, 2.0], dirichlet)
-        b = SpectralVector([0.5j, -1.0], dirichlet)
-        assert np.allclose((a + b).coefficients, [1.0 + 0.5j, 1.0])
-        assert np.allclose((a - b).coefficients, [1.0 - 0.5j, 3.0])

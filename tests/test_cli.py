@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,6 +460,40 @@ class TestRunLifecycle:
         assert manifest["exit_code"] == 1
         assert manifest["error"] == "cannot write artifacts: denominators.csv: disk full"
         assert "error: cannot write artifacts" in capsys.readouterr().err
+
+    def test_huge_horizon_solve_runs_in_bounded_memory(self, tmp_path, capsys):
+        # the verification time rule has 8.25e11 panels here; its quadrature
+        # reads only O(sqrt(panels)) midpoints, so the run finishes with a manifest
+        tracemalloc.start()
+        try:
+            code = main(["solve", "--T", "1e12", "--omega", "0.3", "--N", "3", "--out", str(tmp_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read_manifest(tmp_path)["exit_code"] == code
+        assert peak < 256 * 2**20
+
+    def test_out_of_memory_exits_1_and_still_writes_manifest(self, tmp_path, monkeypatch, capsys):
+        def oversized(*run):
+            raise MemoryError("Unable to allocate 6.00 TiB")
+
+        monkeypatch.setattr(cli, "cmd_solve", oversized)
+        assert main(["solve", "--N", "5", "--out", str(tmp_path)]) == 1
+        manifest = read_manifest(tmp_path)
+        assert manifest["exit_code"] == 1
+        assert manifest["error"] == "out of memory: Unable to allocate 6.00 TiB"
+        assert capsys.readouterr().err == f"error: {manifest['error']}\n"
+
+    def test_ill_conditioned_solve_exits_1_with_the_mode_and_its_class(self, tmp_path, capsys):
+        # at T = 1e13 the floor 1e-12 T exceeds |d_3| (1 + 3) for omega = 0.3
+        code = main(["solve", "--T", "1e13", "--omega", "0.3", "--N", "3", "--out", str(tmp_path)])
+        assert code == 1
+        manifest = read_manifest(tmp_path)
+        assert manifest["exit_code"] == 1
+        assert "mode k=3" in manifest["error"]
+        assert "class phase-matched(phase=+omega)" in manifest["error"]
+        assert manifest["files"] == ["manifest.json"]
+        assert capsys.readouterr().err == f"error: {manifest['error']}\n"
 
     def test_failed_check_exits_1_and_still_writes_manifest(self, tmp_path):
         code = main(["solve", "--N", "20", "--tol", "1e-30", "--out", str(tmp_path)])

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import integrate
 from specwave import GaussLegendre, quadrature
 
 
@@ -10,23 +12,23 @@ def test_polynomials_integrated_exactly():
     # order-6 Gauss is exact through degree 11 on each panel
     rule = GaussLegendre(panels=4, order=6)
     for p in range(12):
-        value = rule.integrate(lambda x: x**p, 0.0, 2.0)
+        value = integrate(rule, lambda x: x**p, 0.0, 2.0)
         assert value == pytest.approx(2.0 ** (p + 1) / (p + 1), rel=1e-13)
 
 
 def test_sine_closed_form():
-    assert GaussLegendre().integrate(np.sin, 0.0, np.pi) == pytest.approx(2.0, rel=1e-13)
+    assert integrate(GaussLegendre(), np.sin, 0.0, np.pi) == pytest.approx(2.0, rel=1e-13)
 
 
 def test_complex_integrand():
-    value = GaussLegendre().integrate(lambda t: np.exp(1j * t), 0.0, np.pi)
+    value = integrate(GaussLegendre(), lambda t: np.exp(1j * t), 0.0, np.pi)
     assert value == pytest.approx(2j, abs=1e-13)
 
 
 def test_nodes_and_weights_structure():
     rule = GaussLegendre(panels=16, order=4)
     nodes, weights = rule.nodes_weights(-1.0, 3.0)
-    assert nodes.size == weights.size == rule.total_nodes == 64
+    assert nodes.size == weights.size == rule.panels * rule.order == 64
     assert np.all(weights > 0)
     assert weights.sum() == pytest.approx(4.0, rel=1e-14)
     assert np.all(np.diff(nodes) > 0)
@@ -35,14 +37,14 @@ def test_nodes_and_weights_structure():
 
 def test_scalar_integrand_fallback():
     rule = GaussLegendre(panels=2, order=5)
-    value = rule.integrate(lambda x: math.cos(float(x)), 0.0, 1.0)
+    value = integrate(rule, lambda x: math.cos(float(x)), 0.0, 1.0)
     assert value == pytest.approx(math.sin(1.0), rel=1e-12)
 
 
 def test_non_finite_samples_rejected():
     rule = GaussLegendre(panels=2, order=2)
     with pytest.raises(ValueError, match="non-finite"):
-        rule.integrate(lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+        integrate(rule, lambda x: np.full_like(x, np.nan), 0.0, 1.0)
 
 
 def test_degenerate_rule_rejected():
@@ -102,3 +104,17 @@ def test_exp_moments_remainder_group(monkeypatch, mu):
     with mpmath.workdps(30):
         exact = complex(mpmath.quad(lambda t: mpmath.expj(mu * t), [a, b]))
     assert abs(got[0] - exact) <= 1e-13 * (b - a)
+
+
+def test_exp_moments_memory_follows_the_square_root_of_the_panels():
+    # the time rule of `solve --T 1e12 --omega 0.3 --N 3`: all panel edges would
+    # take 6 TiB, the 2 isqrt(panels) midpoints read take 14 MiB
+    rule = GaussLegendre(panels=825_000_000_000, order=8)
+    tracemalloc.start()
+    try:
+        value = rule.exp_moments(np.array([0.0]), 0.0, 1e12)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(1e12, rel=1e-12)
+    assert peak < 64 * 2**20

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import integrate
 from specwave import (
     GaussLegendre,
     IllConditionedModeError,
-    ModeClass,
     NonlocalProblem,
     ProblemClock,
     SpectralVector,
@@ -71,7 +71,8 @@ class TestSolveNonlocalMode:
         alpha, gamma = 1.0, 0.3 + 0.1j
         C, D = solve_mode(alpha, gamma, 1.0, clock)
         rule = GaussLegendre(panels=128, order=8)
-        moment = rule.integrate(
+        moment = integrate(
+            rule,
             lambda t: np.exp(1j * clock.omega * t)
             * (C * np.exp(-1j * t) + D * np.exp(1j * t)),
             0.0,
@@ -86,7 +87,7 @@ class TestSolveNonlocalMode:
             solve_mode(1.0, 1.0, 1.0, clock)
         assert err.value.k == 1
         assert err.value.abs_d < 1e-12
-        assert err.value.classification.mode_class is ModeClass.LAMBDA1
+        assert err.value.label == "phase-matched(phase=+omega)"
         assert "resonance" in str(err.value)
 
     def test_ill_conditioned_mode_reported_among_healthy_ones(self):
@@ -98,7 +99,7 @@ class TestSolveNonlocalMode:
             _solve_modes(np.ones(3, complex), np.ones(3, complex), theta, clock)
         assert err.value.k == 2
         assert err.value.theta == 1.0
-        assert err.value.classification.mode_class is ModeClass.LAMBDA1
+        assert err.value.label == "phase-matched(phase=+omega)"
         assert "mode k=2" in str(err.value)
 
     @settings(max_examples=100, deadline=None)
@@ -198,8 +199,9 @@ class TestSolveNonlocal:
         sol = solve_nonlocal(base)
         norms = sol.norm_trajectories(1001)
         report = stability_report(base, sol, norms)
-        delta = 0.1 * g
-        perturbed = NonlocalProblem(dirichlet, clock, a, g + delta)
+        delta = SpectralVector(0.1 * g.coefficients, dirichlet)
+        g_perturbed = SpectralVector(g.coefficients + delta.coefficients, dirichlet)
+        perturbed = NonlocalProblem(dirichlet, clock, a, g_perturbed)
         norms2 = solve_nonlocal(perturbed).norm_trajectories(1001)
         change = abs(
             (norms2.u_h1.max() + norms2.dudt_h0.max())
