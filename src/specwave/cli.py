@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, verification
+from . import __version__, _csv, verification
 from .basis import DirichletLaplacian1D
 from .cauchy import CauchyProblem, solve_cauchy
 from .config import ConfigError, ExperimentConfig, RunManifest, resolve_data
@@ -52,7 +52,7 @@ REFERENCE_Z500 = (
 REFERENCE_RTOL = 0.02
 
 
-# rows formatted and written at once: bounds the row strings held in memory
+# rows formatted and written at once: bounds the cell bytes held in memory
 _BLOCK_ROWS = 4096
 
 
@@ -60,18 +60,15 @@ def write_csv(path: Path, header: str, columns) -> str:
     """Write a CSV of equal-length columns under `header`; returns the file name.
 
     A column is a NumPy array or a list of labels. Float arrays are written as
-    %.12e and every other column as str(), through one %-format row string;
-    the rows are formatted and written in blocks of _BLOCK_ROWS.
+    %.12e, bytes arrays as their text and every other column as str(), byte for
+    byte as Python formats each cell; the rows are formatted in NumPy
+    (`_csv.lines`) and written in blocks of _BLOCK_ROWS.
     """
-    line = ",".join(
-        "%.12e" if isinstance(c, np.ndarray) and c.dtype.kind == "f" else "%s" for c in columns
-    ) + "\n"
-    with path.open("w") as fh:
-        fh.write(header + "\n")
+    columns = [c if isinstance(c, np.ndarray) else np.asarray(c, dtype=str) for c in columns]
+    with path.open("wb") as fh:
+        fh.write(header.encode() + b"\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = [c[start:start + _BLOCK_ROWS] for c in columns]
-            rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in block))
-            fh.write("".join(map(line.__mod__, rows)))
+            fh.write(_csv.lines([c[start:start + _BLOCK_ROWS] for c in columns]))
     return path.name
 
 
@@ -101,7 +98,7 @@ def cmd_denominators(cfg: ExperimentConfig, args, out: Path, manifest: RunManife
         [
             report.modes, report.thetas, d.real, d.imag,
             # hypot, as the scalar abs() of each element; np.abs differs in the last bit
-            np.hypot(d.real, d.imag), report.scaled, [LABELS[c] for c in report.codes.tolist()],
+            np.hypot(d.real, d.imag), report.scaled, np.array(LABELS, dtype="S")[report.codes],
         ],
     ))
     manifest.files.append(write_csv(

@@ -15,6 +15,7 @@ which is exactly what the diagnostics in `phase` measure.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,8 +72,16 @@ class NonlocalProblem:
         if not (self.spectrum is self.alpha.spectrum or self.spectrum == self.alpha.spectrum):
             raise ValueError("data vectors must live on the problem spectrum")
 
+    @cached_property
+    def mode_denominators(self):
+        """`denominators` of every mode: d, |d| (1 + theta) and phi(omega - theta).
 
-def _solve_modes(alpha, gamma, theta, clock: ProblemClock):
+        Computed once; the solve and the coefficient bound both read it.
+        """
+        return denominators(self.alpha.frequencies(), self.clock)
+
+
+def _solve_modes(alpha, gamma, theta, clock: ProblemClock, dens=None):
     """(C, D) for every mode's 2x2 system by elimination; arrays over k = 1..len(theta).
 
     C is recovered as alpha_k - D, so the initial condition holds to rounding
@@ -80,10 +89,11 @@ def _solve_modes(alpha, gamma, theta, clock: ProblemClock):
     whenever alpha_k = 0). Raises IllConditionedModeError for the worst mode
     when any |d_k| (1 + theta_k) falls below the conditioning floor. The stable
     phi makes this path correct through the resonance theta = +/-omega without
-    special-casing. Takes a bare clock, so the diagnostics can solve at omega = 0.
+    special-casing. Takes a bare clock, so the diagnostics can solve at omega = 0;
+    `dens` is denominators(theta, clock) when the caller holds it already.
     """
     theta = np.asarray(theta, dtype=float)
-    det, scaled, phi_minus = denominators(theta, clock)
+    det, scaled, phi_minus = denominators(theta, clock) if dens is None else dens
     floor = condition_floor(clock.T)
     if np.any(scaled < floor):
         i = int(np.argmin(scaled))
@@ -105,7 +115,7 @@ def solve_nonlocal(problem: NonlocalProblem) -> SeriesSolution:
     """
     C, D = _solve_modes(
         problem.alpha.coefficients, problem.gamma.coefficients,
-        problem.alpha.frequencies(), problem.clock,
+        problem.alpha.frequencies(), problem.clock, problem.mode_denominators,
     )
     return SeriesSolution(problem.spectrum, problem.clock.T, C, D)
 
@@ -140,7 +150,7 @@ def coefficient_bound_check(problem: NonlocalProblem, solution: SeriesSolution) 
     modes far past the bound.
     """
     theta = solution.thetas
-    z_floor = float(denominators(theta, problem.clock)[1].min())
+    z_floor = float(problem.mode_denominators[1].min())
     c = 4.0 / z_floor
     lhs = np.abs(solution.C) + np.abs(solution.D)
     rhs = c * (np.abs(problem.alpha.coefficients) + (1.0 + theta) * np.abs(problem.gamma.coefficients))

@@ -20,6 +20,8 @@ def rowwise_csv(header, rows):
     def fmt(value):
         if isinstance(value, (float, np.floating)):
             return f"{value:.12e}"
+        if isinstance(value, bytes):
+            return value.decode()
         return str(value)
 
     return "\n".join([header, *(",".join(fmt(cell) for cell in row) for row in rows)]) + "\n"
@@ -58,6 +60,47 @@ class TestWriteCsv:
         header = "x," + ",".join(f"t={t:.12e}" for t in ts)
         want = rowwise_csv(header, ([x, *grid[i]] for i, x in enumerate(xs)))
         assert (tmp_path / "field.csv").read_text() == want
+
+    @staticmethod
+    def written_columns(monkeypatch, tmp_path, argv):
+        """{file name: (header, columns)} of every CSV that `main(argv)` writes."""
+        written = {}
+        write_csv = cli.write_csv
+
+        def capture(path, header, columns):
+            written[path.name] = (header, columns)
+            return write_csv(path, header, columns)
+
+        monkeypatch.setattr(cli, "write_csv", capture)
+        main([*argv, "--out", str(tmp_path)])
+        monkeypatch.undo()
+        return written
+
+    @pytest.mark.parametrize("argv", [
+        ["denominators", "--N", "100000", "--omega", "0"],
+        ["denominators", "--N", "100000", "--omega", "0.137"],
+        ["solve", "--N", "1000"],
+        ["cauchy", "--N", "100"],
+        ["sweep", "--omega", "0.3,0,0.1"],  # the inadmissible omega = 0 row holds nan cells
+    ], ids=" ".join)
+    def test_cli_files_match_rowwise_formatting(self, tmp_path, monkeypatch, capsys, argv):
+        written = self.written_columns(monkeypatch, tmp_path, argv)
+        assert written
+        for name, (header, columns) in written.items():
+            assert (tmp_path / name).read_text() == rowwise_csv(header, zip(*columns)), name
+
+    def test_memory_bounded_at_100000_rows(self, tmp_path, monkeypatch, capsys):
+        # blocks of _BLOCK_ROWS rows are formatted and written one at a time
+        written = self.written_columns(monkeypatch, tmp_path, ["denominators", "--N", "100000"])
+        header, columns = written["denominators.csv"]
+        tracemalloc.start()
+        try:
+            cli.write_csv(tmp_path / "again.csv", header, columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "denominators.csv").read_bytes()
+        assert peak < 16 * 2**20
 
 
 class TestDenominators:

@@ -226,6 +226,17 @@ class TestCoefficientBound:
         assert check.z_floor > 0
         assert check.c == pytest.approx(4.0 / check.z_floor)
 
+    def test_solve_and_bound_share_one_denominator_pass(self, dirichlet, monkeypatch):
+        # phi(omega + theta) and phi(omega - theta) once per problem, for the
+        # elimination and the bound's z_floor alike
+        calls = []
+        phi = phase.phi
+        monkeypatch.setattr(phase, "phi", lambda mu, T: calls.append(T) or phi(mu, T))
+        p = make_problem(dirichlet, ProblemClock(5.0, 0.3), np.ones(20), np.ones(20))
+        report = solved_report(p)
+        assert len(calls) == 2
+        assert report.bound_constant == 4.0 / float(phase.denominators(p.alpha.frequencies(), p.clock)[1].min())
+
     def test_small_divisors_break_the_bound_without_weight(self, dirichlet, rng):
         # omega = 0 diagnostic: solve mode by mode and score against the
         # healthy floor observed at omega = 0.01; near-resonant modes blow up
