@@ -14,14 +14,14 @@ import functools
 
 import numpy as np
 
-# the type the decimal scaling runs in: x87 extended precision where NumPy's
-# longdouble is that hardware type, else binary64 (elsewhere longdouble is
-# either binary64 or software quad). Only the share of cells that fall back to
-# Python depends on it, never a written byte.
-WORK = np.longdouble if np.finfo(np.longdouble).nmant == 63 else np.float64
-
 # decimal exponents formatted in NumPy: 10**(12 - e) stays a normal binary64
 E_MIN, E_MAX = -296, 308
+
+# half-width of the band around a rounding tie that is left to Python. s =
+# |x| 10**(12 - e) is one rounded product of |x| and a correctly rounded power,
+# so within 2**-52 of the exact value relatively: under 1e13 eps for s < 1e13.
+# The guard is twice that
+GUARD = 2e13 * np.finfo(float).eps
 
 # bytes of a float cell: '-d.d', 8 digits, 'ddde', '-XXX', and the separator
 FLOAT_WIDTH = 21
@@ -35,31 +35,10 @@ _LEAD, _TAIL, _EXPONENT, _NUL = 10**4, 10**4 + 200, 10**4 + 1200, 10**4 + 1200 +
 _COMMA, _NEWLINE = b",\n"
 
 
-def _nearest(k: int) -> tuple[float, float]:
-    """10**k as binary64 hi + lo: hi rounded to nearest, lo the exact remainder rounded."""
-    num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
-    hi = num / den  # int true division rounds correctly
-    a, b = hi.as_integer_ratio()
-    return hi, (num * b - a * den) / (den * b)
-
-
 @functools.cache
-def _powers(work):
-    """10**k for k = 12 - E_MAX .. 12 - E_MIN in `work`, and the tie guard of `work`.
-
-    10**k = 10**j * 10**(k0 + 28 q) with k - k0 = 28 q + j, each factor a
-    normal binary64 hi plus lo from `_nearest`, summed once in `work`: within
-    half an ulp (plus 2**-106 relative). Their product is within 3/2 ulp, so
-    s = |x| * 10**(12 - e) carries a relative error under 2 eps (+ O(eps**2)),
-    below 2e13 eps in absolute terms for s < 1e13; the guard is twice that.
-    """
-    def exact(ks):
-        return np.array([sum(map(work, _nearest(k))) for k in ks], dtype=work)
-
-    k0, k1 = 12 - E_MAX, 12 - E_MIN
-    q, j = np.divmod(np.arange(k1 - k0 + 1), 28)
-    powers = exact(range(28))[j] * exact(range(k0, k1 + 1, 28))[q]
-    return powers, 4e13 * float(np.finfo(work).eps)
+def _powers() -> np.ndarray:
+    """10**k for k = 12 - E_MAX .. 12 - E_MIN, each correctly rounded to binary64."""
+    return np.array([float(f"1e{k}") for k in range(12 - E_MAX, 13 - E_MIN)])
 
 
 @functools.cache
@@ -88,21 +67,20 @@ def float_cells(x: np.ndarray) -> np.ndarray:
     """'%.12e' % v of each float64 v, NUL padded: uint8 of shape x.shape + (FLOAT_WIDTH,)
     whose last byte is free.
 
-    With e = floor(log10|v|) and s = |v| 10**(12 - e) in WORK, the digits are
-    m = rint(s) when 10**12 < m < 10**13 and s is further than the guard from
-    a tie: then m is the exact s rounded to nearest, and e is the exponent
-    however log10 rounded. Any other cell is formatted by Python.
+    With e = floor(log10|v|) and s = |v| 10**(12 - e), the digits are m = rint(s)
+    when 10**12 < m < 10**13 and s is further than GUARD from a tie: then m is
+    the exact s rounded to nearest, and e is the exponent however log10
+    rounded. Any other cell is formatted by Python.
     """
-    powers, guard = _powers(WORK)
     ax = np.abs(x)
     live = (ax > 0) & np.isfinite(ax)
     e = np.floor(np.log10(np.where(live, ax, 1.0))).astype(np.intp)
     live &= e >= E_MIN
     e[~live] = 0
-    s = np.where(live, ax, 0.0).astype(WORK) * powers[E_MAX - e]
-    m = np.rint(s.astype(float))
+    s = np.where(live, ax, 0.0) * _powers()[E_MAX - e]
+    m = np.rint(s)
     # zeros have s = m = 0 and print as 0.000000000000e+00
-    exact = (ax == 0) | ((m > 1e12) & (m < 1e13) & (np.abs((s - m).astype(float)) < 0.5 - guard))
+    exact = (ax == 0) | ((m > 1e12) & (m < 1e13) & (np.abs(s - m) < 0.5 - GUARD))
     m[~exact] = 0
     # one gather of the text words: sign and 2 digits, 4 + 4 digits, 3 digits, exponent
     index = np.empty(x.shape + (6,), np.intp)
@@ -126,7 +104,7 @@ def int_cells(v: np.ndarray) -> np.ndarray:
     A column of integers in [0, INT_LIMIT) is formatted in NumPy, any other by str().
     """
     if v.min() < 0 or v.max() >= INT_LIMIT:
-        return text_cells(v.astype(str))
+        return text_cells(v)
     index = np.full((len(v), 5), _NUL, np.intp)
     high, low = _split(v.astype(float), 1e8)
     index[:, 0], index[:, 1] = _split(high, 1e4)
@@ -138,15 +116,16 @@ def int_cells(v: np.ndarray) -> np.ndarray:
 
 
 def text_cells(c: np.ndarray) -> np.ndarray:
-    """The text of each label (bytes as they are, anything else as UTF-8 of str),
-    NUL padded: uint8 of shape (len(c), width), last byte free."""
-    b = c if c.dtype.kind == "S" else np.char.encode(c.astype(str), "utf-8")
+    """str(k) of each integer k, or each bytes label as it is, NUL padded: uint8
+    of shape (len(c), width), last byte free."""
+    b = c.astype("S")
     return b.astype(f"S{b.dtype.itemsize + 1}").view(np.uint8).reshape(len(b), -1)
 
 
 def lines(columns) -> bytes:
     """The CSV lines of equal-length NumPy columns: float arrays as '%.12e',
-    integer arrays and labels as str(); every float column is formatted in one pass."""
+    integer arrays as str() and bytes arrays as their text; every float column
+    is formatted in one pass."""
     cells = [None] * len(columns)
     floats = [j for j, c in enumerate(columns) if c.dtype.kind == "f"]
     if floats:

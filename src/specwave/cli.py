@@ -57,14 +57,12 @@ _BLOCK_ROWS = 4096
 
 
 def write_csv(path: Path, header: str, columns) -> str:
-    """Write a CSV of equal-length columns under `header`; returns the file name.
+    """Write a CSV of equal-length NumPy columns under `header`; returns the file name.
 
-    A column is a NumPy array or a list of labels. Float arrays are written as
-    %.12e, bytes arrays as their text and every other column as str(), byte for
-    byte as Python formats each cell; the rows are formatted in NumPy
-    (`_csv.lines`) and written in blocks of _BLOCK_ROWS.
+    Float arrays are written as %.12e, integer arrays as str() and bytes arrays
+    (the labels) as their text, byte for byte as Python formats each cell. The
+    rows are formatted in NumPy (`_csv.lines`) and written in blocks of _BLOCK_ROWS.
     """
-    columns = [c if isinstance(c, np.ndarray) else np.asarray(c, dtype=str) for c in columns]
     with path.open("wb") as fh:
         fh.write(header.encode() + b"\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
@@ -186,21 +184,21 @@ def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
         clock = ProblemClock(cfg.T, omega)
         z_n = z_diagnostic(cfg.N, SPECTRUM, clock).z
         if not clock.admissible:
-            rows.append([omega, z_n, float("nan"), float("nan"), "inadmissible"])
+            rows.append([omega, z_n, float("nan"), float("nan"), b"inadmissible"])
             continue
         problem = NonlocalProblem(SPECTRUM, clock, alpha, gamma)
         try:
             solution = solve_nonlocal(problem)
         except IllConditionedModeError as exc:
-            rows.append([omega, z_n, float("nan"), float("nan"), f"ill-conditioned k={exc.k}"])
+            rows.append([omega, z_n, float("nan"), float("nan"), b"ill-conditioned k=%d" % exc.k])
             continue
         report = stability_report(problem, solution, solution.norm_trajectories(cfg.time_points))
         max_coeff = float((np.abs(solution.C) + np.abs(solution.D)).max())
-        rows.append([omega, z_n, report.c_obs, max_coeff, "ok"])
+        rows.append([omega, z_n, report.c_obs, max_coeff, b"ok"])
     manifest.files.append(write_csv(
         out / "sweep.csv", "omega,z_N,c_obs,max_mode_coeff,status", [np.array(column) for column in zip(*rows)]
     ))
-    manifest.add_check("failed_rows", float(sum(row[-1] != "ok" for row in rows)), 0.0)
+    manifest.add_check("failed_rows", float(sum(row[-1] != b"ok" for row in rows)), 0.0)
 
 
 def cmd_paper_table(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):

@@ -81,7 +81,7 @@ class NonlocalProblem:
         return denominators(self.alpha.frequencies(), self.clock)
 
 
-def _solve_modes(alpha, gamma, theta, clock: ProblemClock, dens=None):
+def _solve_modes(alpha, gamma, theta, clock: ProblemClock, dens):
     """(C, D) for every mode's 2x2 system by elimination; arrays over k = 1..len(theta).
 
     C is recovered as alpha_k - D, so the initial condition holds to rounding
@@ -90,10 +90,10 @@ def _solve_modes(alpha, gamma, theta, clock: ProblemClock, dens=None):
     when any |d_k| (1 + theta_k) falls below the conditioning floor. The stable
     phi makes this path correct through the resonance theta = +/-omega without
     special-casing. Takes a bare clock, so the diagnostics can solve at omega = 0;
-    `dens` is denominators(theta, clock) when the caller holds it already.
+    `dens` is denominators(theta, clock).
     """
     theta = np.asarray(theta, dtype=float)
-    det, scaled, phi_minus = denominators(theta, clock) if dens is None else dens
+    det, scaled, phi_minus = dens
     floor = condition_floor(clock.T)
     if np.any(scaled < floor):
         i = int(np.argmin(scaled))

@@ -33,7 +33,7 @@ class TestWriteCsv:
                            np.finfo(float).tiny, 1e300, -1e300, 1.0 / 3.0, -2.0])
         python_floats = [float(v) for v in floats[::-1]]
         ints = np.arange(-3, floats.size - 3)
-        labels = [f"label{i}" if i % 3 else "generic" for i in range(floats.size)]
+        labels = np.array([b"label%d" % i if i % 3 else b"generic" for i in range(floats.size)])
         header = "f,pf,i,label"
         columns = [floats, np.array(python_floats), ints, labels]
         name = cli.write_csv(tmp_path / "cells.csv", header, columns)
@@ -50,7 +50,7 @@ class TestWriteCsv:
         assert (tmp_path / "long.csv").read_text() == want
 
     def test_header_only_when_no_rows(self, tmp_path):
-        cli.write_csv(tmp_path / "empty.csv", "a,b", [np.array([]), []])
+        cli.write_csv(tmp_path / "empty.csv", "a,b", [np.array([]), np.array([], dtype="S")])
         assert (tmp_path / "empty.csv").read_text() == "a,b\n"
 
     def test_field_csv_matches_rowwise_formatting(self, tmp_path, rng):

@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 from specwave import _csv
 
 
-def float_texts(values, work):
-    """The cells `_csv.float_cells` writes for `values` when it scales in `work`."""
-    x = np.array(values, dtype=float)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_csv, "WORK", work)
-        cells = _csv.float_cells(x.reshape(-1, 1))[:, 0]
+def float_texts(values):
+    """The cells `_csv.float_cells` writes for `values`."""
+    cells = _csv.float_cells(np.array(values, dtype=float).reshape(-1, 1))[:, 0]
     return [bytes(cell).replace(b"\0", b"") for cell in cells]
 
 
@@ -38,24 +35,17 @@ def near_ties(digits, exponents, steps):
     return out
 
 
-# each float test runs in the platform's working type and again in binary64,
-# whose wider guard sends many more cells to Python's formatter
-work_types = pytest.mark.parametrize("work", [_csv.WORK, np.float64], ids=["platform", "binary64"])
-
-
 class TestFloatCells:
     @settings(max_examples=200, deadline=None)
     @given(bits=bit_patterns)
-    @work_types
-    def test_any_bit_pattern(self, work, bits):
+    def test_any_bit_pattern(self, bits):
         x = np.array(bits, dtype=np.uint64).view(np.float64)
-        assert float_texts(x, work) == percent_e(x.tolist())
+        assert float_texts(x) == percent_e(x.tolist())
 
     @settings(max_examples=200, deadline=None)
     @given(values=any_floats)
-    @work_types
-    def test_any_float(self, work, values):
-        assert float_texts(values, work) == percent_e(values)
+    def test_any_float(self, values):
+        assert float_texts(values) == percent_e(values)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -64,25 +54,29 @@ class TestFloatCells:
             min_size=1, max_size=32,
         )
     )
-    @work_types
-    def test_within_ulps_of_a_tie(self, work, cells):
+    def test_within_ulps_of_a_tie(self, cells):
         values = near_ties(*zip(*cells))
-        assert float_texts(values, work) == percent_e(values)
+        assert float_texts(values) == percent_e(values)
+
+    def test_many_values_at_and_beside_ties(self, rng):
+        # a guard narrower than the error bound of s misprints about 1% of exact ties
+        n = 30000
+        digits, exponents = rng.integers(10**12, 10**13, n), rng.integers(-290, 290, n)
+        values = near_ties(digits.tolist(), exponents.tolist(), rng.integers(-1, 2, n).tolist())
+        assert float_texts(values) == percent_e(values)
 
     @settings(max_examples=100, deadline=None)
     @given(exponents=st.lists(st.integers(-323, 308), min_size=1, max_size=32))
-    @work_types
-    def test_powers_of_ten_and_just_under(self, work, exponents):
+    def test_powers_of_ten_and_just_under(self, exponents):
         powers = [float(f"1e{k}") for k in exponents]
         values = powers + [float(np.nextafter(p, 0.0)) for p in powers] + [-p for p in powers]
-        assert float_texts(values, work) == percent_e(values)
+        assert float_texts(values) == percent_e(values)
 
-    @work_types
-    def test_special_values(self, work):
+    def test_special_values(self):
         values = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
                   1.7976931348623157e308, -1.7976931348623157e308, 1e-296, 9.999999999999999e-297,
                   0.5, 1.0, 9.9999999999995, 9.99999999999949, 1000000000000.5]
-        assert float_texts(values, work) == percent_e(values)
+        assert float_texts(values) == percent_e(values)
 
     def test_block_shape_and_free_last_byte(self, rng):
         x = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3))

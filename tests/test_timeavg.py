@@ -38,7 +38,8 @@ def make_problem(dirichlet, clock, alpha, gamma):
 
 def solve_mode(alpha, gamma, theta, clock):
     """One mode through the solver's array kernel, which takes a bare clock."""
-    C, D = _solve_modes(np.array([alpha], complex), np.array([gamma], complex), [theta], clock)
+    dens = phase.denominators([theta], clock)
+    C, D = _solve_modes(np.array([alpha], complex), np.array([gamma], complex), [theta], clock, dens)
     return complex(C[0]), complex(D[0])
 
 
@@ -96,7 +97,9 @@ class TestSolveNonlocalMode:
         theta = spectrum.frequency(np.arange(1, 4))
         clock = ProblemClock(2 * math.pi, 0.0)
         with pytest.raises(IllConditionedModeError) as err:
-            _solve_modes(np.ones(3, complex), np.ones(3, complex), theta, clock)
+            _solve_modes(
+                np.ones(3, complex), np.ones(3, complex), theta, clock, phase.denominators(theta, clock)
+            )
         assert err.value.k == 2
         assert err.value.theta == 1.0
         assert err.value.label == "phase-matched(phase=+omega)"
