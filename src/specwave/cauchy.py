@@ -33,9 +33,7 @@ class CauchyProblem:
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValueError("T must be positive")
         self.alpha._check_compatible(self.beta)
-        if len(self.alpha) and not (
-            self.spectrum is self.alpha.spectrum or self.spectrum == self.alpha.spectrum
-        ):
+        if not (self.spectrum is self.alpha.spectrum or self.spectrum == self.alpha.spectrum):
             raise ValueError("data vectors must live on the problem spectrum")
 
 

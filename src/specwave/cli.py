@@ -109,7 +109,7 @@ def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, soluti
     """Field CSVs and norms.csv; returns the norm trajectories for the reports."""
     xs = np.linspace(*solution.spectrum.domain, cfg.nx)
     ts = np.linspace(0.0, cfg.T, cfg.nt)
-    grid = solution.field(xs, ts)
+    grid = solution.field(xs, cfg.nt)
     manifest.files.append(write_field_csv(out / "field_re.csv", xs, ts, grid.real))
     manifest.files.append(write_field_csv(out / "field_im.csv", xs, ts, grid.imag))
     norms = solution.norm_trajectories(cfg.time_points)
@@ -182,11 +182,12 @@ def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     rows = []
     for omega in cfg.omega:
         clock = ProblemClock(cfg.T, omega)
-        z_n = z_diagnostic(cfg.N, SPECTRUM, clock).z
         if not clock.admissible:
+            z_n = z_diagnostic(cfg.N, SPECTRUM, clock).z
             rows.append([omega, z_n, float("nan"), float("nan"), b"inadmissible"])
             continue
         problem = NonlocalProblem(SPECTRUM, clock, alpha, gamma)
+        z_n = float(problem.mode_denominators[1].min())
         try:
             solution = solve_nonlocal(problem)
         except IllConditionedModeError as exc:

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import SpectralVector, eigenfunction_matrix
+from .basis import SpectralVector
 
 # complex phases a blocked evaluation holds at once: 2**16 x 16 B = 1 MiB
 _BLOCK_ELEMENTS = 1 << 16
@@ -32,8 +32,8 @@ class NormTrajectories:
 class SeriesSolution:
     """u(x, t) = sum_{k=1..N} (C_k e^{-i theta_k t} + D_k e^{i theta_k t}) v_k(x).
 
-    Immutable after assembly; evaluation at distinct points is safe to run
-    concurrently.
+    Immutable after assembly; every evaluation reads the mode blocks of
+    `_mode_blocks`, on uniform times in [0, T], and is safe to run concurrently.
     """
 
     spectrum: object
@@ -63,39 +63,39 @@ class SeriesSolution:
     def eigenvalues(self) -> np.ndarray:
         return self.thetas**2
 
-    def _check_time(self, t: np.ndarray):
-        slack = 1e-9 * max(1.0, self.T)
-        if np.any(t < -slack) or np.any(t > self.T + slack):
-            raise ValueError(f"t outside the solution window [0, {self.T}]")
+    def _mode_blocks(self, time_points: int):
+        """Yield (modes, C_k e^{-i theta_k t_j}, D_k e^{i theta_k t_j}) block by block.
 
-    def _phases(self, t) -> np.ndarray:
-        """e^{i theta_k t} for all modes; shape (N,) + shape(t)."""
-        t = np.asarray(t, dtype=float)
-        self._check_time(t)
-        return np.exp(1j * np.multiply.outer(self.thetas, t))
+        The times are t_j = j dt, `time_points` of them uniform in [0, T], and
+        `modes` is the slice of the block's modes. With G = isqrt(time_points)
+        and j = qG + r the phase factors as e^{i theta t_j} = e^{i theta qG dt}
+        e^{i theta r dt}: about 2 N sqrt(time_points) exponentials and one complex
+        product per entry of the N x time_points table instead of one exponential
+        each. A block holds about _BLOCK_ELEMENTS entries, so no N x time_points
+        buffer is ever held; y_k = back + ahead and y_k' = i theta_k (ahead - back).
+        """
+        ts = np.linspace(0.0, self.T, time_points)
+        group = math.isqrt(time_points)
+        starts, offsets = ts[::group], ts[:group]
+        step = max(1, _BLOCK_ELEMENTS // (starts.size * group))
+        for start in range(0, len(self), step):
+            modes = slice(start, start + step)
+            theta = self.thetas[modes, None]
+            ph = np.exp(1j * theta * starts)[:, :, None] * np.exp(1j * theta * offsets)[:, None, :]
+            ph = ph.reshape(theta.size, -1)[:, :time_points]
+            yield modes, self.C[modes, None] * np.conj(ph), self.D[modes, None] * ph
 
-    def _values(self, ph: np.ndarray) -> np.ndarray:
-        shape = (len(self),) + (1,) * (ph.ndim - 1)
-        return self.C.reshape(shape) * np.conj(ph) + self.D.reshape(shape) * ph
+    def field(self, xs, time_points: int) -> np.ndarray:
+        """u on xs x (`time_points` uniform times in [0, T]); shape (len(xs), time_points).
 
-    def _derivatives(self, ph: np.ndarray) -> np.ndarray:
-        shape = (len(self),) + (1,) * (ph.ndim - 1)
-        return (1j * self.thetas.reshape(shape)) * (
-            self.D.reshape(shape) * ph - self.C.reshape(shape) * np.conj(ph)
-        )
-
-    def mode_values(self, t) -> np.ndarray:
-        """y_k(t) for all modes; shape (N,) + shape(t)."""
-        return self._values(self._phases(t))
-
-    def mode_derivatives(self, t) -> np.ndarray:
-        """y_k'(t) for all modes."""
-        return self._derivatives(self._phases(t))
-
-    def field(self, xs, ts) -> np.ndarray:
-        """u sampled on a space-time grid; shape (len(xs), len(ts))."""
-        basis = eigenfunction_matrix(self.spectrum, len(self), xs)
-        return basis.T @ self.mode_values(np.asarray(ts, dtype=float))
+        The real eigenfunctions of each mode block multiply y_k as interleaved
+        (re, im) columns: half the flops of a complex product.
+        """
+        ks = np.arange(1, len(self) + 1)
+        grid = np.zeros((np.size(xs), 2 * time_points))
+        for modes, back, ahead in self._mode_blocks(time_points):
+            grid += np.asarray(self.spectrum.eigenfunction(ks[modes], xs)).T @ (back + ahead).view(float)
+        return grid.view(complex)
 
     def initial_coefficients(self) -> SpectralVector:
         """Coefficients of u(0), i.e. C + D."""
@@ -104,28 +104,14 @@ class SeriesSolution:
     def norm_trajectories(self, time_points: int) -> NormTrajectories:
         """||u||_H0, ||u||_H1 and ||du/dt||_H0 on `time_points` uniform times in [0, T].
 
-        The grid is t_j = j dt, so with G = isqrt(time_points) and j = qG + r the
-        phase factors as e^{i theta t_j} = e^{i theta qG dt} e^{i theta r dt}: about
-        2 N sqrt(time_points) exponentials and one complex product per entry of
-        the N x time_points table instead of one exponential each. Modes are
-        taken in blocks of about _BLOCK_ELEMENTS entries and every squared norm
-        is summed block by block, so no N x time_points buffer is held.
+        Every squared norm is summed over the blocks of `_mode_blocks`.
         """
-        ts = np.linspace(0.0, self.T, time_points)
-        group = math.isqrt(time_points)
-        starts, offsets = ts[::group], ts[:group]
         squares = np.zeros((3, time_points))
-        step = max(1, _BLOCK_ELEMENTS // (starts.size * group))
-        for start in range(0, len(self), step):
-            modes = slice(start, start + step)
-            theta = self.thetas[modes, None]
-            ph = np.exp(1j * theta * starts)[:, :, None] * np.exp(1j * theta * offsets)[:, None, :]
-            ph = ph.reshape(theta.size, -1)[:, :time_points]
-            back, ahead = self.C[modes, None] * np.conj(ph), self.D[modes, None] * ph
+        for modes, back, ahead in self._mode_blocks(time_points):
             y2 = _abs2(back + ahead)
             lam = self.eigenvalues[modes]
             squares[0] += y2.sum(axis=0)
             squares[1] += lam @ y2
             squares[2] += lam @ _abs2(ahead - back)
         u_h0, u_h1, dudt_h0 = np.sqrt(squares)
-        return NormTrajectories(ts, u_h0, u_h1, dudt_h0)
+        return NormTrajectories(np.linspace(0.0, self.T, time_points), u_h0, u_h1, dudt_h0)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cauchy import CauchyProblem, derivative_coefficients, solve_cauchy
 from .quadrature import GaussLegendre
-from .solution import _BLOCK_ELEMENTS, NormTrajectories, SeriesSolution
+from .solution import NormTrajectories, SeriesSolution
 from .timeavg import NonlocalProblem
 
 
@@ -96,9 +96,8 @@ def roundtrip_check(problem: NonlocalProblem, solution: SeriesSolution) -> Round
     ) / scale
     a, bb = problem.spectrum.domain
     xs = np.linspace(a, bb, 20)
-    ts = np.linspace(0.0, problem.clock.T, 20)
-    f1 = solution.field(xs, ts)
-    f2 = redone.field(xs, ts)
+    f1 = solution.field(xs, 20)
+    f2 = redone.field(xs, 20)
     fscale = float(np.abs(f1).max())
     return RoundTrip(float(coeff), float(np.abs(f1 - f2).max()), fscale)
 
@@ -106,21 +105,16 @@ def roundtrip_check(problem: NonlocalProblem, solution: SeriesSolution) -> Round
 def mode_energy_drift(solution: SeriesSolution) -> np.ndarray:
     """Per-mode relative drift of |y'|^2 + lambda |y|^2 over 1000 uniform times in [0, T].
 
-    Streamed over time-column blocks of at most _BLOCK_ELEMENTS phases with a
-    running per-mode max and min, so memory stays O(N) beyond one block; the
-    extrema, and so the result, equal the one-shot N x 1000 formula.
+    Streamed over the solution's mode blocks, in which the energy is
+    lambda (|ahead + back|^2 + |ahead - back|^2), so memory stays O(N) beyond
+    one block.
     """
-    ts = np.linspace(0.0, solution.T, 1000)
-    step = max(1, _BLOCK_ELEMENTS // len(solution))
-    top = np.full(len(solution), -np.inf)
-    low = np.full(len(solution), np.inf)
-    for start in range(0, ts.size, step):
-        block = ts[start:start + step]
-        y = solution.mode_values(block)
-        yp = solution.mode_derivatives(block)
-        energy = np.abs(yp) ** 2 + solution.eigenvalues[:, None] * np.abs(y) ** 2
-        np.maximum(top, energy.max(axis=1), out=top)
-        np.minimum(low, energy.min(axis=1), out=low)
+    top = np.empty(len(solution))
+    low = np.empty(len(solution))
+    for modes, back, ahead in solution._mode_blocks(1000):
+        energy = solution.eigenvalues[modes, None] * (np.abs(ahead + back) ** 2 + np.abs(ahead - back) ** 2)
+        top[modes] = energy.max(axis=1)
+        low[modes] = energy.min(axis=1)
     return (top - low) / np.where(top > 0, top, 1.0)
 
 

@@ -7,8 +7,12 @@
   d_k = 2 f(theta_k) / (i (omega^2 - theta_k^2)), a cross-check of
   `phase.denominators` that never calls phi. Used by `test_phase` and
   acceptance criterion 8.
+- `mode_values(solution, t)`, `mode_derivatives(solution, t)` and
+  `field(solution, xs, ts)`: y_k(t), y_k'(t) and u(x, t) at any times in
+  [0, T], from one e^{i theta_k t} per mode and time; the dense reference for
+  the factored mode blocks of `SeriesSolution`. Used throughout.
 - `norm_trajectory(solution, q, ts)`: the pointwise H^q norm of u (or du/dt)
-  from one e^{i theta_k t} per mode and time, the reference for the factored
+  from `mode_values`/`mode_derivatives`, the reference for
   `SeriesSolution.norm_trajectories`. Used by `test_solution`.
 - `mode_integrals` and `weak_identity_residual`: closed-form antiderivatives
   of each mode, checking the integrated oscillator equation
@@ -18,7 +22,7 @@
 
 import numpy as np
 
-from specwave.basis import SOBOLEV_ORDERS
+from specwave.basis import SOBOLEV_ORDERS, eigenfunction_matrix
 from specwave.quadrature import sample
 
 # denominator_via_f degenerates within this distance of theta = +/- omega
@@ -60,12 +64,39 @@ def denominator_via_f(k, spectrum, clock):
     return value
 
 
+def _modes(solution, t):
+    """e^{i theta_k t} for all modes, shape (N,) + shape(t), and theta, C and D
+    shaped to broadcast against it."""
+    t = np.asarray(t, dtype=float)
+    shape = (len(solution),) + (1,) * t.ndim
+    ph = np.exp(1j * np.multiply.outer(solution.thetas, t))
+    return ph, *(v.reshape(shape) for v in (solution.thetas, solution.C, solution.D))
+
+
+def mode_values(solution, t) -> np.ndarray:
+    """y_k(t) = C_k e^{-i theta_k t} + D_k e^{i theta_k t} for all modes; shape (N,) + shape(t)."""
+    ph, _, C, D = _modes(solution, t)
+    return C * np.conj(ph) + D * ph
+
+
+def mode_derivatives(solution, t) -> np.ndarray:
+    """y_k'(t) for all modes; shape (N,) + shape(t)."""
+    ph, theta, C, D = _modes(solution, t)
+    return (1j * theta) * (D * ph - C * np.conj(ph))
+
+
+def field(solution, xs, ts) -> np.ndarray:
+    """u sampled on a space-time grid; shape (len(xs), len(ts))."""
+    basis = eigenfunction_matrix(solution.spectrum, len(solution), xs)
+    return basis.T @ mode_values(solution, ts)
+
+
 def norm_trajectory(solution, q: int, ts, derivative: bool = False) -> np.ndarray:
     """H^q norm of u (or du/dt) at each time in `ts`, from coefficients alone."""
     if q not in SOBOLEV_ORDERS:
         raise ValueError(f"unsupported Sobolev order q={q}; expected one of {SOBOLEV_ORDERS}")
     ts = np.asarray(ts, dtype=float)
-    y = solution.mode_derivatives(ts) if derivative else solution.mode_values(ts)
+    y = mode_derivatives(solution, ts) if derivative else mode_values(solution, ts)
     return np.sqrt(solution.eigenvalues**q @ np.abs(y) ** 2)
 
 
@@ -80,6 +111,6 @@ def mode_integrals(solution, s: np.ndarray, t: np.ndarray) -> np.ndarray:
 def weak_identity_residual(solution, pairs) -> float:
     """max over modes and (s, t) pairs of |y'(t) - y'(s) + lambda int_s^t y dr|."""
     s, t = np.asarray(pairs, dtype=float).reshape(-1, 2).T
-    lhs = solution.mode_derivatives(t) - solution.mode_derivatives(s)
+    lhs = mode_derivatives(solution, t) - mode_derivatives(solution, s)
     rhs = -solution.eigenvalues[:, None] * mode_integrals(solution, s, t)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))

@@ -4,11 +4,12 @@ one pass/fail line (visible with `pytest -s tests/test_acceptance.py`)."""
 import json
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import numpy as np
 import pytest
 
-from oracles import denominator_via_f, weak_identity_residual
+from oracles import denominator_via_f, mode_values, weak_identity_residual
 from specwave import (
     DirichletLaplacian1D,
     GaussLegendre,
@@ -115,7 +116,7 @@ def test_criterion_5_mode_correctness(spectrum):
         solution = solve_nonlocal(NonlocalProblem(spectrum, clock, alpha, gamma))
         h = 1e-4
         ts = rng.uniform(h, clock.T - h, size=100)
-        y = solution.mode_values
+        y = partial(mode_values, solution)
         lam = solution.eigenvalues[:, None]
         fd = (y(ts + h) - 2 * y(ts) + y(ts - h)) / h**2
         exact = -lam * y(ts)

@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specwave import cli
+from specwave import cli, phase
 from specwave.solution import SeriesSolution
 from specwave.cli import main
 from specwave.config import ExperimentConfig
+from specwave.phase import ProblemClock, z_diagnostic
 
 
 def read_manifest(out):
@@ -282,6 +283,20 @@ class TestSweep:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         assert rows[0].endswith("ok")
         assert rows[1].endswith("inadmissible")
+
+    @pytest.mark.parametrize("omegas,phi_calls", [("0.3,0.1", 4), ("0.3,0,0.1", 6)])
+    def test_one_denominator_pass_per_omega(self, tmp_path, monkeypatch, omegas, phi_calls):
+        # phi(omega + theta) and phi(omega - theta) once per omega: an admissible
+        # row reads z_N from the solve's denominators, an inadmissible one from
+        # z_diagnostic
+        calls = []
+        phi = phase.phi
+        monkeypatch.setattr(phase, "phi", lambda mu, T: calls.append(T) or phi(mu, T))
+        main(["sweep", "--omega", omegas, "--N", "1000", "--out", str(tmp_path)])
+        assert len(calls) == phi_calls
+        zs = [r.split(",")[1] for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        for omega, z in zip(omegas.split(","), zs):
+            assert z == "%.12e" % z_diagnostic(1000, cli.SPECTRUM, ProblemClock(5.0, float(omega))).z
 
     def test_empty_omega_list_is_config_error(self, tmp_path, capsys):
         code = main(["sweep", "--T", "5", "--out", str(tmp_path)])

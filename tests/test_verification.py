@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import weak_identity_residual
+from oracles import mode_derivatives, mode_values, weak_identity_residual
 from specwave import (
     CauchyProblem,
     GaussLegendre,
@@ -136,7 +136,7 @@ def test_quadrature_checks_memory_bounded_at_large_n(dirichlet):
 
 def _dense_mode_energy_drift(solution, time_points=1000):
     ts = np.linspace(0.0, solution.T, time_points)
-    y, yp = solution.mode_values(ts), solution.mode_derivatives(ts)
+    y, yp = mode_values(solution, ts), mode_derivatives(solution, ts)
     energy = np.abs(yp) ** 2 + solution.eigenvalues[:, None] * np.abs(y) ** 2
     top = energy.max(axis=1)
     return (top - energy.min(axis=1)) / np.where(top > 0, top, 1.0)
@@ -151,8 +151,11 @@ def _random_solution(dirichlet, n_modes):
 
 @pytest.mark.parametrize("n_modes", [1, 100, 1000])
 def test_streamed_mode_energy_drift_equals_dense(dirichlet, n_modes):
+    # the factored phases round differently, so agreement is at rounding, not bitwise
     sol = _random_solution(dirichlet, n_modes)
-    assert np.array_equal(ver.mode_energy_drift(sol), _dense_mode_energy_drift(sol))
+    streamed, dense = ver.mode_energy_drift(sol), _dense_mode_energy_drift(sol)
+    assert np.abs(streamed - dense).max() <= 1e-14
+    assert max(streamed.max(), dense.max()) < 1e-12
 
 
 def test_mode_energy_drift_memory_bounded_at_large_n(dirichlet):
