@@ -32,13 +32,6 @@ def initial_condition_relative(problem, solution: SeriesSolution) -> float:
     return float(np.max(diff / scale))
 
 
-def _time_rule(problem: NonlocalProblem) -> GaussLegendre:
-    # resolve the fastest oscillation exp(i (omega + theta_N) t) comfortably
-    top = float(problem.alpha.frequencies()[-1]) + abs(problem.clock.omega)
-    panels = max(64, int(np.ceil(top * problem.clock.T / 4.0)))
-    return GaussLegendre(panels=panels, order=8)
-
-
 class IntegralResidual(NamedTuple):
     """H^0 norms of (quadrature of int_0^T e^{i omega t} u dt) - g and of its parts."""
 
@@ -53,9 +46,10 @@ def integral_condition_residual(problem: NonlocalProblem, solution: SeriesSoluti
     Per mode, with y_k = C_k e^{-i theta_k t} + D_k e^{i theta_k t}, the moment
     int_0^T e^{i omega t} y_k dt is C_k S(omega - theta_k) + D_k S(omega + theta_k),
     where S(mu) is the Gauss-Legendre sum of e^{i mu t} over [0, T]; never phi,
-    which built the solution. This costs O(N * panels) time and O(N + panels)
-    memory. For v = Re u, w = Im u the complex condition splits into two
-    coupled real integral conditions:
+    which built the solution. S is summed in closed form over the equal panels,
+    so this costs O(N) time and memory whatever the panel count. For
+    v = Re u, w = Im u the complex condition splits into two coupled real
+    integral conditions:
         int_0^T [cos(wt) v - sin(wt) w] dt = Re g
         int_0^T [sin(wt) v + cos(wt) w] dt = Im g
     Since e^{i omega t} u = [cos(wt) v - sin(wt) w] + i [sin(wt) v + cos(wt) w],
@@ -65,7 +59,10 @@ def integral_condition_residual(problem: NonlocalProblem, solution: SeriesSoluti
     """
     clock = problem.clock
     theta = solution.thetas
-    minus, plus = _time_rule(problem).exp_moments(
+    # T/4 panels per unit of the fastest frequency |omega| + theta_N keep every
+    # |mu| h <= 2, inside exp_moments' domain, and resolve each oscillation
+    panels = max(64, int(np.ceil((float(theta[-1]) + abs(clock.omega)) * clock.T / 4.0)))
+    minus, plus = GaussLegendre(panels=panels, order=8).exp_moments(
         clock.omega + np.stack([-theta, theta]), 0.0, clock.T
     )
     resid = solution.C * minus + solution.D * plus - problem.gamma.coefficients

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import integrate
-from specwave import GaussLegendre, quadrature
+from specwave import GaussLegendre
 
 
 def test_polynomials_integrated_exactly():
@@ -63,17 +63,23 @@ def test_exp_moments_match_dense_sum():
     # the rule verification sizes for N = 1000, T = 5, omega = 0.01
     T, omega, theta_n = 5.0, 0.01, 1000.0
     rule = GaussLegendre(panels=1251, order=8)
-    step = quadrature._BLOCK_ELEMENTS // rule.panels
     special = [0.0, 1e-12, -3e-7, 2.5e-3, 0.37,
                theta_n + omega, theta_n - omega, -theta_n + omega, -theta_n - omega]
     rng = np.random.default_rng(7)
-    mu = np.concatenate([special, rng.uniform(-theta_n - 1, theta_n + 1, 2 * step + 5 - len(special))])
-    assert mu.size % step != 0 and mu.size > 2 * step
-    got = rule.exp_moments(mu, 0.0, T)
-    want = _dense_exp_moments(rule, mu, 0.0, T)
-    _, weights = rule.nodes_weights(0.0, T)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(weights).sum()
+    mu = np.concatenate([special, rng.uniform(-theta_n - 1, theta_n + 1, 1000)])
+    cases = [
+        (rule, mu, 0.0, T),
+        # 70 panels, a count that is not a square, on an offset interval
+        (GaussLegendre(panels=70, order=8),
+         np.array([0.0, 0.1, 0.5, -0.5, 1.1, 3.7, -3.7, -7.3, 7.3, -19.0, 40.0, -40.0]), 0.25, 5.0),
+    ]
+    for case_rule, freqs, a, b in cases:
+        got = case_rule.exp_moments(freqs, a, b)
+        want = _dense_exp_moments(case_rule, freqs, a, b)
+        _, weights = case_rule.nodes_weights(a, b)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(weights).sum()
     # any shape of frequencies is kept
+    got = rule.exp_moments(mu, 0.0, T)
     assert np.array_equal(rule.exp_moments(mu[:6].reshape(2, 3), 0.0, T), got[:6].reshape(2, 3))
 
 
@@ -83,32 +89,45 @@ def test_exp_moments_against_mpmath(mu):
     a, b = 0.25, 5.0
     with mpmath.workdps(30):
         exact = complex(mpmath.quad(lambda t: mpmath.expj(mu * t), [a, b]))
-    got = GaussLegendre().exp_moments(np.array([mu]), a, b)[0]
-    assert abs(got - exact) <= 1e-13 * (b - a)
+    for rule in [GaussLegendre(), GaussLegendre(panels=70, order=8)]:
+        got = rule.exp_moments(np.array([mu]), a, b)[0]
+        assert abs(got - exact) <= 1e-13 * (b - a)
 
 
-@pytest.mark.parametrize("mu", [0.0, 0.5, -3.7, 40.0])
-def test_exp_moments_remainder_group(monkeypatch, mu):
-    # 70 panels form 8 groups of isqrt(70) = 8 and a remainder group of 6
-    rule = GaussLegendre(panels=70, order=8)
-    assert rule.panels % math.isqrt(rule.panels) != 0
-    a, b = 0.25, 5.0
-    # several blocks, the last one partial
-    monkeypatch.setattr(quadrature, "_BLOCK_ELEMENTS", 3 * (9 + 8 + 8))
-    freqs = np.array([mu, -mu, 2 * mu + 0.1, 0.0, 7.3, -19.0, 40.0])
-    got = rule.exp_moments(freqs, a, b)
-    _, weights = rule.nodes_weights(a, b)
-    want = _dense_exp_moments(rule, freqs, a, b)
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(weights).sum()
+def test_exp_moments_rounding_at_scale():
+    # the rule verification sizes for N = 100000, T = 5, omega = 0.07: against
+    # the same rule's sum at 40 digits, its midpoint series in the other form
+    # e^{i mu h} (e^{2i mu h P} - 1) / (e^{2i mu h} - 1)
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(30):
-        exact = complex(mpmath.quad(lambda t: mpmath.expj(mu * t), [a, b]))
-    assert abs(got[0] - exact) <= 1e-13 * (b - a)
+    T, omega, P = 5.0, 0.07, 125_001
+    rule = GaussLegendre(panels=P, order=8)
+    k = np.random.default_rng(3).integers(1, 100_001, 24).astype(float)
+    mu = np.concatenate([omega - k, omega + k, [omega - 100_000, omega + 100_000]])
+    got = rule.exp_moments(mu, 0.0, T)
+    x, w = np.polynomial.legendre.leggauss(8)
+    with mpmath.workdps(40):
+        h = mpmath.mpf(T) / (2 * P)
+        for m, value in zip(mu, got):
+            m = mpmath.mpf(m)
+            series = mpmath.expj(m * h) * (mpmath.expj(2 * m * h * P) - 1) / (mpmath.expj(2 * m * h) - 1)
+            local = mpmath.fsum(h * mpmath.mpf(wi) * mpmath.expj(m * h * mpmath.mpf(xi))
+                                for xi, wi in zip(x, w))
+            assert abs(complex(series * local) - value) <= 4e-15
 
 
-def test_exp_moments_memory_follows_the_square_root_of_the_panels():
+def test_exp_moments_reject_unresolved_frequencies():
+    # |mu| h = 80.1 * 4.75 / 140 = 2.72 on 70 panels over [0.25, 5]
+    rule = GaussLegendre(panels=70, order=8)
+    rule.exp_moments(np.array([-73.0, 73.0]), 0.25, 5.0)  # 2.48: inside
+    with pytest.raises(ValueError, match="raise panels"):
+        rule.exp_moments(np.array([0.0, 80.1]), 0.25, 5.0)
+    with pytest.raises(ValueError, match="raise panels"):
+        GaussLegendre().exp_moments(np.array([[1.0], [-1e3]]), 0.0, 5.0)
+
+
+def test_exp_moments_memory_independent_of_the_panels():
     # the time rule of `solve --T 1e12 --omega 0.3 --N 3`: all panel edges would
-    # take 6 TiB, the 2 isqrt(panels) midpoints read take 14 MiB
+    # take 6 TiB; the closed form reads no midpoint at all
     rule = GaussLegendre(panels=825_000_000_000, order=8)
     tracemalloc.start()
     try:
