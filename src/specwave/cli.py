@@ -94,13 +94,13 @@ def cmd_denominators(cfg: ExperimentConfig, args, out: Path, manifest: RunManife
         out / "denominators.csv",
         "k,theta,re_d,im_d,abs_d,scaled,class",
         [
-            report.modes, report.thetas, d.real, d.imag,
+            np.arange(1, cfg.N + 1), report.thetas, d.real, d.imag,
             # hypot, as the scalar abs() of each element; np.abs differs in the last bit
             np.hypot(d.real, d.imag), report.scaled, np.array(LABELS, dtype="S")[report.codes],
         ],
     ))
     manifest.files.append(write_csv(
-        out / "z.csv", "m,z", [report.modes, report.running_min()]
+        out / "z.csv", "m,z", [np.arange(1, cfg.N + 1), report.running_min()]
     ))
     print(f"z({cfg.N}) = {report.z:.3e}")
 
@@ -187,7 +187,7 @@ def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
             rows.append([omega, z_n, float("nan"), float("nan"), b"inadmissible"])
             continue
         problem = NonlocalProblem(SPECTRUM, clock, alpha, gamma)
-        z_n = float(problem.mode_denominators[1].min())
+        z_n = problem.mode_denominators.z
         try:
             solution = solve_nonlocal(problem)
         except IllConditionedModeError as exc:

@@ -118,6 +118,8 @@ class ExperimentConfig:
             raise ConfigError("grid", "nx, nt, and time_points must be >= 2")
         if not self.tol > 0:
             raise ConfigError("tol", "must be positive")
+        if self.quad_panels < 1:
+            raise ConfigError("quad_panels", "must be >= 1")
         listed, cfg = isinstance(self.omega, tuple), self
         if omega_list and not (listed and self.omega):
             raise ConfigError("omega", "sweep needs a nonempty omega list")

@@ -1,11 +1,13 @@
 """Oscillatory phase integrals, per-mode denominators, and the separation diagnostic.
 
-Everything rests on phi(mu, T) = int_0^T exp(i mu t) dt, evaluated with a
-small-argument series so values stay accurate through mu = 0. The per-mode
-solvability denominator is d_k = phi(omega + theta_k, T) - phi(omega - theta_k, T);
-its scaled magnitude |d_k| (1 + theta_k) must stay away from zero for the
-time-averaged problem to be well conditioned, and z(m) = min over k <= m of that
-quantity is the computable separation diagnostic.
+Everything rests on phi(mu, T) = int_0^T exp(i mu t) dt, evaluated in the
+half-angle form T exp(i mu T/2) sin(mu T/2)/(mu T/2), which has no cancellation
+anywhere, mu = 0 included. The per-mode solvability denominator is
+d_k = phi(omega + theta_k, T) - phi(omega - theta_k, T); its scaled magnitude
+|d_k| (1 + theta_k) must stay away from zero for the time-averaged problem to
+be well conditioned, and z(m) = min over k <= m of that quantity is the
+computable separation diagnostic. `denominators` returns all of it in one
+`DenominatorReport`, which the solver and every diagnostic read.
 """
 
 from __future__ import annotations
@@ -17,9 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-# below this |mu*T| the closed form loses ~8 digits to cancellation
-PHI_SERIES_THRESHOLD = 1e-4
 
 # clocks with dist(2*omega*T, 2*pi*Z) at or below this are rejected by the solver;
 # conditioning degrades like the reciprocal of the distance, so warn early
@@ -72,43 +71,21 @@ class ProblemClock:
 
 
 def phi(mu, T: float):
-    """int_0^T exp(i*mu*t) dt = (exp(i*mu*T) - 1)/(i*mu), continued through mu = 0.
+    """int_0^T exp(i*mu*t) dt = T exp(i*mu*T/2) sin(mu*T/2)/(mu*T/2), the ratio 1 at mu = 0.
 
-    For |mu*T| below PHI_SERIES_THRESHOLD the quotient is replaced by the series
-    T*(1 + z/2 + z^2/6 + z^3/24 + z^4/120), z = i*mu*T, whose truncation error
-    there is under 1e-22*T; the direct formula would lose ~8 digits to
-    cancellation. Accepts a scalar or array mu; a non-finite mu*T raises ValueError.
+    Every factor is accurate to a few ulps, so the value is too, through mu = 0
+    and for phi(x) - phi(-x) alike. Accepts a scalar or array mu; a non-finite
+    mu*T raises ValueError.
     """
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"T must be positive and finite, got {T!r}")
-    mu_in = np.asarray(mu, dtype=float)
-    m = np.atleast_1d(mu_in)
+    m = np.asarray(mu, dtype=float)
     if not math.isfinite(float(np.abs(m).max(initial=0.0)) * T):  # floats: no overflow warning
         raise ValueError(f"mu and mu*T must be finite, got T={T!r}")
-    z = 1j * m * T
-    out = np.empty(m.shape, dtype=complex)
-    small = np.abs(m) * T < PHI_SERIES_THRESHOLD
-    big = ~small
-    out[big] = (np.exp(z[big]) - 1.0) / (1j * m[big])
-    zs = z[small]
-    out[small] = T * (1.0 + zs * (0.5 + zs * (1.0 / 6 + zs * (1.0 / 24 + zs / 120))))
-    if mu_in.ndim == 0:
-        return complex(out[0])
-    return out.reshape(mu_in.shape)
-
-
-def denominators(theta, clock: ProblemClock):
-    """d = phi(omega + theta) - phi(omega - theta), its scaled magnitude |d| (1 + theta),
-    and phi(omega - theta).
-
-    The one place the per-mode determinant is computed; every solver and
-    diagnostic reads it from here, and the solver eliminates with the
-    phi(omega - theta) returned. Accepts a scalar or array theta.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi_minus = phi(clock.omega - theta, clock.T)
-    d = phi(clock.omega + theta, clock.T) - phi_minus
-    return d, np.abs(d) * (1.0 + theta), phi_minus
+    half = 0.5 * T * m
+    ratio = np.divide(np.sin(half), half, out=np.ones_like(half), where=half != 0.0)
+    out = T * np.exp(1j * half) * ratio
+    return complex(out) if m.ndim == 0 else out
 
 
 # the label of each code that `_classify_codes` returns
@@ -136,12 +113,13 @@ def _classify_codes(theta, clock: ProblemClock, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DenominatorReport:
-    """Per-mode denominators with scaled magnitudes, codes into LABELS, and the z diagnostic."""
+    """Modes k = 1..len(thetas): d_k, |d_k| (1 + theta_k), phi(omega - theta_k),
+    codes into LABELS, and the z diagnostic."""
 
-    modes: np.ndarray
     thetas: np.ndarray
     values: np.ndarray
     scaled: np.ndarray
+    phi_minus: np.ndarray
     codes: np.ndarray
 
     @property
@@ -151,18 +129,29 @@ class DenominatorReport:
 
     @property
     def argmin_mode(self) -> int:
-        return int(self.modes[int(np.argmin(self.scaled))])
+        return int(np.argmin(self.scaled)) + 1
 
     def running_min(self) -> np.ndarray:
-        """z(m) for every prefix m = 1..len(modes); nonincreasing."""
+        """z(m) for every prefix m = 1..len(thetas); nonincreasing."""
         return np.minimum.accumulate(self.scaled)
+
+
+def denominators(theta, clock: ProblemClock) -> DenominatorReport:
+    """The report of d = phi(omega + theta) - phi(omega - theta), theta[k-1] the
+    frequency of mode k (a scalar is mode 1).
+
+    The one place the per-mode determinant is computed; the solver eliminates
+    with its phi_minus, and every diagnostic reads it from here.
+    """
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi_minus = phi(clock.omega - theta, clock.T)
+    d = phi(clock.omega + theta, clock.T) - phi_minus
+    return DenominatorReport(theta, d, np.abs(d) * (1.0 + theta), phi_minus,
+                             _classify_codes(theta, clock, CLASSIFY_TOL))
 
 
 def z_diagnostic(m: int, spectrum, clock: ProblemClock) -> DenominatorReport:
     """Evaluate d_k for k = 1..m and aggregate the separation diagnostic z(m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    ks = np.arange(1, m + 1)
-    theta = np.asarray(spectrum.frequency(ks), dtype=float)
-    d, scaled, _ = denominators(theta, clock)
-    return DenominatorReport(ks, theta, d, scaled, _classify_codes(theta, clock, CLASSIFY_TOL))
+    return denominators(spectrum.frequency(np.arange(1, m + 1)), clock)

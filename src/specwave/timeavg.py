@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import SpectralVector
-from .phase import CLASSIFY_TOL, LABELS, ProblemClock, _classify_codes, denominators
+from .phase import LABELS, DenominatorReport, ProblemClock, denominators
 from .solution import NormTrajectories, SeriesSolution
 
 # modes with |d_k| (1 + theta_k) below this floor amplify data noise past ~1e12
@@ -32,16 +32,16 @@ def condition_floor(T: float) -> float:
 
 
 class IllConditionedModeError(ArithmeticError):
-    """A mode's scaled denominator fell below the conditioning floor."""
+    """The worst mode of a DenominatorReport: its scaled magnitude is below the floor."""
 
-    def __init__(self, k: int, theta: float, abs_d: float, label: str, floor: float):
-        self.k = k
-        self.theta = theta
-        self.abs_d = abs_d
-        self.label = label
+    def __init__(self, dens: DenominatorReport, floor: float):
+        self.k = k = dens.argmin_mode
+        self.theta = float(dens.thetas[k - 1])
+        self.abs_d = float(np.abs(dens.values[k - 1]))
+        self.label = LABELS[int(dens.codes[k - 1])]
         self.floor = floor
         super().__init__(
-            f"mode k={k}: |d| = {abs_d:.3e}, class {label}, "
+            f"mode k={k}: |d| = {self.abs_d:.3e}, class {self.label}, "
             f"scaled magnitude below floor {floor:.3e}; "
             "omega is too close to resonance for a stable solve"
         )
@@ -73,35 +73,26 @@ class NonlocalProblem:
             raise ValueError("data vectors must live on the problem spectrum")
 
     @cached_property
-    def mode_denominators(self):
-        """`denominators` of every mode: d, |d| (1 + theta) and phi(omega - theta).
-
-        Computed once; the solve and the coefficient bound both read it.
-        """
+    def mode_denominators(self) -> DenominatorReport:
+        """`denominators` of every mode, computed once for the solve and the coefficient bound."""
         return denominators(self.alpha.frequencies(), self.clock)
 
 
-def _solve_modes(alpha, gamma, theta, clock: ProblemClock, dens):
-    """(C, D) for every mode's 2x2 system by elimination; arrays over k = 1..len(theta).
+def _solve_modes(alpha, gamma, dens: DenominatorReport, T: float):
+    """(C, D) for every mode's 2x2 system by elimination with the modes' report `dens`.
 
     C is recovered as alpha_k - D, so the initial condition holds to rounding
     at the coefficient scale (error below eps (|C| + |D|), and exactly zero
     whenever alpha_k = 0). Raises IllConditionedModeError for the worst mode
-    when any |d_k| (1 + theta_k) falls below the conditioning floor. The stable
-    phi makes this path correct through the resonance theta = +/-omega without
-    special-casing. Takes a bare clock, so the diagnostics can solve at omega = 0;
-    `dens` is denominators(theta, clock).
+    when any |d_k| (1 + theta_k) falls below the conditioning floor of T. The
+    stable phi makes this path correct through the resonance theta = +/-omega
+    without special-casing. Takes a bare report, so the diagnostics can solve
+    at omega = 0.
     """
-    theta = np.asarray(theta, dtype=float)
-    det, scaled, phi_minus = dens
-    floor = condition_floor(clock.T)
-    if np.any(scaled < floor):
-        i = int(np.argmin(scaled))
-        raise IllConditionedModeError(
-            i + 1, float(theta[i]), float(np.abs(det[i])),
-            LABELS[int(_classify_codes(theta[i], clock, CLASSIFY_TOL))], floor,
-        )
-    D = (gamma - phi_minus * alpha) / det
+    floor = condition_floor(T)
+    if dens.z < floor:
+        raise IllConditionedModeError(dens, floor)
+    D = (gamma - dens.phi_minus * alpha) / dens.values
     C = alpha - D
     return C, D
 
@@ -113,10 +104,8 @@ def solve_nonlocal(problem: NonlocalProblem) -> SeriesSolution:
     alpha_k - D_k by construction); the time-average condition holds
     mode-exactly and is re-checked by independent quadrature in `verification`.
     """
-    C, D = _solve_modes(
-        problem.alpha.coefficients, problem.gamma.coefficients,
-        problem.alpha.frequencies(), problem.clock, problem.mode_denominators,
-    )
+    dens = problem.mode_denominators
+    C, D = _solve_modes(problem.alpha.coefficients, problem.gamma.coefficients, dens, problem.clock.T)
     return SeriesSolution(problem.spectrum, problem.clock.T, C, D)
 
 
@@ -150,7 +139,7 @@ def coefficient_bound_check(problem: NonlocalProblem, solution: SeriesSolution) 
     modes far past the bound.
     """
     theta = solution.thetas
-    z_floor = float(problem.mode_denominators[1].min())
+    z_floor = problem.mode_denominators.z
     c = 4.0 / z_floor
     lhs = np.abs(solution.C) + np.abs(solution.D)
     rhs = c * (np.abs(problem.alpha.coefficients) + (1.0 + theta) * np.abs(problem.gamma.coefficients))

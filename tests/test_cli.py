@@ -8,7 +8,7 @@ import pytest
 from specwave import cli, phase
 from specwave.solution import SeriesSolution
 from specwave.cli import main
-from specwave.config import ExperimentConfig
+from specwave.config import ConfigError, ExperimentConfig
 from specwave.phase import ProblemClock, z_diagnostic
 
 
@@ -391,6 +391,17 @@ class TestConfigPlumbing:
         code = main(["sweep", "--config", str(cfg), "--omega", "0.3", "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: config field '{key}': ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("panels", [0, -7])
+    def test_nonpositive_quad_panels_rejected(self, tmp_path, capsys, panels):
+        with pytest.raises(ConfigError, match="'quad_panels': must be >= 1"):
+            ExperimentConfig().merged(quad_panels=panels).validate()
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"quad_panels": panels}))
+        code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: config field 'quad_panels': must be >= 1\n"
         assert not (tmp_path / "out").exists()
 
     def test_config_values_are_converted_to_their_key_type(self):

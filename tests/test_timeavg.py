@@ -37,9 +37,9 @@ def make_problem(dirichlet, clock, alpha, gamma):
 
 
 def solve_mode(alpha, gamma, theta, clock):
-    """One mode through the solver's array kernel, which takes a bare clock."""
+    """One mode through the solver's array kernel, which takes a bare report (omega = 0 too)."""
     dens = phase.denominators([theta], clock)
-    C, D = _solve_modes(np.array([alpha], complex), np.array([gamma], complex), [theta], clock, dens)
+    C, D = _solve_modes(np.array([alpha], complex), np.array([gamma], complex), dens, clock.T)
     return complex(C[0]), complex(D[0])
 
 
@@ -97,9 +97,7 @@ class TestSolveNonlocalMode:
         theta = spectrum.frequency(np.arange(1, 4))
         clock = ProblemClock(2 * math.pi, 0.0)
         with pytest.raises(IllConditionedModeError) as err:
-            _solve_modes(
-                np.ones(3, complex), np.ones(3, complex), theta, clock, phase.denominators(theta, clock)
-            )
+            _solve_modes(np.ones(3, complex), np.ones(3, complex), phase.denominators(theta, clock), clock.T)
         assert err.value.k == 2
         assert err.value.theta == 1.0
         assert err.value.label == "phase-matched(phase=+omega)"
@@ -238,7 +236,7 @@ class TestCoefficientBound:
         p = make_problem(dirichlet, ProblemClock(5.0, 0.3), np.ones(20), np.ones(20))
         report = solved_report(p)
         assert len(calls) == 2
-        assert report.bound_constant == 4.0 / float(phase.denominators(p.alpha.frequencies(), p.clock)[1].min())
+        assert report.bound_constant == 4.0 / phase.denominators(p.alpha.frequencies(), p.clock).z
 
     def test_small_divisors_break_the_bound_without_weight(self, dirichlet, rng):
         # omega = 0 diagnostic: solve mode by mode and score against the
