@@ -15,7 +15,6 @@ from .cauchy import CauchyProblem, derivative_coefficients, solve_cauchy
 from .phase import (
     DenominatorReport,
     ProblemClock,
-    phase_distance,
     phi,
     z_diagnostic,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "coefficient_bound_check",
     "derivative_coefficients",
     "eigenfunction_matrix",
-    "phase_distance",
     "phi",
     "project",
     "solve_cauchy",

@@ -8,8 +8,9 @@ manifest, its wall time and manifest.json, which every subcommand writes, also
 when the run fails after making its output directory (with `exit_code` and
 `error`). Exit code 0 iff every manifest check passed; 1 for a failed check, an
 ill-conditioned mode, an unwritable output or an allocation the machine
-refuses; 2 for a config error, an inadmissible omega or an overflowing phase,
-2*omega*T or (omega +/- theta_k)*T.
+refuses; 2 for a config error, an inadmissible omega, an overflowing phase,
+2*omega*T or (omega +/- theta_k)*T, or an evaluation phase theta_k*t beyond
+exact reduction (2**42).
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, soluti
     """Field CSVs and norms.csv; returns the norm trajectories for the reports."""
     xs = np.linspace(*solution.spectrum.domain, cfg.nx)
     ts = np.linspace(0.0, cfg.T, cfg.nt)
-    grid = solution.field(xs, cfg.nt)
+    grid = solution.field(cfg.nx, cfg.nt)
     manifest.files.append(write_field_csv(out / "field_re.csv", xs, ts, grid.real))
     manifest.files.append(write_field_csv(out / "field_im.csv", xs, ts, grid.imag))
     norms = solution.norm_trajectories(cfg.time_points)

@@ -15,10 +15,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+
+# 2*pi as four 13-bit pieces and a full-precision tail (2*pi - sum is 6e-33):
+# q * piece is exact for |q| < 2**40, which holds for every |phase| < 2**42
+_TWO_PI_PIECES = tuple(float.fromhex(h) for h in (
+    "0x1.921p+2", "0x1.f6ap-11", "0x1.11p-24", "0x1.68cp-37", "0x1.1a62633145c07p-52",
+))
+EXACT_PHASE_LIMIT = 2.0**42
 
 # clocks with dist(2*omega*T, 2*pi*Z) at or below this are rejected by the solver;
 # conditioning degrades like the reciprocal of the distance, so warn early
@@ -88,6 +96,63 @@ def phi(mu, T: float):
     return complex(out) if m.ndim == 0 else out
 
 
+def _split(x):
+    """Veltkamp's split of x into a 26-bit high part and the rest; products of
+    two high or low parts are exact."""
+    c = 134217729.0 * x  # 2**27 + 1
+    high = c - (c - x)
+    return high, x - high
+
+
+def _exact_phase(a, b) -> np.ndarray:
+    """The exact product a*b of two floats (or arrays), reduced mod 2*pi to [-pi, pi].
+
+    Dekker's two-product writes a*b = p + e exactly. Cody-Waite subtracts
+    q = round(p / 2 pi) times each piece of _TWO_PI_PIECES; the first four
+    subtractions are exact, so the result is within about one ulp of pi of the
+    true a*b - 2 pi q, however large a*b is. Domain: |a*b| < EXACT_PHASE_LIMIT
+    (2**42) and |a|, |b| < 2**996; anything else, a non-finite value included,
+    raises ValueError.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    p = a * b
+    if not (np.abs(p).max(initial=0.0) < EXACT_PHASE_LIMIT
+            and max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) < 2.0**996):
+        raise ValueError(
+            f"phase beyond exact reduction: a product a*b reaches {float(np.abs(p).max(initial=0.0)):.3e}, "
+            "but phases must stay below 2**42 (~4.4e12)"
+        )
+    a_high, a_low = _split(a)
+    b_high, b_low = _split(b)
+    e = ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
+    q = np.rint(p / TWO_PI)
+    r = p
+    for piece in _TWO_PI_PIECES[:-1]:
+        r = r - q * piece
+    return r + (e - q * _TWO_PI_PIECES[-1])
+
+
+def _time_step(T: float, count: int) -> float:
+    """dt of `count` uniform times t_j = j dt in [0, T], as np.linspace spaces them."""
+    return T / (count - 1) if count > 1 else 0.0
+
+
+def _uniform_phases(dt: float, theta: np.ndarray, count: int) -> np.ndarray:
+    """e^{i theta_k j dt} for j < count; shape (len(theta), count).
+
+    With G = isqrt(count) and j = qG + r the table is e^{i theta qG dt} e^{i theta r dt}:
+    about 2 len(theta) sqrt(count) exact phases and one complex product per
+    entry. Each phase is reduced from dt * (theta_k j'), which is exact for
+    integer theta; otherwise theta_k j' rounds once, as theta_k t does.
+    """
+    group = math.isqrt(count)
+    theta = np.asarray(theta, dtype=float)[:, None]
+    table = (np.exp(1j * _exact_phase(dt, theta * np.arange(0, count, group)))[:, :, None]
+             * np.exp(1j * _exact_phase(dt, theta * np.arange(group)))[:, None, :])
+    return table.reshape(theta.size, -1)[:, :count]
+
+
 # the label of each code that `_classify_codes` returns
 LABELS = (
     "resonant(theta=+omega)",
@@ -113,14 +178,20 @@ def _classify_codes(theta, clock: ProblemClock, tol: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DenominatorReport:
-    """Modes k = 1..len(thetas): d_k, |d_k| (1 + theta_k), phi(omega - theta_k),
-    codes into LABELS, and the z diagnostic."""
+    """Modes k = 1..len(thetas) on `clock`: d_k, |d_k| (1 + theta_k),
+    phi(omega - theta_k), codes into LABELS, and the z diagnostic."""
 
     thetas: np.ndarray
     values: np.ndarray
     scaled: np.ndarray
     phi_minus: np.ndarray
-    codes: np.ndarray
+    clock: ProblemClock
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Index into LABELS of each mode's class; classified when first read,
+        since a solve reads a label only when it raises."""
+        return _classify_codes(self.thetas, self.clock, CLASSIFY_TOL)
 
     @property
     def z(self) -> float:
@@ -146,8 +217,7 @@ def denominators(theta, clock: ProblemClock) -> DenominatorReport:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi_minus = phi(clock.omega - theta, clock.T)
     d = phi(clock.omega + theta, clock.T) - phi_minus
-    return DenominatorReport(theta, d, np.abs(d) * (1.0 + theta), phi_minus,
-                             _classify_codes(theta, clock, CLASSIFY_TOL))
+    return DenominatorReport(theta, d, np.abs(d) * (1.0 + theta), phi_minus, clock)
 
 
 def z_diagnostic(m: int, spectrum, clock: ProblemClock) -> DenominatorReport:

@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .basis import SpectralVector
-
-# complex phases a blocked evaluation holds at once: 2**16 x 16 B = 1 MiB
-_BLOCK_ELEMENTS = 1 << 16
-
-
-def _abs2(z: np.ndarray) -> np.ndarray:
-    return z.real**2 + z.imag**2
+from .basis import _BLOCK_ELEMENTS, SpectralVector
+from .phase import _time_step, _uniform_phases
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,8 +25,9 @@ class NormTrajectories:
 class SeriesSolution:
     """u(x, t) = sum_{k=1..N} (C_k e^{-i theta_k t} + D_k e^{i theta_k t}) v_k(x).
 
-    Immutable after assembly; every evaluation reads the mode blocks of
-    `_mode_blocks`, on uniform times in [0, T], and is safe to run concurrently.
+    Immutable after assembly and safe to evaluate concurrently. `field` and
+    `norm_trajectories` are the spectrum's hooks, on uniform times in [0, T];
+    their default, and `verification.mode_energy_drift`, read `_mode_blocks`.
     """
 
     spectrum: object
@@ -66,36 +60,28 @@ class SeriesSolution:
     def _mode_blocks(self, time_points: int):
         """Yield (modes, C_k e^{-i theta_k t_j}, D_k e^{i theta_k t_j}) block by block.
 
-        The times are t_j = j dt, `time_points` of them uniform in [0, T], and
-        `modes` is the slice of the block's modes. With G = isqrt(time_points)
-        and j = qG + r the phase factors as e^{i theta t_j} = e^{i theta qG dt}
-        e^{i theta r dt}: about 2 N sqrt(time_points) exponentials and one complex
-        product per entry of the N x time_points table instead of one exponential
-        each. A block holds about _BLOCK_ELEMENTS entries, so no N x time_points
-        buffer is ever held; y_k = back + ahead and y_k' = i theta_k (ahead - back).
+        The times are t_j = j dt, `time_points` of them uniform in [0, T]
+        (dt = `phase._time_step(T, time_points)`), and `modes` is the slice of
+        the block's modes. The phases come factored from
+        `phase._uniform_phases`: about 2 N sqrt(time_points) exact phases and one
+        complex product per entry of the N x time_points table, each within
+        about an ulp of pi of theta_k t_j when theta_k is an integer. A block
+        holds about _BLOCK_ELEMENTS entries, so no N x time_points buffer is ever
+        held; y_k = back + ahead and y_k' = i theta_k (ahead - back).
         """
-        ts = np.linspace(0.0, self.T, time_points)
-        group = math.isqrt(time_points)
-        starts, offsets = ts[::group], ts[:group]
-        step = max(1, _BLOCK_ELEMENTS // (starts.size * group))
+        dt = _time_step(self.T, time_points)
+        step = max(1, _BLOCK_ELEMENTS // time_points)
         for start in range(0, len(self), step):
             modes = slice(start, start + step)
-            theta = self.thetas[modes, None]
-            ph = np.exp(1j * theta * starts)[:, :, None] * np.exp(1j * theta * offsets)[:, None, :]
-            ph = ph.reshape(theta.size, -1)[:, :time_points]
+            ph = _uniform_phases(dt, self.thetas[modes], time_points)
             yield modes, self.C[modes, None] * np.conj(ph), self.D[modes, None] * ph
 
-    def field(self, xs, time_points: int) -> np.ndarray:
-        """u on xs x (`time_points` uniform times in [0, T]); shape (len(xs), time_points).
-
-        The real eigenfunctions of each mode block multiply y_k as interleaved
-        (re, im) columns: half the flops of a complex product.
-        """
-        ks = np.arange(1, len(self) + 1)
-        grid = np.zeros((np.size(xs), 2 * time_points))
-        for modes, back, ahead in self._mode_blocks(time_points):
-            grid += np.asarray(self.spectrum.eigenfunction(ks[modes], xs)).T @ (back + ahead).view(float)
-        return grid.view(complex)
+    def field(self, nx: int, time_points: int) -> np.ndarray:
+        """u on `nx` uniform points of the domain x `time_points` uniform times in
+        [0, T]; shape (nx, time_points). The spectrum's `field` hook sums it."""
+        if nx < 2 or time_points < 1:
+            raise ValueError("the field grid needs nx >= 2 points and time_points >= 1")
+        return self.spectrum.field(self, nx, time_points)
 
     def initial_coefficients(self) -> SpectralVector:
         """Coefficients of u(0), i.e. C + D."""
@@ -104,14 +90,7 @@ class SeriesSolution:
     def norm_trajectories(self, time_points: int) -> NormTrajectories:
         """||u||_H0, ||u||_H1 and ||du/dt||_H0 on `time_points` uniform times in [0, T].
 
-        Every squared norm is summed over the blocks of `_mode_blocks`.
+        The squares are the spectrum's `norm_squares` hook.
         """
-        squares = np.zeros((3, time_points))
-        for modes, back, ahead in self._mode_blocks(time_points):
-            y2 = _abs2(back + ahead)
-            lam = self.eigenvalues[modes]
-            squares[0] += y2.sum(axis=0)
-            squares[1] += lam @ y2
-            squares[2] += lam @ _abs2(ahead - back)
-        u_h0, u_h1, dudt_h0 = np.sqrt(squares)
+        u_h0, u_h1, dudt_h0 = np.sqrt(self.spectrum.norm_squares(self, time_points))
         return NormTrajectories(np.linspace(0.0, self.T, time_points), u_h0, u_h1, dudt_h0)

@@ -17,7 +17,6 @@ from specwave import (
     ProblemClock,
     SpectralVector,
     coefficient_bound_check,
-    phase_distance,
     phi,
     project,
     solve_nonlocal,
@@ -26,7 +25,7 @@ from specwave import (
 )
 from specwave import verification as ver
 from specwave.cli import main
-from specwave.phase import LABELS, denominators
+from specwave.phase import LABELS, denominators, phase_distance
 
 
 @contextmanager

@@ -542,6 +542,14 @@ class TestRunLifecycle:
         assert read_manifest(tmp_path)["exit_code"] == code
         assert peak < 256 * 2**20
 
+    def test_phases_past_exact_reduction_exit_2(self, tmp_path, capsys):
+        # theta_3 T = 4.5e12 is past 2**42: the evaluation refuses rather than
+        # write phases with no correct digit
+        code = main(["solve", "--T", "1.5e12", "--omega", "0.3", "--N", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert "exact reduction" in read_manifest(tmp_path)["error"]
+        assert "error: phase beyond exact reduction" in capsys.readouterr().err
+
     def test_out_of_memory_exits_1_and_still_writes_manifest(self, tmp_path, monkeypatch, capsys):
         def oversized(*run):
             raise MemoryError("Unable to allocate 6.00 TiB")

@@ -13,11 +13,19 @@ from specwave import (
     GaussLegendre,
     ProblemClock,
     TabulatedSpectrum,
-    phase_distance,
     phi,
     z_diagnostic,
 )
-from specwave.phase import CLASSIFY_TOL, LABELS, TWO_PI, _classify_codes, denominators
+from specwave.phase import (
+    CLASSIFY_TOL,
+    EXACT_PHASE_LIMIT,
+    LABELS,
+    TWO_PI,
+    _classify_codes,
+    _exact_phase,
+    denominators,
+    phase_distance,
+)
 
 # regression values from this implementation; the published ones are checked
 # at 2% in the acceptance suite. The omega = 0 values are within 4e-16 of
@@ -346,3 +354,43 @@ def test_phase_distance_bounds(x):
     d = float(phase_distance(x))
     assert 0.0 <= d <= math.pi + 1e-9
     assert phase_distance(x + 2 * math.pi) == pytest.approx(d, abs=1e-6)
+
+
+class TestExactPhase:
+    @staticmethod
+    def circle_error(got, a, b):
+        """|got - a b| mod 2 pi against 50-digit mpmath, for floats a and b."""
+        import mpmath
+
+        with mpmath.workdps(50):
+            d = mpmath.mpf(float(got)) - mpmath.mpf(float(a)) * mpmath.mpf(float(b))
+            return abs(float(d - 2 * mpmath.pi * mpmath.nint(d / (2 * mpmath.pi))))
+
+    def test_matches_mpmath_across_the_domain(self, rng):
+        pytest.importorskip("mpmath")
+        # products of either sign from 1e-9 up to the limit: float by float, and a
+        # float step times an integer count, as the chirp and block phases form them
+        sizes = rng.choice([-1.0, 1.0], 400) * 2.0 ** rng.uniform(-30, 42, 400)
+        a = 2.0 ** rng.uniform(-20, 20, 400)
+        a[:200] = rng.integers(1, 1 << 40, 200).astype(float)
+        b = sizes / a
+        a = np.append(a, [0.025, 1e9, 5.0 / 1000, -7.3, math.pi])
+        b = np.append(b, [(1 << 40) - 1, 4397.0, 2.0 * 101_000**2, 6.0e11, 1.0])
+        keep = np.abs(a * b) < EXACT_PHASE_LIMIT
+        got = _exact_phase(b[keep], a[keep])
+        assert np.all(np.abs(got) <= math.pi + 1e-15)
+        worst = max(self.circle_error(g, x, y) for g, x, y in zip(got, a[keep], b[keep]))
+        assert worst <= 2 * np.finfo(float).eps
+
+    def test_rounding_the_product_first_would_lose_digits(self):
+        # fl(a b) is off by up to half an ulp of 4.4e11, 3e-5; the exact phase is not
+        a, b = 0.1, float((1 << 42) - 3)
+        assert self.circle_error(math.remainder(a * b, TWO_PI), a, b) > 1e-6
+        assert self.circle_error(_exact_phase(a, b), a, b) <= 2 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("a,b", [
+        (1.0, EXACT_PHASE_LIMIT), (-2.0, 2.0**41), (2.0**997, 2.0**-997), (math.nan, 1.0), (math.inf, 0.5),
+    ])
+    def test_refuses_beyond_the_domain(self, a, b):
+        with pytest.raises(ValueError, match="exact reduction"):
+            _exact_phase(np.array([1.0, a]), b)

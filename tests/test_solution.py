@@ -12,12 +12,24 @@ from specwave import (
     ProblemClock,
     SeriesSolution,
     SpectralVector,
+    Spectrum,
     eigenfunction_matrix,
     project,
     solve_cauchy,
     solve_nonlocal,
 )
+from specwave.basis import _chirp_sums
 from specwave.verification import integral_condition_residual
+
+EPS = np.finfo(float).eps
+
+
+def mp_mode_terms(C, D, k, dt, j):
+    """C_k e^{-ikt} + D_k e^{ikt} at the working precision, at t = j dt exactly."""
+    import mpmath
+
+    e = mpmath.expj(k * j * mpmath.mpf(dt))
+    return mpmath.mpc(C) / e + mpmath.mpc(D) * e
 
 
 def single_cosine(dirichlet, T=5.0):
@@ -74,7 +86,7 @@ class TestEvaluate:
         sol = SeriesSolution(dirichlet, 2.0, c / 2, c / 2)
         xs = np.linspace(0.0, math.pi, 5)
         ts = np.linspace(0.0, 2.0, 4)
-        grid = sol.field(xs, 4)
+        grid = sol.field(5, 4)
         for i, x in enumerate(xs):
             for j, t in enumerate(ts):
                 expected = sum(
@@ -96,7 +108,29 @@ class TestEvaluate:
         sol = SeriesSolution(dirichlet, 5.0, C, D)
         xs = np.linspace(0.0, math.pi, 23)
         dense = field(sol, xs, np.linspace(0.0, 5.0, time_points))
-        assert np.abs(sol.field(xs, time_points) - dense).max() <= 1e-13 * np.abs(dense).max()
+        assert np.abs(sol.field(23, time_points) - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    def test_field_edge_rows_as_the_benchmark_oracle_checks_them(self, dirichlet, rng):
+        # N > M = 2 (nx - 1): the interior rows fold modes by residue. x = 0 is
+        # exactly +0; x = fl(pi) is sum_k sin(k fl(pi)) y_k (|sin| ~ k 1.2e-16),
+        # checked to 1e-9 of the sum of its terms' magnitudes, as perfbench's
+        # oracle does
+        n_modes = 1000
+        C = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+        D = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
+        sol = SeriesSolution(dirichlet, 5.0, C, D)
+        grid = sol.field(23, 201)
+        ts = np.linspace(0.0, 5.0, 201)
+        terms = eigenfunction_matrix(dirichlet, n_modes, [math.pi]) * mode_values(sol, ts)
+        assert np.abs(grid[-1] - terms.sum(axis=0)).max() <= 1e-9 * np.abs(terms).sum(axis=0).min()
+        assert np.all(grid[0] == 0) and not np.signbit(grid[0].view(float)).any()
+
+    def test_block_route_field_matches_the_folded_one(self, dirichlet, rng):
+        ks = np.arange(1, 301)
+        sol = SeriesSolution(dirichlet, 5.0, rng.standard_normal(300) / ks, 1j * rng.standard_normal(300) / ks)
+        folded = sol.field(23, 17)
+        blocks = Spectrum.field(dirichlet, sol, 23, 17)
+        assert np.abs(folded - blocks).max() <= 1e-14 * np.abs(blocks).max()
 
     def test_field_memory_bounded_at_large_n(self, dirichlet, rng):
         # the dense N x 201 basis and mode values would take over 200 MiB here
@@ -104,16 +138,38 @@ class TestEvaluate:
         C = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
         D = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
         sol = SeriesSolution(dirichlet, 5.0, C, D)
-        xs = np.linspace(0.0, math.pi, 201)
         tracemalloc.start()
         try:
-            grid = sol.field(xs, 201)
+            grid = sol.field(201, 201)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert grid.shape == (201, 201)
         assert np.abs(grid[0]).max() < 1e-9 * np.abs(grid).max()
+
+
+class TestChirpSums:
+    @pytest.mark.parametrize("n,count", [
+        (1023, 1), (1024, 1), (1025, 1),  # n + count - 1 below, on and above 1024
+        (1022, 2), (1023, 2), (1024, 2),
+        (23, 1001), (24, 1001), (25, 1001),
+        (1, 1), (2, 1), (3, 201),  # summed directly
+    ])
+    def test_matches_direct_mpmath_sums(self, rng, n, count):
+        mpmath = pytest.importorskip("mpmath")
+        weights = rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))
+        dt, factor = 5.0 / 1000, 2
+        got = _chirp_sums(weights, dt, factor, count)
+        assert got.shape == (2, count)
+        length = 1 << (n + count - 2).bit_length()
+        for j in sorted({0, count - 1, *rng.integers(0, count, 3).tolist()}):
+            with mpmath.workdps(40):
+                phase = mpmath.mpf(dt) * factor * j
+                for row in range(2):
+                    want = mpmath.fsum(mpmath.mpc(w) * mpmath.expj(phase * k) for k, w in enumerate(weights[row]))
+                    bound = 2 * length.bit_length() * EPS * np.abs(weights[row]).sum()
+                    assert abs(got[row, j] - complex(want)) <= bound
 
 
 class TestTimeDerivative:
@@ -202,6 +258,61 @@ class TestNormTrajectory:
         assert np.abs(norms.u_h0 - np.abs(np.cos(norms.ts))).max() < 1e-15
         assert norms.dudt_h0[0] == 0.0
 
+    def test_grid_norms_vanish_where_a_high_cosine_does(self, dirichlet):
+        # mode 700 lies past the first block, in the chirp sum, which cancels
+        # near the zeros of cos(700 t): those times are summed again mode by mode
+        mpmath = pytest.importorskip("mpmath")
+        C = np.zeros(700)
+        C[-1] = 0.5
+        sol = SeriesSolution(dirichlet, math.pi, C, C)
+        norms = sol.norm_trajectories(1001)
+        dt = math.pi / 1000
+        with mpmath.workdps(30):
+            want = np.array([float(abs(mpmath.cos(700 * j * mpmath.mpf(dt)))) for j in range(1001)])
+        assert np.abs(norms.u_h0 - want).max() < 1e-15
+        assert norms.dudt_h0[0] == 0.0
+
+    def test_grid_norms_match_mpmath_at_n_2000(self, dirichlet, rng):
+        # the CLI's kind of data: H^2 coefficients solved at omega = 0.07. The
+        # routes evaluate t_j = j dt exactly, dt = fl(T / 1000)
+        mpmath = pytest.importorskip("mpmath")
+        n_modes, T = 2000, 5.0
+        ks = np.arange(1, n_modes + 1)
+        g = project(lambda x: x * (math.pi - x), dirichlet, n_modes)
+        a = SpectralVector((rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / ks**3, dirichlet)
+        sol = solve_nonlocal(NonlocalProblem(dirichlet, ProblemClock(T, 0.07), a, g))
+        norms = sol.norm_trajectories(1001)
+        dt = T / 1000
+        worst = 0.0
+        for j in (0, 1, 437, 1000, *rng.integers(2, 1000, 3).tolist()):
+            with mpmath.workdps(40):
+                back = [mp_mode_terms(C, 0, k, dt, j) for k, C in zip(ks, sol.C)]
+                ahead = [mp_mode_terms(0, D, k, dt, j) for k, D in zip(ks, sol.D)]
+                y = [b + d for b, d in zip(back, ahead)]
+                dy = [k * (d - b) for k, b, d in zip(ks, back, ahead)]  # |y'| = k |D e - C / e|
+                want = [mpmath.sqrt(mpmath.fsum(k ** (2 * q) * abs(v) ** 2 for k, v in zip(ks, vals)))
+                        for vals, q in ((y, 0), (y, 1), (dy, 0))]
+            for got, value in zip((norms.u_h0, norms.u_h1, norms.dudt_h0), want):
+                worst = max(worst, abs(got[j] - float(value)) / float(value))
+        assert worst <= 4e-15
+
+    def test_block_phases_match_mpmath_with_flat_coefficients(self, dirichlet):
+        # every phase theta_k t_j = k j dt comes reduced from the exact product:
+        # within a few ulps at N = 1000, where rounding k t_j first (as
+        # oracles.mode_values does) errs by up to eps k t_j / 2 ~ 3e-13
+        mpmath = pytest.importorskip("mpmath")
+        n_modes, T = 1000, 5.0
+        sol = SeriesSolution(dirichlet, T, np.ones(n_modes), np.ones(n_modes))
+        dt, worst = T / 200, 0.0
+        for modes, back, ahead in sol._mode_blocks(201):
+            for i in (0, len(back) - 1):
+                k = modes.start + i + 1
+                for j in (1, 77, 199, 200):
+                    with mpmath.workdps(40):
+                        want = complex(mp_mode_terms(1, 1, k, dt, j))
+                    worst = max(worst, abs(back[i, j] + ahead[i, j] - want))
+        assert worst <= 4 * EPS
+
     def test_shared_trajectories_memory_bounded_at_large_n(self, dirichlet, rng):
         # the one-shot phase, value and |y|^2 arrays would take over 100 MiB here
         n_modes = 3000
@@ -240,6 +351,14 @@ class TestRealImaginaryParts:
         sol = solve_cauchy(problem)
         for x, t in ((0.4, 0.0), (1.9, 1.3), (2.8, 3.0)):
             assert abs(point(sol, x, t).imag) < 1e-14
+
+    @pytest.mark.parametrize("n_modes,nx,nt", [(300, 201, 201), (300, 20, 20), (1000, 23, 17)])
+    def test_real_cauchy_field_is_exactly_real(self, dirichlet, rng, n_modes, nx, nt):
+        # real data give C = conj(D) bit for bit, and the field CSVs exact zeros
+        alpha = SpectralVector(rng.standard_normal(n_modes) / np.arange(1, n_modes + 1), dirichlet)
+        beta = SpectralVector(rng.standard_normal(n_modes), dirichlet)
+        grid = solve_cauchy(CauchyProblem(dirichlet, 5.0, alpha, beta)).field(nx, nt)
+        assert np.all(grid.imag == 0) and not np.signbit(grid.imag).any()
 
     def test_parts_reassemble_exactly(self, dirichlet, rng):
         # v = Re u and w = Im u are series solutions themselves: since the

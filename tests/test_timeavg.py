@@ -21,6 +21,7 @@ from specwave import (
     z_diagnostic,
 )
 from specwave import phase
+from specwave.phase import LABELS
 from specwave.timeavg import _solve_modes
 
 
@@ -189,6 +190,19 @@ class TestSolveNonlocal:
         solution = solve_nonlocal(make_problem(dirichlet, clock, alpha, gamma))
         assert len(calls) == 2
         assert np.array_equal(solution.D, D) and np.array_equal(solution.C, alpha - D)
+
+    def test_healthy_solve_never_classifies(self, dirichlet, rng, monkeypatch):
+        # the labels are read only to name an ill-conditioned mode
+        def refuse(*args):
+            raise AssertionError("classified a healthy solve")
+
+        monkeypatch.setattr(phase, "_classify_codes", refuse)
+        problem = make_problem(dirichlet, ProblemClock(5.0, 0.07),
+                               rng.standard_normal(200) + 0j, rng.standard_normal(200) + 0j)
+        report = solved_report(problem)
+        assert problem.mode_denominators.z > 0 and report.bound_all_ok
+        monkeypatch.undo()
+        assert set(problem.mode_denominators.codes.tolist()) == {LABELS.index("generic")}
 
     def test_perturbation_response_bounded_by_c_obs(self, dirichlet):
         # scale-proportional perturbation of g: the sup norms respond with
