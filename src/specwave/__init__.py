@@ -3,14 +3,7 @@ time-average condition int_0^T exp(i*omega*t) u(t) dt = g in place of the
 Cauchy velocity datum, plus the small-denominator diagnostics that show why
 omega != 0 keeps the per-mode solves well conditioned."""
 
-from .basis import (
-    DirichletLaplacian1D,
-    Spectrum,
-    SpectralVector,
-    TabulatedSpectrum,
-    eigenfunction_matrix,
-    project,
-)
+from .basis import DirichletLaplacian1D, SpectralVector, project
 from .cauchy import CauchyProblem, derivative_coefficients, solve_cauchy
 from .phase import (
     DenominatorReport,
@@ -43,12 +36,9 @@ __all__ = [
     "ProblemClock",
     "SeriesSolution",
     "SpectralVector",
-    "Spectrum",
     "StabilityReport",
-    "TabulatedSpectrum",
     "coefficient_bound_check",
     "derivative_coefficients",
-    "eigenfunction_matrix",
     "phi",
     "project",
     "solve_cauchy",

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import SpectralVector, Spectrum, project, projection_rule
+from .basis import DirichletLaplacian1D, SpectralVector, project, projection_rule
 from .phase import ProblemClock
 from .quadrature import GaussLegendre
 
@@ -23,7 +23,7 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
-def preset_function(name: str, spectrum: Spectrum):
+def preset_function(name: str, spectrum: DirichletLaplacian1D):
     """Named analytic data functions on the spectrum's spatial domain."""
     a, b = spectrum.domain
     if name == "parabola":
@@ -40,7 +40,7 @@ def preset_function(name: str, spectrum: Spectrum):
     raise ConfigError("data", f"unknown preset {name!r}; use zero, parabola, eigenmode:<k>, or coeffs:<list>")
 
 
-def resolve_data(spec_text: str, spectrum: Spectrum, n_modes: int,
+def resolve_data(spec_text: str, spectrum: DirichletLaplacian1D, n_modes: int,
                  rule: GaussLegendre | None = None) -> SpectralVector:
     """Turn a data specification string into a coefficient vector.
 

@@ -135,6 +135,8 @@ def _exact_phase(a, b) -> np.ndarray:
 
 def _time_step(T: float, count: int) -> float:
     """dt of `count` uniform times t_j = j dt in [0, T], as np.linspace spaces them."""
+    if count < 1:
+        raise ValueError(f"evaluation needs time_points >= 1, got {count}")
     return T / (count - 1) if count > 1 else 0.0
 
 

@@ -1,14 +1,86 @@
-"""Truncated eigenfunction-expansion solutions u(t) = sum_k y_k(t) v_k."""
+"""Truncated eigenfunction-expansion solutions u(t) = sum_k y_k(t) v_k, and their evaluation.
+
+On the Dirichlet Laplacian theta_k = k, so the field and norms on uniform times
+are chirp-z sums (`_chirp_sums`); where a chirp phase would reach
+EXACT_PHASE_LIMIT they sum the mode blocks instead (`_block_field`, `_block_squares`).
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .basis import _BLOCK_ELEMENTS, SpectralVector
-from .phase import _time_step, _uniform_phases
+from .basis import DirichletLaplacian1D, SpectralVector
+from .phase import EXACT_PHASE_LIMIT, _exact_phase, _time_step, _uniform_phases
+
+# complex phases a blocked evaluation holds at once: 2**16 x 16 B = 1 MiB
+_BLOCK_ELEMENTS = 1 << 16
+
+# bound on the relative error of a squared norm that the chirp expansion may
+# keep: 2**-45 (2.8e-14), so a norm stays within about 1.4e-14 of its value
+_NORM_REL = 2.0**-45
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real**2 + z.imag**2
+
+
+def _block_squares(solution, blocks, count: int) -> np.ndarray:
+    """||u||_H0^2, ||u||_H1^2 and ||u'||_H0^2 at `count` times, summed over the
+    mode `blocks` of `solution._mode_blocks`."""
+    squares = np.zeros((3, count))
+    for modes, back, ahead in blocks:
+        y2 = _abs2(back + ahead)
+        lam = solution.eigenvalues[modes]
+        squares[0] += y2.sum(axis=0)
+        squares[1] += np.einsum("k,kj->j", lam, y2)
+        squares[2] += np.einsum("k,kj->j", lam, _abs2(ahead - back))
+    return squares
+
+
+def _chirp_fits(dt: float, factor: int, n: int, count: int) -> bool:
+    """Whether `_chirp_sums` of this size keeps every phase inside `phase._exact_phase`'s domain."""
+    return dt * factor * max(n, count) ** 2 / 2 < EXACT_PHASE_LIMIT
+
+
+def _chirp_sums(weights: np.ndarray, dt: float, factor: int, count: int) -> np.ndarray:
+    """sum_k weights[..., k] e^{i factor k j dt} for j < count; shape weights.shape[:-1] + (count,).
+
+    Bluestein's chirp-z: with kj = (k^2 + j^2 - (j - k)^2) / 2 the sum is
+    c_j times the convolution of weights_k c_k with conj(c_m), c_m = e^{i b m^2},
+    b = factor dt / 2: one FFT convolution of power-of-two length at least
+    n + count - 1 for every row, O((n + count) log(n + count)). Fewer than
+    log2(length) terms are summed directly against their count x n phases.
+    Every phase is exact (`phase._exact_phase` of dt and an integer), so the
+    error is the summation's, about eps sum_k |weights_k| times a small
+    multiple of log2 of the length.
+    """
+    n = weights.shape[-1]
+    size = 1 << (n + count - 2).bit_length()
+    if n < size.bit_length():
+        table = np.exp(1j * _exact_phase(dt, factor * np.multiply.outer(np.arange(n), np.arange(count))))
+        return np.einsum("...k,kj->...j", weights, table)
+    m = np.arange(max(n, count), dtype=float)
+    chirp = np.exp(1j * _exact_phase(dt, 0.5 * factor * m * m))
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:count] = chirp[:count].conj()
+    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
+    convolved = np.fft.ifft(np.fft.fft(weights * chirp[:n], size) * np.fft.fft(kernel))
+    return convolved[..., :count] * chirp[:count]
+
+
+def _block_field(solution, nx: int, time_points: int) -> np.ndarray:
+    """`SeriesSolution.field` in O(N nx time_points) over `solution._mode_blocks`: the
+    real eigenfunctions multiply y_k as (re, im) columns, half a complex product's flops."""
+    xs = np.linspace(*solution.spectrum.domain, nx)
+    ks = np.arange(1, len(solution) + 1)
+    grid = np.zeros((nx, 2 * time_points))
+    for modes, back, ahead in solution._mode_blocks(time_points):
+        grid += np.asarray(solution.spectrum.eigenfunction(ks[modes], xs)).T @ (back + ahead).view(float)
+    return grid.view(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,11 +98,12 @@ class SeriesSolution:
     """u(x, t) = sum_{k=1..N} (C_k e^{-i theta_k t} + D_k e^{i theta_k t}) v_k(x).
 
     Immutable after assembly and safe to evaluate concurrently. `field` and
-    `norm_trajectories` are the spectrum's hooks, on uniform times in [0, T];
-    their default, and `verification.mode_energy_drift`, read `_mode_blocks`.
+    `norm_trajectories` evaluate it on uniform times in [0, T] by chirp-z sums
+    over the integer frequencies; their fallback, and
+    `verification.mode_energy_drift`, read `_mode_blocks`.
     """
 
-    spectrum: object
+    spectrum: DirichletLaplacian1D
     T: float
     C: np.ndarray
     D: np.ndarray
@@ -77,20 +150,104 @@ class SeriesSolution:
             yield modes, self.C[modes, None] * np.conj(ph), self.D[modes, None] * ph
 
     def field(self, nx: int, time_points: int) -> np.ndarray:
-        """u on `nx` uniform points of the domain x `time_points` uniform times in
-        [0, T]; shape (nx, time_points). The spectrum's `field` hook sums it."""
-        if nx < 2 or time_points < 1:
-            raise ValueError("the field grid needs nx >= 2 points and time_points >= 1")
-        return self.spectrum.field(self, nx, time_points)
+        """u on the `nx` uniform points x_m = m pi / (nx - 1) of the domain x
+        `time_points` uniform times in [0, T]; shape (nx, time_points).
+
+        By residues of k mod M = 2 (nx - 1), chirp sums and one real FFT:
+        sin(k x_m) = Im e^{2 pi i km / M} depends on k only through r = k mod M.
+        So rows m < nx - 1 are -sqrt(2/pi) Im of the `rfft` over r of the
+        residue sums R_r(t) = sum_{k = r mod M} y_k(t), taken down their
+        (re, im) columns. With k = r + lM,
+            R_r(t_j) = conj(e^{i r t_j} S_r(conj C)) + e^{i r t_j} S_r(D),
+            S_r(w)(t_j) = sum_l w_{r + lM} e^{i lM t_j},
+        2M chirp sums over l. The last row sits at x = fl(pi), where
+        sin(k fl(pi)) is about k 1.2e-16, not 0: it is sum_k sin(k fl(pi)) y_k,
+        one more chirp sum over k. Costs O(N log N + M time_points log) and no
+        matrix product. Falls back to `_block_field` when a chirp phase would
+        reach EXACT_PHASE_LIMIT: on the default 201 x 201 grid, past T ~ 1e8.
+        """
+        if nx < 2:
+            raise ValueError(f"the field grid needs nx >= 2 points, got {nx}")
+        dt = _time_step(self.T, time_points)
+        n_modes = len(self)
+        period = 2 * (nx - 1)
+        depth = n_modes // period + 1
+        if not (_chirp_fits(dt, period, depth, time_points) and _chirp_fits(dt, 1, n_modes + 1, time_points)):
+            return _block_field(self, nx, time_points)
+        residues = min(period, n_modes + 1)
+        weights = np.zeros((2, depth * period), dtype=complex)  # mode k at column k
+        weights[0, 1:n_modes + 1] = self.C.conj()
+        weights[1, 1:n_modes + 1] = self.D
+        back, ahead = _chirp_sums(
+            weights.reshape(2, depth, period)[:, :, :residues].transpose(0, 2, 1), dt, period, time_points
+        )
+        turn = _uniform_phases(dt, np.arange(residues), time_points)
+        # turn first in both products, so a real solution (C = conj D) folds to
+        # exactly real sums; in place, since fresh pages cost more than the flops
+        folded = np.multiply(turn, back, out=np.empty((residues, time_points), dtype=complex))
+        np.conjugate(folded, out=folded)
+        folded += np.multiply(turn, ahead, out=ahead)
+        spectrum = np.fft.rfft(folded.view(float), n=period, axis=0)[:-1]
+        grid = np.empty((nx, time_points), dtype=complex)
+        rows = grid[:-1].view(float)
+        # 0 - Im, not -Im: the x = 0 row stays +0, as a sum of sin(0) y_k is
+        np.subtract(0.0, spectrum.imag, out=rows)
+        rows *= math.sqrt(2.0 / math.pi)
+        weights[:, 1:n_modes + 1] *= np.sin(np.arange(1, n_modes + 1) * self.spectrum.domain[1])
+        back, ahead = _chirp_sums(weights[:, :n_modes + 1], dt, 1, time_points)
+        grid[-1] = math.sqrt(2.0 / math.pi) * (np.conj(back) + ahead)
+        return grid
 
     def initial_coefficients(self) -> SpectralVector:
         """Coefficients of u(0), i.e. C + D."""
         return SpectralVector(self.C + self.D, self.spectrum)
 
-    def norm_trajectories(self, time_points: int) -> NormTrajectories:
-        """||u||_H0, ||u||_H1 and ||du/dt||_H0 on `time_points` uniform times in [0, T].
+    def _norm_squares(self, time_points: int) -> np.ndarray:
+        """||u||_H0^2, ||u||_H1^2 and ||u'||_H0^2 on `time_points` uniform times in
+        [0, T]; shape (3, time_points).
 
-        The squares are the spectrum's `norm_squares` hook.
+        The first mode block of `_mode_blocks` as it is, the rest by one chirp
+        sum. |C e^{-ikt} + D e^{ikt}|^2 = |C|^2 + |D|^2 + 2 Re conj(C) D e^{2ikt},
+        and |y'|^2 is k^2 times the same with the last sign flipped. So over
+        modes k > H, with s_q = sum_k k^{2q} (|C_k|^2 + |D_k|^2) and W_q(t) the
+        chirp sum of w_k = k^{2q} conj(C_k) D_k at frequency 2k, the squares are
+        s_0 + 2 Re W_0, s_1 + 2 Re W_1 and s_1 - 2 Re W_1: O((N + time_points)
+        log) for all times. The first block (its H modes) is summed term by
+        term, so decaying data leave little to cancel. The rest errs by at most
+        about eps (s_q + 2 log2(length) sum_k |w_k|); every time where that
+        bound exceeds _NORM_REL of a square is summed again from all modes.
+        Falls back to summing every block (`_block_squares`) when a chirp phase
+        would reach EXACT_PHASE_LIMIT: at 1001 times, past T ~ 4e9 for
+        N = 1000 and T ~ 4e5 for N = 100000.
         """
-        u_h0, u_h1, dudt_h0 = np.sqrt(self.spectrum.norm_squares(self, time_points))
+        dt = _time_step(self.T, time_points)
+        n_modes = len(self)
+        if not _chirp_fits(dt, 2, n_modes + 1, time_points):
+            return _block_squares(self, self._mode_blocks(time_points), time_points)
+        head = next(self._mode_blocks(time_points))
+        squares = _block_squares(self, [head], time_points)
+        tail = slice(head[0].stop, None)
+        lam = self.eigenvalues[tail]
+        both = _abs2(self.C[tail]) + _abs2(self.D[tail])
+        diagonal = np.array([both.sum(), np.dot(lam, both)])
+        weights = np.zeros((2, n_modes + 1), dtype=complex)  # mode k at column k
+        weights[0, tail.start + 1:] = self.C[tail].conj() * self.D[tail]
+        weights[1, tail.start + 1:] = lam * weights[0, tail.start + 1:]
+        waves = 2.0 * _chirp_sums(weights, dt, 2, time_points).real
+        squares += np.stack([diagonal[0] + waves[0], diagonal[1] + waves[1], diagonal[1] - waves[1]])
+        log_length = (n_modes + time_points).bit_length()
+        bound = np.finfo(float).eps * (diagonal + 2 * log_length * np.abs(weights).sum(axis=1))
+        redo = np.flatnonzero((bound[[0, 1, 1], None] > _NORM_REL * squares).any(axis=0))
+        # theta_k = k, so the phases of the redone times are a table uniform in k
+        step = max(1, _BLOCK_ELEMENTS // n_modes)
+        for start in range(0, redo.size, step):
+            rows = redo[start:start + step]
+            ph = _uniform_phases(dt, rows, n_modes + 1)[:, 1:].T
+            block = (slice(None), self.C[:, None] * ph.conj(), self.D[:, None] * ph)
+            squares[:, rows] = _block_squares(self, [block], rows.size)
+        return squares
+
+    def norm_trajectories(self, time_points: int) -> NormTrajectories:
+        """||u||_H0, ||u||_H1 and ||du/dt||_H0 on `time_points` uniform times in [0, T]."""
+        u_h0, u_h1, dudt_h0 = np.sqrt(self._norm_squares(time_points))
         return NormTrajectories(np.linspace(0.0, self.T, time_points), u_h0, u_h1, dudt_h0)

@@ -3,6 +3,12 @@
 - `integrate(rule, f, a, b)`: a Gauss-Legendre rule applied to a callable, from
   the rule's own nodes and weights. Used by `test_quadrature`, `test_basis`,
   `test_phase`, `test_timeavg` and `test_cauchy`.
+- `eigenfunction_matrix(spectrum, n_modes, x)`: the dense mode x point basis
+  v_k(x_j), the reference for the FFT projection (`test_basis`) and for
+  `field` below.
+- `OneMode(theta)`: a one-mode spectrum with any frequency theta > 0, for the
+  Cauchy solve off the Dirichlet spectrum's integer frequencies. Used by
+  `test_cauchy`.
 - `resonance_numerator` and `denominator_via_f`: the closed form
   d_k = 2 f(theta_k) / (i (omega^2 - theta_k^2)), a cross-check of
   `phase.denominators` that never calls phi. Used by `test_phase` and
@@ -20,9 +26,11 @@
   `test_verification` and acceptance criterion 5.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from specwave.basis import SOBOLEV_ORDERS, eigenfunction_matrix
+from specwave.basis import SOBOLEV_ORDERS
 from specwave.quadrature import sample
 
 # denominator_via_f degenerates within this distance of theta = +/- omega
@@ -33,6 +41,22 @@ def integrate(rule, f, a: float, b: float):
     """int_a^b f by `rule`: its weights against f sampled on its nodes."""
     nodes, weights = rule.nodes_weights(a, b)
     return weights @ sample(f, nodes)
+
+
+def eigenfunction_matrix(spectrum, n_modes: int, x) -> np.ndarray:
+    """Matrix V with V[k-1, j] = v_k(x_j) for k = 1..n_modes."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.asarray(spectrum.eigenfunction(np.arange(1, n_modes + 1), x))
+
+
+@dataclass(frozen=True)
+class OneMode:
+    """A spectrum of one mode with frequency theta: all that `solve_cauchy` reads."""
+
+    theta: float
+
+    def frequency(self, k):
+        return np.full(np.shape(k), self.theta)
 
 
 def resonance_numerator(x, clock):

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import integrate
+from oracles import eigenfunction_matrix, integrate
 from specwave import (
     CauchyProblem,
+    DirichletLaplacian1D,
     GaussLegendre,
     SpectralVector,
-    TabulatedSpectrum,
-    eigenfunction_matrix,
     project,
 )
 from specwave.basis import projection_rule
-from specwave import config
+from specwave import cli, config
 from specwave.config import ExperimentConfig, resolve_data
 
 SQ2PI = math.sqrt(2.0 / math.pi)
@@ -48,19 +47,13 @@ class TestEigenData:
         with pytest.raises(IndexError):
             dirichlet.frequency(0)
 
-    def test_tabulated_exhaustion(self):
-        spectrum = TabulatedSpectrum(eigenvalues=(1.0, 4.0))
-        assert (spectrum.eigenvalue(2), spectrum.frequency(2)) == (4.0, 2.0)
-        with pytest.raises(IndexError, match="exhausted"):
-            spectrum.eigenvalue(3)
-        with pytest.raises(IndexError, match="exhausted"):
-            spectrum.frequency(3)
-
-    def test_tabulated_validation(self):
-        with pytest.raises(ValueError):
-            TabulatedSpectrum(eigenvalues=(4.0, 1.0))
-        with pytest.raises(ValueError):
-            TabulatedSpectrum(eigenvalues=(-1.0,))
+    def test_domain_is_fixed(self, dirichlet):
+        # v_k = sqrt(2/pi) sin(kx) is the basis on (0, pi) only: on another
+        # interval it would be neither orthonormal nor zero at the right end
+        with pytest.raises(TypeError):
+            DirichletLaplacian1D(domain=(0.0, 1.0))
+        assert dirichlet.domain == (0.0, math.pi)
+        assert cli.SPECTRUM == DirichletLaplacian1D() == dirichlet
 
 
 class TestDirichletBasis:
@@ -92,10 +85,6 @@ class TestDirichletBasis:
     def test_frequency_squares_to_eigenvalue(self, dirichlet):
         ks = np.arange(1, 50)
         assert np.array_equal(dirichlet.frequency(ks) ** 2, dirichlet.eigenvalue(ks))
-        tab = TabulatedSpectrum(eigenvalues=(0.7, 2.0, 13.5))
-        for k in (1, 2, 3):
-            lam, theta = tab.eigenvalue(k), tab.frequency(k)
-            assert theta**2 == pytest.approx(lam, rel=1e-15)
 
 
 class TestProject:
@@ -158,13 +147,6 @@ class TestProject:
         f = lambda x: parabola(x) + 1j * dirichlet.eigenfunction(2, x)
         vec = project(f, dirichlet, 6)
         expected = np.array([parabola_coefficient(k) for k in range(1, 7)]) + 1j * (np.arange(1, 7) == 2)
-        assert np.abs(vec.coefficients - expected).max() < 1e-12
-
-    def test_tabulated_spectrum_projects_by_dense_product(self):
-        funcs = tuple(lambda x, k=k: SQ2PI * np.sin(k * np.asarray(x)) for k in (1, 2, 3))
-        spectrum = TabulatedSpectrum((1.0, 4.0, 9.0), funcs, domain=(0.0, math.pi))
-        vec = project(parabola, spectrum, 3)
-        expected = [parabola_coefficient(k) for k in (1, 2, 3)]
         assert np.abs(vec.coefficients - expected).max() < 1e-12
 
     def test_eigenfunction_matrix_rows_are_the_modes(self, dirichlet):
@@ -246,8 +228,6 @@ class TestSobolevNorm:
         q=st.sampled_from([-1, 0, 1, 2]),
     )
     def test_norm_scaling(self, parts, scale, q):
-        from specwave import DirichletLaplacian1D
-
         spectrum = DirichletLaplacian1D()
         c = np.array([re + 1j * im for re, im in parts])
         s = complex(*scale)

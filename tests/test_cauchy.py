@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import field, integrate, mode_integrals, mode_values, weak_identity_residual
+from oracles import OneMode, field, integrate, mode_integrals, mode_values, weak_identity_residual
 from specwave import (
     CauchyProblem,
     SpectralVector,
-    TabulatedSpectrum,
     derivative_coefficients,
     solve_cauchy,
 )
@@ -25,8 +24,7 @@ def make_problem(dirichlet, alpha, beta, T=5.0):
 
 def solve_one_mode(alpha, beta, theta):
     """(C, D) of solve_cauchy on a one-mode spectrum with frequency theta."""
-    spectrum = TabulatedSpectrum((theta**2,))
-    sol = solve_cauchy(make_problem(spectrum, [alpha], [beta]))
+    sol = solve_cauchy(make_problem(OneMode(theta), [alpha], [beta]))
     return complex(sol.C[0]), complex(sol.D[0])
 
 
@@ -40,10 +38,6 @@ class TestSolveCauchyMode:
         C, D = solve_one_mode(0.0, 1.0, 2.0)
         assert D == pytest.approx(1.0 / 4j)
         assert C == pytest.approx(-1.0 / 4j)
-
-    def test_zero_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            solve_one_mode(1.0, 1.0, 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(

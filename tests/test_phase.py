@@ -12,7 +12,6 @@ from oracles import denominator_via_f, integrate, resonance_numerator
 from specwave import (
     GaussLegendre,
     ProblemClock,
-    TabulatedSpectrum,
     phi,
     z_diagnostic,
 )
@@ -252,14 +251,12 @@ class TestClassify:
 
     def test_phase_coincidence(self):
         # (theta - omega) T = 2 pi exactly
-        spectrum = TabulatedSpectrum(eigenvalues=(1.5**2,))
-        code = z_diagnostic(1, spectrum, ProblemClock(2 * math.pi, 0.5)).codes[0]
+        code = denominators(1.5, ProblemClock(2 * math.pi, 0.5)).codes[0]
         assert LABELS[code] == "phase-matched(phase=+omega)"
 
     def test_phase_coincidence_conjugate_branch(self):
         # (theta + omega) T = 2 pi exactly
-        spectrum = TabulatedSpectrum(eigenvalues=(0.75**2,))
-        code = z_diagnostic(1, spectrum, ProblemClock(2 * math.pi, 0.25)).codes[0]
+        code = denominators(0.75, ProblemClock(2 * math.pi, 0.25)).codes[0]
         assert LABELS[code] == "phase-matched(phase=-omega)"
 
     def test_generic_for_the_reference_clock(self, dirichlet):

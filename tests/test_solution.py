@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import field, mode_derivatives, mode_values, norm_trajectory
+from oracles import eigenfunction_matrix, field, mode_derivatives, mode_values, norm_trajectory
 from specwave import (
     CauchyProblem,
     GaussLegendre,
@@ -12,13 +12,11 @@ from specwave import (
     ProblemClock,
     SeriesSolution,
     SpectralVector,
-    Spectrum,
-    eigenfunction_matrix,
     project,
     solve_cauchy,
     solve_nonlocal,
 )
-from specwave.basis import _chirp_sums
+from specwave.solution import _block_field, _block_squares, _chirp_sums
 from specwave.verification import integral_condition_residual
 
 EPS = np.finfo(float).eps
@@ -129,8 +127,18 @@ class TestEvaluate:
         ks = np.arange(1, 301)
         sol = SeriesSolution(dirichlet, 5.0, rng.standard_normal(300) / ks, 1j * rng.standard_normal(300) / ks)
         folded = sol.field(23, 17)
-        blocks = Spectrum.field(dirichlet, sol, 23, 17)
+        blocks = _block_field(sol, 23, 17)
         assert np.abs(folded - blocks).max() <= 1e-14 * np.abs(blocks).max()
+
+    @pytest.mark.parametrize("time_points", [0, -1])
+    def test_no_time_points_rejected(self, dirichlet, time_points):
+        sol = single_cosine(dirichlet)
+        with pytest.raises(ValueError, match="time_points >= 1"):
+            sol.field(5, time_points)
+        with pytest.raises(ValueError, match="time_points >= 1"):
+            sol.norm_trajectories(time_points)
+        with pytest.raises(ValueError, match="nx >= 2"):
+            sol.field(1, 3)
 
     def test_field_memory_bounded_at_large_n(self, dirichlet, rng):
         # the dense N x 201 basis and mode values would take over 200 MiB here
@@ -250,6 +258,15 @@ class TestNormTrajectory:
         norms = sol.norm_trajectories(time_points)
         assert np.abs(norms.u_h0 - norm_trajectory(sol, 0, ts)).max() < 1e-14
         assert np.abs(norms.dudt_h0 - norm_trajectory(sol, 0, ts, derivative=True)).max() < 1e-14
+
+    def test_block_route_norms_match_the_chirp_one(self, dirichlet, rng):
+        # the route taken when a chirp phase would pass 2**42, here at a horizon
+        # where both run: the chirp sum covers modes 66..300 at 1001 times
+        ks = np.arange(1, 301)
+        sol = SeriesSolution(dirichlet, 5.0, rng.standard_normal(300) / ks, 1j * rng.standard_normal(300) / ks)
+        chirp = sol._norm_squares(1001)
+        blocks = _block_squares(sol, sol._mode_blocks(1001), 1001)
+        assert np.all(np.abs(chirp - blocks) <= 1e-14 * blocks)
 
     def test_grid_norms_vanish_where_a_cosine_does(self, dirichlet):
         # no cancellation floor: |cos t| is resolved to rounding near its zeros

@@ -15,7 +15,6 @@ from specwave import (
     coefficient_bound_check,
     phi,
     project,
-    TabulatedSpectrum,
     solve_nonlocal,
     stability_report,
     z_diagnostic,
@@ -94,8 +93,7 @@ class TestSolveNonlocalMode:
 
     def test_ill_conditioned_mode_reported_among_healthy_ones(self):
         # omega = 0, T = 2 pi: only theta = 1 has theta T on 2 pi Z
-        spectrum = TabulatedSpectrum((0.09, 1.0, 2.89))
-        theta = spectrum.frequency(np.arange(1, 4))
+        theta = np.array([0.3, 1.0, 1.7])
         clock = ProblemClock(2 * math.pi, 0.0)
         with pytest.raises(IllConditionedModeError) as err:
             _solve_modes(np.ones(3, complex), np.ones(3, complex), phase.denominators(theta, clock), clock.T)
