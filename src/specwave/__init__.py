@@ -3,7 +3,7 @@ time-average condition int_0^T exp(i*omega*t) u(t) dt = g in place of the
 Cauchy velocity datum, plus the small-denominator diagnostics that show why
 omega != 0 keeps the per-mode solves well conditioned."""
 
-from .basis import DirichletLaplacian1D, SpectralVector, project
+from .basis import SpectralVector, project
 from .cauchy import CauchyProblem, derivative_coefficients, solve_cauchy
 from .phase import (
     DenominatorReport,
@@ -29,7 +29,6 @@ __all__ = [
     "BoundCheck",
     "CauchyProblem",
     "DenominatorReport",
-    "DirichletLaplacian1D",
     "GaussLegendre",
     "IllConditionedModeError",
     "NonlocalProblem",

@@ -2,93 +2,52 @@
 coefficient-space Sobolev norms.
 
 Solutions are expanded over the orthonormal eigenfunctions v_k(x) =
-sqrt(2/pi) sin(kx) of the second derivative with zero boundary values,
-eigenvalues -k^2. It is the one spectrum specwave solves on: the FFT
-projection here and the chirp-z evaluation in `solution` both rest on its
-integer frequencies theta_k = k.
+sqrt(2/pi) sin(kx) of the second derivative on DOMAIN with zero boundary
+values, eigenvalues -k^2, so lambda_k = theta_k^2 with theta_k = k. It is the
+one operator specwave solves on: `frequencies` is the one place that states
+theta_k = k, and the FFT projection here and the chirp-z evaluation in
+`solution` both rest on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .quadrature import GaussLegendre, _reference_rule, sample
 
+DOMAIN = (0.0, math.pi)
+
 SOBOLEV_ORDERS = (-1, 0, 1, 2)
 
 
-def _as_modes(k):
-    """Validate a mode index (or array of indices); modes are 1-based."""
-    arr = np.asarray(k)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise IndexError(f"mode index must be an integer, got dtype {arr.dtype}")
-    if arr.size and int(arr.min()) < 1:
-        raise IndexError("mode indices start at 1")
-    return arr
+def frequencies(n_modes: int) -> np.ndarray:
+    """theta_k = k for the modes k = 1..n_modes; lambda_k = theta_k^2."""
+    return np.arange(1, n_modes + 1).astype(float)
 
 
-@dataclass(frozen=True)
-class DirichletLaplacian1D:
-    """Second derivative on (0, pi) with zero boundary values.
+def eigenfunction(k, x):
+    """v_k(x) = sqrt(2/pi) sin(kx) at points x; for a 1-d array of modes, one row per mode.
 
-    Mode k >= 1 has lambda_k = k^2, theta_k = k and v_k(x) = sqrt(2/pi) sin(kx);
-    the sqrt(2/pi) factor makes the eigenfunctions orthonormal in L2(0, pi).
-    Every method accepts an int or an integer array for k. The domain is fixed,
-    so all instances are equal.
+    k is an int or an integer array of 1-based modes; anything else raises
+    IndexError. The sqrt(2/pi) factor makes the eigenfunctions orthonormal in
+    L2(0, pi).
     """
-
-    domain: ClassVar[tuple[float, float]] = (0.0, math.pi)
-
-    def eigenvalue(self, k):
-        k = _as_modes(k)
-        return np.square(k.astype(float))[()]
-
-    def frequency(self, k):
-        return _as_modes(k).astype(float)[()]
-
-    def eigenfunction(self, k, x):
-        """v_k at points x; for a 1-d array of modes, one row per mode."""
-        k = _as_modes(k)
-        return math.sqrt(2.0 / math.pi) * np.sin(np.multiply.outer(k, np.asarray(x, dtype=float)))
-
-    def coefficients(self, weighted: np.ndarray, rule: GaussLegendre, n_modes: int) -> np.ndarray:
-        """sum_j v_k(x_j) weighted_j for k = 1..n_modes over `rule`'s nodes on the
-        domain, by one inverse FFT over the panels.
-
-        A node is x = m_0 + 2hp + h r_j (first panel midpoint m_0 = a + h,
-        half-width h = pi / (2P), reference node r_j), so with W[p, j] the
-        weighted samples of panel p,
-            sum_{p,j} W[p, j] e^{ikx} = e^{ik m_0} sum_j e^{ikh r_j} sum_p W[p, j] e^{2 pi i kp / 2P},
-        and the inner sum is row k mod 2P of an inverse FFT of length 2P down
-        the panels. The coefficient is sqrt(2/pi) times the imaginary part.
-        Reading row k mod 2P aliases exactly as the dense sum over the nodes
-        does on a rule with too few panels. Costs O(P log P + n_modes * order).
-        """
-        if np.iscomplexobj(weighted):
-            return (self.coefficients(weighted.real, rule, n_modes)
-                    + 1j * self.coefficients(weighted.imag, rule, n_modes))
-        a, b = self.domain
-        period = 2 * rule.panels
-        half = 0.5 * (b - a) / rule.panels
-        x, _ = _reference_rule(rule.order)
-        ks = np.arange(1, n_modes + 1)
-        panel_sums = np.fft.ifft(weighted.reshape(rule.panels, rule.order), n=period, axis=0)
-        rows = panel_sums[ks % period] * period
-        local = np.exp(1j * np.multiply.outer(ks, half * x))
-        sums = np.exp(1j * ks * (a + half)) * np.einsum("kj,kj->k", rows, local)
-        return math.sqrt(2.0 / math.pi) * sums.imag
+    k = np.asarray(k)
+    if not np.issubdtype(k.dtype, np.integer):
+        raise IndexError(f"mode index must be an integer, got dtype {k.dtype}")
+    if k.size and int(k.min()) < 1:
+        raise IndexError("mode indices start at 1")
+    return math.sqrt(2.0 / math.pi) * np.sin(np.multiply.outer(k, np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralVector:
-    """Finite complex coefficient vector against a spectrum's eigenbasis."""
+    """Finite complex coefficient vector against the eigenbasis, modes 1..len."""
 
     coefficients: np.ndarray
-    spectrum: DirichletLaplacian1D
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
@@ -101,26 +60,16 @@ class SpectralVector:
     def __len__(self) -> int:
         return self.coefficients.size
 
-    def eigenvalues(self) -> np.ndarray:
-        ks = np.arange(1, len(self) + 1)
-        return np.asarray(self.spectrum.eigenvalue(ks), dtype=float)
-
-    def frequencies(self) -> np.ndarray:
-        ks = np.arange(1, len(self) + 1)
-        return np.asarray(self.spectrum.frequency(ks), dtype=float)
-
     def sobolev_norm(self, q: int) -> float:
         """(sum_k lambda_k^q |c_k|^2)^(1/2) for q in {-1, 0, 1, 2}."""
         if q not in SOBOLEV_ORDERS:
             raise ValueError(f"unsupported Sobolev order q={q}; expected one of {SOBOLEV_ORDERS}")
-        lam = self.eigenvalues()
+        lam = frequencies(len(self)) ** 2
         return float(np.sqrt(np.sum(lam**q * np.abs(self.coefficients) ** 2)))
 
     def _check_compatible(self, other: "SpectralVector"):
-        if len(self) != len(other) or not (
-            self.spectrum is other.spectrum or self.spectrum == other.spectrum
-        ):
-            raise ValueError("spectral vectors must share spectrum and truncation order")
+        if len(self) != len(other):
+            raise ValueError("spectral vectors must share the truncation order")
 
 
 def projection_rule(n_modes: int, panels: int = 64) -> GaussLegendre:
@@ -133,14 +82,41 @@ def projection_rule(n_modes: int, panels: int = 64) -> GaussLegendre:
     return GaussLegendre(panels=max(panels, -(-5 * n_modes // 8)), order=8)
 
 
-def project(f, spectrum: DirichletLaplacian1D, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
-    """Coefficients (f, v_k) for k = 1..n_modes by quadrature over the domain.
+def _sine_sums(weighted: np.ndarray, rule: GaussLegendre, n_modes: int) -> np.ndarray:
+    """sum_j v_k(x_j) weighted_j for k = 1..n_modes over `rule`'s nodes on DOMAIN,
+    by one inverse FFT over the panels.
+
+    A node is x = m_0 + 2hp + h r_j (first panel midpoint m_0 = a + h,
+    half-width h = pi / (2P), reference node r_j), so with W[p, j] the
+    weighted samples of panel p,
+        sum_{p,j} W[p, j] e^{ikx} = e^{ik m_0} sum_j e^{ikh r_j} sum_p W[p, j] e^{2 pi i kp / 2P},
+    and the inner sum is row k mod 2P of an inverse FFT of length 2P down
+    the panels. The coefficient is sqrt(2/pi) times the imaginary part.
+    Reading row k mod 2P aliases exactly as the dense sum over the nodes
+    does on a rule with too few panels. Costs O(P log P + n_modes * order).
+    """
+    if np.iscomplexobj(weighted):
+        return _sine_sums(weighted.real, rule, n_modes) + 1j * _sine_sums(weighted.imag, rule, n_modes)
+    a, b = DOMAIN
+    period = 2 * rule.panels
+    half = 0.5 * (b - a) / rule.panels
+    x, _ = _reference_rule(rule.order)
+    ks = np.arange(1, n_modes + 1)
+    panel_sums = np.fft.ifft(weighted.reshape(rule.panels, rule.order), n=period, axis=0)
+    rows = panel_sums[ks % period] * period
+    local = np.exp(1j * np.multiply.outer(ks, half * x))
+    sums = np.exp(1j * ks * (a + half)) * np.einsum("kj,kj->k", rows, local)
+    return math.sqrt(2.0 / math.pi) * sums.imag
+
+
+def project(f, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
+    """Coefficients (f, v_k) for k = 1..n_modes by quadrature over DOMAIN.
 
     Without a rule, `projection_rule(n_modes)` sizes one to the modes. The sums
-    over the nodes are the spectrum's FFT `coefficients`.
+    over the nodes are `_sine_sums`, one FFT.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     rule = rule or projection_rule(n_modes)
-    nodes, weights = rule.nodes_weights(*spectrum.domain)
-    return SpectralVector(spectrum.coefficients(weights * sample(f, nodes), rule, n_modes), spectrum)
+    nodes, weights = rule.nodes_weights(*DOMAIN)
+    return SpectralVector(_sine_sums(weights * sample(f, nodes), rule, n_modes))

@@ -11,20 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import SpectralVector
+from .basis import SpectralVector, frequencies
 from .solution import SeriesSolution
 
 
 @dataclass(frozen=True, eq=False)
 class CauchyProblem:
-    """Wave-equation data (a, b) over a spectrum, solved on [0, T].
+    """Wave-equation data (a, b) in the eigenbasis, solved on [0, T].
 
     alpha holds the coefficients of the position datum a (H^1), beta those of
     the velocity datum b (H^0). Only the horizon matters here; no weight
     frequency is involved.
     """
 
-    spectrum: object
     T: float
     alpha: SpectralVector
     beta: SpectralVector
@@ -33,8 +32,6 @@ class CauchyProblem:
         if not (np.isfinite(self.T) and self.T > 0):
             raise ValueError("T must be positive")
         self.alpha._check_compatible(self.beta)
-        if not (self.spectrum is self.alpha.spectrum or self.spectrum == self.alpha.spectrum):
-            raise ValueError("data vectors must live on the problem spectrum")
 
 
 def solve_cauchy(problem: CauchyProblem) -> SeriesSolution:
@@ -44,15 +41,15 @@ def solve_cauchy(problem: CauchyProblem) -> SeriesSolution:
     D = (beta + i theta alpha) / (2 i theta), C = (-beta + i theta alpha) / (2 i theta);
     real (alpha, beta) give C = conj(D), i.e. a real oscillation.
     """
-    theta = problem.alpha.frequencies()
+    theta = frequencies(len(problem.alpha))
     a = problem.alpha.coefficients
     b = problem.beta.coefficients
     denom = 2j * theta
     D = (b + 1j * theta * a) / denom
     C = (-b + 1j * theta * a) / denom
-    return SeriesSolution(problem.spectrum, problem.T, C, D)
+    return SeriesSolution(problem.T, C, D)
 
 
 def derivative_coefficients(solution: SeriesSolution) -> SpectralVector:
     """Coefficient vector of du/dt(0): component k is i theta_k (D_k - C_k)."""
-    return SpectralVector(1j * solution.thetas * (solution.D - solution.C), solution.spectrum)
+    return SpectralVector(1j * solution.thetas * (solution.D - solution.C))

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, _csv, verification
-from .basis import DirichletLaplacian1D
+from .basis import DOMAIN
 from .cauchy import CauchyProblem, solve_cauchy
 from .config import ConfigError, ExperimentConfig, RunManifest, resolve_data
 from .phase import LABELS, ProblemClock, z_diagnostic
@@ -39,9 +39,6 @@ from .timeavg import (
 )
 
 ENV_OUT = "SPECWAVE_OUT"
-
-# the one spectrum the command line solves on
-SPECTRUM = DirichletLaplacian1D()
 
 # reference diagnostics: z(500) for the four (T, omega) cells, 2% tolerance
 REFERENCE_Z500 = (
@@ -89,7 +86,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
 
 
 def cmd_denominators(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    report = z_diagnostic(cfg.N, SPECTRUM, cfg.clock())
+    report = z_diagnostic(cfg.N, cfg.clock())
     d = report.values
     manifest.files.append(write_csv(
         out / "denominators.csv",
@@ -108,7 +105,7 @@ def cmd_denominators(cfg: ExperimentConfig, args, out: Path, manifest: RunManife
 
 def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, solution):
     """Field CSVs and norms.csv; returns the norm trajectories for the reports."""
-    xs = np.linspace(*solution.spectrum.domain, cfg.nx)
+    xs = np.linspace(*DOMAIN, cfg.nx)
     ts = np.linspace(0.0, cfg.T, cfg.nt)
     grid = solution.field(cfg.nx, cfg.nt)
     manifest.files.append(write_field_csv(out / "field_re.csv", xs, ts, grid.real))
@@ -124,12 +121,7 @@ def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, soluti
 
 def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     rule = cfg.build_rule()
-    problem = NonlocalProblem(
-        SPECTRUM,
-        cfg.clock(),
-        resolve_data(cfg.a, SPECTRUM, cfg.N, rule),
-        resolve_data(cfg.g, SPECTRUM, cfg.N, rule),
-    )
+    problem = NonlocalProblem(cfg.clock(), resolve_data(cfg.a, cfg.N, rule), resolve_data(cfg.g, cfg.N, rule))
     solution = solve_nonlocal(problem)
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
 
@@ -151,12 +143,7 @@ def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
 
 def cmd_cauchy(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     rule = cfg.build_rule()
-    problem = CauchyProblem(
-        SPECTRUM,
-        cfg.T,
-        resolve_data(cfg.a, SPECTRUM, cfg.N, rule),
-        resolve_data(cfg.b, SPECTRUM, cfg.N, rule),
-    )
+    problem = CauchyProblem(cfg.T, resolve_data(cfg.a, cfg.N, rule), resolve_data(cfg.b, cfg.N, rule))
     solution = solve_cauchy(problem)
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
 
@@ -178,16 +165,16 @@ def cmd_cauchy(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
 
 def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     rule = cfg.build_rule()
-    alpha = resolve_data(cfg.a, SPECTRUM, cfg.N, rule)
-    gamma = resolve_data(cfg.g, SPECTRUM, cfg.N, rule)
+    alpha = resolve_data(cfg.a, cfg.N, rule)
+    gamma = resolve_data(cfg.g, cfg.N, rule)
     rows = []
     for omega in cfg.omega:
         clock = ProblemClock(cfg.T, omega)
         if not clock.admissible:
-            z_n = z_diagnostic(cfg.N, SPECTRUM, clock).z
+            z_n = z_diagnostic(cfg.N, clock).z
             rows.append([omega, z_n, float("nan"), float("nan"), b"inadmissible"])
             continue
-        problem = NonlocalProblem(SPECTRUM, clock, alpha, gamma)
+        problem = NonlocalProblem(clock, alpha, gamma)
         z_n = problem.mode_denominators.z
         try:
             solution = solve_nonlocal(problem)
@@ -207,7 +194,7 @@ def cmd_paper_table(cfg: ExperimentConfig, args, out: Path, manifest: RunManifes
     t0 = time.perf_counter()
     print("     T   omega      measured      expected   rel.err  status")
     for T, omega, expected in REFERENCE_Z500:
-        measured = z_diagnostic(500, SPECTRUM, ProblemClock(T, omega)).z
+        measured = z_diagnostic(500, ProblemClock(T, omega)).z
         rel = abs(measured - expected) / expected
         ok = manifest.add_check(f"z500_T{T:g}_omega{omega:g}_rel", rel, REFERENCE_RTOL)
         print(
@@ -218,7 +205,7 @@ def cmd_paper_table(cfg: ExperimentConfig, args, out: Path, manifest: RunManifes
 
 
 def cmd_project(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    vec = resolve_data(args.f, SPECTRUM, cfg.N, cfg.build_rule())
+    vec = resolve_data(args.f, cfg.N, cfg.build_rule())
     c = vec.coefficients
     manifest.files.append(write_csv(
         out / "coefficients.csv",

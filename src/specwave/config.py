@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from numbers import Integral, Real
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import DirichletLaplacian1D, SpectralVector, project, projection_rule
+from .basis import DOMAIN, SpectralVector, eigenfunction, project, projection_rule
 from .phase import ProblemClock
 from .quadrature import GaussLegendre
 
@@ -23,9 +24,9 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
-def preset_function(name: str, spectrum: DirichletLaplacian1D):
-    """Named analytic data functions on the spectrum's spatial domain."""
-    a, b = spectrum.domain
+def preset_function(name: str):
+    """Named analytic data functions on DOMAIN."""
+    a, b = DOMAIN
     if name == "parabola":
         # (x - a)(b - x): smooth, vanishes at both ends, coefficients decay ~ k^-3
         return lambda x: (np.asarray(x, dtype=float) - a) * (b - np.asarray(x, dtype=float))
@@ -36,12 +37,11 @@ def preset_function(name: str, spectrum: DirichletLaplacian1D):
             raise ConfigError("data", f"bad eigenmode preset {name!r}") from None
         if j < 1:
             raise ConfigError("data", f"eigenmode preset {name!r}: modes start at 1")
-        return lambda x: spectrum.eigenfunction(j, x)
+        return lambda x: eigenfunction(j, x)
     raise ConfigError("data", f"unknown preset {name!r}; use zero, parabola, eigenmode:<k>, or coeffs:<list>")
 
 
-def resolve_data(spec_text: str, spectrum: DirichletLaplacian1D, n_modes: int,
-                 rule: GaussLegendre | None = None) -> SpectralVector:
+def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
     """Turn a data specification string into a coefficient vector.
 
     Either 'zero' (exact zeros, nothing to project), a preset name
@@ -49,7 +49,7 @@ def resolve_data(spec_text: str, spectrum: DirichletLaplacian1D, n_modes: int,
     'coeffs:1,0,0.5-0.5j' padded with zeros up to the truncation order.
     """
     if spec_text == "zero":
-        return SpectralVector(np.zeros(n_modes, dtype=complex), spectrum)
+        return SpectralVector(np.zeros(n_modes, dtype=complex))
     if spec_text.startswith("coeffs:"):
         body = spec_text[len("coeffs:"):].strip()
         try:
@@ -60,8 +60,8 @@ def resolve_data(spec_text: str, spectrum: DirichletLaplacian1D, n_modes: int,
             raise ConfigError("data", f"{len(given)} coefficients given but truncation is {n_modes}")
         coeffs = np.zeros(n_modes, dtype=complex)
         coeffs[: len(given)] = given
-        return SpectralVector(coeffs, spectrum)
-    return project(preset_function(spec_text, spectrum), spectrum, n_modes, rule)
+        return SpectralVector(coeffs)
+    return project(preset_function(spec_text), n_modes, rule)
 
 
 # a key's type is its default's; `out` is unset (None) by default, a string when given
@@ -116,8 +116,8 @@ class ExperimentConfig:
             raise ConfigError("N", "must be >= 1")
         if self.nx < 2 or self.nt < 2 or self.time_points < 2:
             raise ConfigError("grid", "nx, nt, and time_points must be >= 2")
-        if not self.tol > 0:
-            raise ConfigError("tol", "must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError("tol", "must be positive and finite")
         if self.quad_panels < 1:
             raise ConfigError("quad_panels", "must be >= 1")
         listed, cfg = isinstance(self.omega, tuple), self

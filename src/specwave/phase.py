@@ -19,6 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .basis import frequencies
+
 TWO_PI = 2.0 * math.pi
 
 # 2*pi as four 13-bit pieces and a full-precision tail (2*pi - sum is 6e-33):
@@ -168,10 +170,13 @@ LABELS = (
 def _classify_codes(theta, clock: ProblemClock, tol: float) -> np.ndarray:
     """Index into LABELS of each theta: the first of its bands that holds.
 
-    Resonant: theta = +/-omega within tol. Phase-matched: exp(i*theta*T)
-    equals exp(+/-i*omega*T) within tol (phase distance). Everything else is
-    generic. The bands exist only to absorb floating point; near-misses
-    outside them are handled stably by phi.
+    Resonant: theta = +/-omega within tol. Phase-matched: the phase distance
+    of (theta -/+ omega) T is at most tol * T, a band of half-width tol in
+    frequency, not in phase. It widens with T and covers the whole circle once
+    tol * T >= pi (T >= 3.1e9 at CLASSIFY_TOL): at omega = 0.3 and N = 2000,
+    128 modes are phase-matched at T = 1e8 and all of them at T = 1e10.
+    Everything else is generic. The bands exist only to absorb floating
+    point; near-misses outside them are handled stably by phi.
     """
     gaps = (theta - clock.omega, theta + clock.omega)
     bands = [np.abs(g) <= tol for g in gaps] + [phase_distance(g * clock.T) <= tol * clock.T for g in gaps]
@@ -222,8 +227,8 @@ def denominators(theta, clock: ProblemClock) -> DenominatorReport:
     return DenominatorReport(theta, d, np.abs(d) * (1.0 + theta), phi_minus, clock)
 
 
-def z_diagnostic(m: int, spectrum, clock: ProblemClock) -> DenominatorReport:
-    """Evaluate d_k for k = 1..m and aggregate the separation diagnostic z(m)."""
+def z_diagnostic(m: int, clock: ProblemClock) -> DenominatorReport:
+    """Evaluate d_k for the modes k = 1..m and aggregate the separation diagnostic z(m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return denominators(spectrum.frequency(np.arange(1, m + 1)), clock)
+    return denominators(frequencies(m), clock)

@@ -1,7 +1,7 @@
 """Truncated eigenfunction-expansion solutions u(t) = sum_k y_k(t) v_k, and their evaluation.
 
-On the Dirichlet Laplacian theta_k = k, so the field and norms on uniform times
-are chirp-z sums (`_chirp_sums`); where a chirp phase would reach
+The frequencies are theta_k = k (`basis.frequencies`), so the field and norms
+on uniform times are chirp-z sums (`_chirp_sums`); where a chirp phase would reach
 EXACT_PHASE_LIMIT they sum the mode blocks instead (`_block_field`, `_block_squares`).
 """
 
@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import DirichletLaplacian1D, SpectralVector
+from .basis import DOMAIN, SpectralVector, eigenfunction, frequencies
 from .phase import EXACT_PHASE_LIMIT, _exact_phase, _time_step, _uniform_phases
 
 # complex phases a blocked evaluation holds at once: 2**16 x 16 B = 1 MiB
@@ -75,11 +75,11 @@ def _chirp_sums(weights: np.ndarray, dt: float, factor: int, count: int) -> np.n
 def _block_field(solution, nx: int, time_points: int) -> np.ndarray:
     """`SeriesSolution.field` in O(N nx time_points) over `solution._mode_blocks`: the
     real eigenfunctions multiply y_k as (re, im) columns, half a complex product's flops."""
-    xs = np.linspace(*solution.spectrum.domain, nx)
+    xs = np.linspace(*DOMAIN, nx)
     ks = np.arange(1, len(solution) + 1)
     grid = np.zeros((nx, 2 * time_points))
     for modes, back, ahead in solution._mode_blocks(time_points):
-        grid += np.asarray(solution.spectrum.eigenfunction(ks[modes], xs)).T @ (back + ahead).view(float)
+        grid += eigenfunction(ks[modes], xs).T @ (back + ahead).view(float)
     return grid.view(complex)
 
 
@@ -103,7 +103,6 @@ class SeriesSolution:
     `verification.mode_energy_drift`, read `_mode_blocks`.
     """
 
-    spectrum: DirichletLaplacian1D
     T: float
     C: np.ndarray
     D: np.ndarray
@@ -123,8 +122,7 @@ class SeriesSolution:
 
     @cached_property
     def thetas(self) -> np.ndarray:
-        ks = np.arange(1, len(self) + 1)
-        return np.asarray(self.spectrum.frequency(ks), dtype=float)
+        return frequencies(len(self))
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -138,7 +136,7 @@ class SeriesSolution:
         the block's modes. The phases come factored from
         `phase._uniform_phases`: about 2 N sqrt(time_points) exact phases and one
         complex product per entry of the N x time_points table, each within
-        about an ulp of pi of theta_k t_j when theta_k is an integer. A block
+        about an ulp of pi of theta_k t_j. A block
         holds about _BLOCK_ELEMENTS entries, so no N x time_points buffer is ever
         held; y_k = back + ahead and y_k' = i theta_k (ahead - back).
         """
@@ -187,20 +185,20 @@ class SeriesSolution:
         folded = np.multiply(turn, back, out=np.empty((residues, time_points), dtype=complex))
         np.conjugate(folded, out=folded)
         folded += np.multiply(turn, ahead, out=ahead)
-        spectrum = np.fft.rfft(folded.view(float), n=period, axis=0)[:-1]
+        transform = np.fft.rfft(folded.view(float), n=period, axis=0)[:-1]
         grid = np.empty((nx, time_points), dtype=complex)
         rows = grid[:-1].view(float)
         # 0 - Im, not -Im: the x = 0 row stays +0, as a sum of sin(0) y_k is
-        np.subtract(0.0, spectrum.imag, out=rows)
+        np.subtract(0.0, transform.imag, out=rows)
         rows *= math.sqrt(2.0 / math.pi)
-        weights[:, 1:n_modes + 1] *= np.sin(np.arange(1, n_modes + 1) * self.spectrum.domain[1])
+        weights[:, 1:n_modes + 1] *= np.sin(self.thetas * DOMAIN[1])
         back, ahead = _chirp_sums(weights[:, :n_modes + 1], dt, 1, time_points)
         grid[-1] = math.sqrt(2.0 / math.pi) * (np.conj(back) + ahead)
         return grid
 
     def initial_coefficients(self) -> SpectralVector:
         """Coefficients of u(0), i.e. C + D."""
-        return SpectralVector(self.C + self.D, self.spectrum)
+        return SpectralVector(self.C + self.D)
 
     def _norm_squares(self, time_points: int) -> np.ndarray:
         """||u||_H0^2, ||u||_H1^2 and ||u'||_H0^2 on `time_points` uniform times in

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import SpectralVector
+from .basis import SpectralVector, frequencies
 from .phase import LABELS, DenominatorReport, ProblemClock, denominators
 from .solution import NormTrajectories, SeriesSolution
 
@@ -56,7 +56,6 @@ class NonlocalProblem:
     only through convergence in N, not as a hard precondition.
     """
 
-    spectrum: object
     clock: ProblemClock
     alpha: SpectralVector
     gamma: SpectralVector
@@ -69,13 +68,11 @@ class NonlocalProblem:
                 "uniquely solvable there (omega = 0 is allowed only for diagnostics)"
             )
         self.alpha._check_compatible(self.gamma)
-        if not (self.spectrum is self.alpha.spectrum or self.spectrum == self.alpha.spectrum):
-            raise ValueError("data vectors must live on the problem spectrum")
 
     @cached_property
     def mode_denominators(self) -> DenominatorReport:
         """`denominators` of every mode, computed once for the solve and the coefficient bound."""
-        return denominators(self.alpha.frequencies(), self.clock)
+        return denominators(frequencies(len(self.alpha)), self.clock)
 
 
 def _solve_modes(alpha, gamma, dens: DenominatorReport, T: float):
@@ -106,7 +103,7 @@ def solve_nonlocal(problem: NonlocalProblem) -> SeriesSolution:
     """
     dens = problem.mode_denominators
     C, D = _solve_modes(problem.alpha.coefficients, problem.gamma.coefficients, dens, problem.clock.T)
-    return SeriesSolution(problem.spectrum, problem.clock.T, C, D)
+    return SeriesSolution(problem.clock.T, C, D)
 
 
 @dataclass(frozen=True, eq=False)

@@ -86,7 +86,7 @@ def roundtrip_check(problem: NonlocalProblem, solution: SeriesSolution) -> Round
     """Extract b = du/dt(0), re-solve as a Cauchy problem, compare in coefficients
     and on a 20 x 20 space-time field grid."""
     b = derivative_coefficients(solution)
-    redone = solve_cauchy(CauchyProblem(problem.spectrum, problem.clock.T, problem.alpha, b))
+    redone = solve_cauchy(CauchyProblem(problem.clock.T, problem.alpha, b))
     scale = max(np.abs(solution.C).max(), np.abs(solution.D).max(), 1e-300)
     coeff = max(
         np.abs(redone.C - solution.C).max(), np.abs(redone.D - solution.D).max()

@@ -1,13 +1,6 @@
 import numpy as np
 import pytest
 
-from specwave import DirichletLaplacian1D
-
-
-@pytest.fixture(scope="session")
-def dirichlet():
-    return DirichletLaplacian1D()
-
 
 @pytest.fixture()
 def rng():

@@ -3,14 +3,11 @@
 - `integrate(rule, f, a, b)`: a Gauss-Legendre rule applied to a callable, from
   the rule's own nodes and weights. Used by `test_quadrature`, `test_basis`,
   `test_phase`, `test_timeavg` and `test_cauchy`.
-- `eigenfunction_matrix(spectrum, n_modes, x)`: the dense mode x point basis
+- `eigenfunction_matrix(n_modes, x)`: the dense mode x point basis
   v_k(x_j), the reference for the FFT projection (`test_basis`) and for
   `field` below.
-- `OneMode(theta)`: a one-mode spectrum with any frequency theta > 0, for the
-  Cauchy solve off the Dirichlet spectrum's integer frequencies. Used by
-  `test_cauchy`.
 - `resonance_numerator` and `denominator_via_f`: the closed form
-  d_k = 2 f(theta_k) / (i (omega^2 - theta_k^2)), a cross-check of
+  d_k = 2 f(k) / (i (omega^2 - k^2)) at theta_k = k, a cross-check of
   `phase.denominators` that never calls phi. Used by `test_phase` and
   acceptance criterion 8.
 - `mode_values(solution, t)`, `mode_derivatives(solution, t)` and
@@ -26,11 +23,9 @@
   `test_verification` and acceptance criterion 5.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from specwave.basis import SOBOLEV_ORDERS
+from specwave.basis import SOBOLEV_ORDERS, eigenfunction
 from specwave.quadrature import sample
 
 # denominator_via_f degenerates within this distance of theta = +/- omega
@@ -43,20 +38,9 @@ def integrate(rule, f, a: float, b: float):
     return weights @ sample(f, nodes)
 
 
-def eigenfunction_matrix(spectrum, n_modes: int, x) -> np.ndarray:
+def eigenfunction_matrix(n_modes: int, x) -> np.ndarray:
     """Matrix V with V[k-1, j] = v_k(x_j) for k = 1..n_modes."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.asarray(spectrum.eigenfunction(np.arange(1, n_modes + 1), x))
-
-
-@dataclass(frozen=True)
-class OneMode:
-    """A spectrum of one mode with frequency theta: all that `solve_cauchy` reads."""
-
-    theta: float
-
-    def frequency(self, k):
-        return np.full(np.shape(k), self.theta)
+    return eigenfunction(np.arange(1, n_modes + 1), np.atleast_1d(np.asarray(x, dtype=float)))
 
 
 def resonance_numerator(x, clock):
@@ -70,13 +54,14 @@ def resonance_numerator(x, clock):
     return w * (1j * clock.omega * np.sin(x * clock.T) - x * np.cos(x * clock.T)) + x
 
 
-def denominator_via_f(k, spectrum, clock):
-    """Closed form d_k = 2 f(theta_k) / (i (omega^2 - theta_k^2)) for generic modes.
+def denominator_via_f(k, clock):
+    """Closed form d_k = 2 f(theta_k) / (i (omega^2 - theta_k^2)) for generic modes k,
+    theta_k = k.
 
     Refuses within F_FORM_MIN_GAP of the resonance points theta_k = +/- omega,
     where the division degenerates.
     """
-    theta = np.asarray(spectrum.frequency(k), dtype=float)
+    theta = np.asarray(k, dtype=float)
     gap = np.minimum(np.abs(theta - clock.omega), np.abs(theta + clock.omega))
     if np.any(gap <= F_FORM_MIN_GAP):
         raise ValueError(
@@ -111,7 +96,7 @@ def mode_derivatives(solution, t) -> np.ndarray:
 
 def field(solution, xs, ts) -> np.ndarray:
     """u sampled on a space-time grid; shape (len(xs), len(ts))."""
-    basis = eigenfunction_matrix(solution.spectrum, len(solution), xs)
+    basis = eigenfunction_matrix(len(solution), xs)
     return basis.T @ mode_values(solution, ts)
 
 

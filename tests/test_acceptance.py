@@ -2,6 +2,7 @@
 one pass/fail line (visible with `pytest -s tests/test_acceptance.py`)."""
 
 import json
+import math
 import time
 from contextlib import contextmanager
 from functools import partial
@@ -11,7 +12,6 @@ import pytest
 
 from oracles import denominator_via_f, mode_values, weak_identity_residual
 from specwave import (
-    DirichletLaplacian1D,
     GaussLegendre,
     NonlocalProblem,
     ProblemClock,
@@ -39,12 +39,7 @@ def criterion(n: int, label: str):
 
 
 @pytest.fixture(scope="session")
-def spectrum():
-    return DirichletLaplacian1D()
-
-
-@pytest.fixture(scope="session")
-def random_instances(spectrum):
+def random_instances():
     """20 random admissible problems: N=100, omega in [0.01, 1], T in [1, 10]."""
     rng = np.random.default_rng(414213562)
     instances = []
@@ -54,9 +49,9 @@ def random_instances(spectrum):
         if phase_distance(2 * omega * T) <= 1e-3:
             continue  # inadmissible or too close for comfort
         clock = ProblemClock(T, omega)
-        alpha = SpectralVector(rng.standard_normal(100) + 1j * rng.standard_normal(100), spectrum)
-        gamma = SpectralVector(rng.standard_normal(100) + 1j * rng.standard_normal(100), spectrum)
-        problem = NonlocalProblem(spectrum, clock, alpha, gamma)
+        alpha = SpectralVector(rng.standard_normal(100) + 1j * rng.standard_normal(100))
+        gamma = SpectralVector(rng.standard_normal(100) + 1j * rng.standard_normal(100))
+        problem = NonlocalProblem(clock, alpha, gamma)
         instances.append((problem, solve_nonlocal(problem)))
     return instances
 
@@ -74,13 +69,13 @@ def test_criterion_1_reference_table(tmp_path, capsys):
         assert elapsed < 1.0
 
 
-def test_criterion_2_small_divisor_contrast(spectrum):
+def test_criterion_2_small_divisor_contrast():
     with criterion(2, "omega=0 collapses z by >= 4 decades, omega=0.01 by < 1"):
         T = 5.0
-        z10_bare = z_diagnostic(10, spectrum, ProblemClock(T, 0.0)).z
-        z500_bare = z_diagnostic(500, spectrum, ProblemClock(T, 0.0)).z
-        z10_weighted = z_diagnostic(10, spectrum, ProblemClock(T, 0.01)).z
-        z500_weighted = z_diagnostic(500, spectrum, ProblemClock(T, 0.01)).z
+        z10_bare = z_diagnostic(10, ProblemClock(T, 0.0)).z
+        z500_bare = z_diagnostic(500, ProblemClock(T, 0.0)).z
+        z10_weighted = z_diagnostic(10, ProblemClock(T, 0.01)).z
+        z500_weighted = z_diagnostic(500, ProblemClock(T, 0.01)).z
         assert z10_bare / z500_bare >= 1e4
         assert z10_weighted / z500_weighted < 10.0
 
@@ -104,15 +99,15 @@ def test_criterion_4_condition_residuals(random_instances):
             assert ver.initial_condition_relative(problem, solution) <= 1e-14
 
 
-def test_criterion_5_mode_correctness(spectrum):
+def test_criterion_5_mode_correctness():
     with criterion(5, "mode ODE by finite differences, energy drift, weak identity"):
         rng = np.random.default_rng(7)
         clock = ProblemClock(5.0, 0.05)
         # finite differences at h = 1e-4 resolve frequencies up to theta ~ 30
         n = 25
-        alpha = SpectralVector(rng.standard_normal(n) + 1j * rng.standard_normal(n), spectrum)
-        gamma = SpectralVector(rng.standard_normal(n) + 1j * rng.standard_normal(n), spectrum)
-        solution = solve_nonlocal(NonlocalProblem(spectrum, clock, alpha, gamma))
+        alpha = SpectralVector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        gamma = SpectralVector(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        solution = solve_nonlocal(NonlocalProblem(clock, alpha, gamma))
         h = 1e-4
         ts = rng.uniform(h, clock.T - h, size=100)
         y = partial(mode_values, solution)
@@ -135,7 +130,7 @@ def test_criterion_6_coefficient_bound(random_instances):
             assert check.all_ok
 
 
-def test_criterion_7_stability_flat_in_truncation(spectrum):
+def test_criterion_7_stability_flat_in_truncation():
     with criterion(7, "c_obs varies < 2x over N in {50, 100, 200, 400}"):
         import math
 
@@ -143,15 +138,15 @@ def test_criterion_7_stability_flat_in_truncation(spectrum):
         data = lambda x: x * (math.pi - x)
         ratios = []
         for n in (50, 100, 200, 400):
-            a = project(data, spectrum, n)
-            g = project(data, spectrum, n)
-            problem = NonlocalProblem(spectrum, clock, a, g)
+            a = project(data, n)
+            g = project(data, n)
+            problem = NonlocalProblem(clock, a, g)
             solution = solve_nonlocal(problem)
             ratios.append(stability_report(problem, solution, solution.norm_trajectories(1001)).c_obs)
         assert max(ratios) < 2.0 * min(ratios)
 
 
-def test_criterion_8_stable_phase_integral(spectrum):
+def test_criterion_8_stable_phase_integral():
     with criterion(8, "phi vs 1e5-node quadrature 1e-9; closed forms agree 1e-9"):
         rng = np.random.default_rng(27182818)
         rule = GaussLegendre(panels=12500, order=8)  # 1e5 nodes
@@ -167,15 +162,15 @@ def test_criterion_8_stable_phase_integral(spectrum):
             if phase_distance(2 * omega * T) <= 1e-3:
                 continue
             clock = ProblemClock(T, omega)
-            report = z_diagnostic(500, spectrum, clock)
+            report = z_diagnostic(500, clock)
             t = report.thetas
             generic = (
                 np.array([LABELS[c] == "generic" for c in report.codes])
                 & (np.minimum(abs(t - omega), abs(t + omega)) > 1e-3)
             )
             ks = np.flatnonzero(generic) + 1
-            d = denominators(spectrum.frequency(ks), clock).values
-            dv = denominator_via_f(ks, spectrum, clock)
+            d = denominators(t[ks - 1], clock).values
+            dv = denominator_via_f(ks, clock)
             assert np.all(np.abs(dv - d) <= 1e-9 * np.abs(d))
 
 
@@ -192,3 +187,20 @@ def test_criterion_9_c_obs_independent_of_truncation(tmp_path):
             limit = c_obs[10000][omega]
             assert abs(c_obs[100][omega] - limit) <= 5e-3 * limit
             assert abs(c_obs[1000][omega] - limit) <= 1e-3 * limit
+
+
+def test_criterion_10_uniqueness_margin():
+    with criterion(10, "z(1e5) within (0, 2e-5] above 2|sin wT|; at T = 5, w = 0.62 mode 27 sets z"):
+        # for large theta, |d_k| theta_k -> 2 |e^{i w T} cos(theta_k T) - 1|, whose
+        # infimum over cos(theta_k T) in [-1, 1] is 2 |sin wT| (at cos = cos wT):
+        # the separation the uniqueness of the averaged problem rests on
+        for T, omega in ((5.0, 0.3), (5.0, 0.01), (10.0, 0.01), (7.3, 0.137)):
+            margin = 2.0 * abs(math.sin(omega * T))
+            gap = (z_diagnostic(10**5, ProblemClock(T, omega)).z - margin) / margin
+            assert 0.0 < gap <= 2e-5
+        # a low mode dips below the asymptotic margin, so z stops at k = 27
+        clock = ProblemClock(5.0, 0.62)
+        far, near = z_diagnostic(10**5, clock), z_diagnostic(10**3, clock)
+        assert far.z == near.z and far.argmin_mode == 27
+        assert far.z == pytest.approx(0.082319, abs=1e-6)
+        assert far.z < 2.0 * abs(math.sin(0.62 * 5.0))

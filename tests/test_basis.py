@@ -9,13 +9,16 @@ from hypothesis import strategies as st
 from oracles import eigenfunction_matrix, integrate
 from specwave import (
     CauchyProblem,
-    DirichletLaplacian1D,
     GaussLegendre,
+    NonlocalProblem,
+    ProblemClock,
+    SeriesSolution,
     SpectralVector,
     project,
+    z_diagnostic,
 )
-from specwave.basis import projection_rule
-from specwave import cli, config
+from specwave.basis import DOMAIN, eigenfunction, frequencies, projection_rule
+from specwave import config
 from specwave.config import ExperimentConfig, resolve_data
 
 SQ2PI = math.sqrt(2.0 / math.pi)
@@ -32,93 +35,103 @@ def parabola_coefficient(k: int) -> float:
 
 
 class TestEigenData:
-    def test_third_mode(self, dirichlet):
-        assert (dirichlet.eigenvalue(3), dirichlet.frequency(3)) == (9.0, 3.0)
+    # theta_k = k and lambda_k = theta_k^2: a unit mode k has H^2 norm k^2
+    def test_third_mode(self):
+        assert (frequencies(3)[-1], SpectralVector([0, 0, 1]).sobolev_norm(2)) == (3.0, 9.0)
 
-    def test_first_mode(self, dirichlet):
-        assert (dirichlet.eigenvalue(1), dirichlet.frequency(1)) == (1.0, 1.0)
+    def test_first_mode(self):
+        assert (frequencies(1)[-1], SpectralVector([1]).sobolev_norm(2)) == (1.0, 1.0)
 
-    def test_large_mode(self, dirichlet):
-        assert (dirichlet.eigenvalue(500), dirichlet.frequency(500)) == (250000.0, 500.0)
+    def test_large_mode(self):
+        assert (frequencies(500)[-1], SpectralVector(np.arange(500) == 499).sobolev_norm(2)) == (500.0, 250000.0)
 
-    def test_zero_index_rejected(self, dirichlet):
+    def test_zero_index_rejected(self):
         with pytest.raises(IndexError):
-            dirichlet.eigenvalue(0)
+            eigenfunction(0, 1.0)
         with pytest.raises(IndexError):
-            dirichlet.frequency(0)
+            eigenfunction(np.arange(0, 3), 1.0)
+        with pytest.raises(IndexError):
+            eigenfunction(1.0, 1.0)
 
-    def test_domain_is_fixed(self, dirichlet):
+    def test_domain_is_fixed(self):
         # v_k = sqrt(2/pi) sin(kx) is the basis on (0, pi) only: on another
         # interval it would be neither orthonormal nor zero at the right end
-        with pytest.raises(TypeError):
-            DirichletLaplacian1D(domain=(0.0, 1.0))
-        assert dirichlet.domain == (0.0, math.pi)
-        assert cli.SPECTRUM == DirichletLaplacian1D() == dirichlet
+        assert DOMAIN == (0.0, math.pi)
+
+    def test_every_theta_is_the_basis_frequencies(self):
+        # one source of theta_k: the solution, the solve's denominators and z(m)
+        theta = frequencies(40)
+        assert theta.dtype == float and np.array_equal(theta, np.arange(1, 41))
+        data = SpectralVector(np.ones(40))
+        clock = ProblemClock(5.0, 0.3)
+        assert np.array_equal(NonlocalProblem(clock, data, data).mode_denominators.thetas, theta)
+        assert np.array_equal(z_diagnostic(40, clock).thetas, theta)
+        assert np.array_equal(SeriesSolution(5.0, np.ones(40), np.ones(40)).thetas, theta)
 
 
 class TestDirichletBasis:
-    def test_boundary_values_vanish(self, dirichlet):
+    def test_boundary_values_vanish(self):
         for k in (1, 2, 7):
-            assert dirichlet.eigenfunction(k, 0.0) == pytest.approx(0.0, abs=1e-12)
-            assert abs(dirichlet.eigenfunction(k, math.pi)) < 1e-12
+            assert eigenfunction(k, 0.0) == pytest.approx(0.0, abs=1e-12)
+            assert abs(eigenfunction(k, math.pi)) < 1e-12
 
-    def test_unit_normalization(self, dirichlet):
+    def test_unit_normalization(self):
         rule = GaussLegendre(panels=256, order=8)
         for k in (1, 3, 10):
-            nsq = integrate(rule, lambda x, k=k: dirichlet.eigenfunction(k, x) ** 2, 0.0, math.pi)
+            nsq = integrate(rule, lambda x, k=k: eigenfunction(k, x) ** 2, 0.0, math.pi)
             assert nsq == pytest.approx(1.0, abs=1e-12)
 
-    def test_gram_matrix_is_identity(self, dirichlet):
+    def test_gram_matrix_is_identity(self):
         # 2048-point quadrature of the 10x10 Gram matrix
         rule = GaussLegendre(panels=256, order=8)
         nodes, weights = rule.nodes_weights(0.0, math.pi)
-        basis = eigenfunction_matrix(dirichlet, 10, nodes)
+        basis = eigenfunction_matrix(10, nodes)
         gram = (basis * weights) @ basis.T
         assert np.abs(gram - np.eye(10)).max() < 1e-10
 
-    def test_eigenvalues_increase_unboundedly(self, dirichlet):
-        ks = np.arange(1, 200)
-        lam = dirichlet.eigenvalue(ks)
+    def test_eigenvalues_increase_unboundedly(self):
+        lam = SeriesSolution(1.0, np.ones(199), np.ones(199)).eigenvalues
         assert np.all(np.diff(lam) >= 0)
         assert lam[-1] > lam[0]
 
-    def test_frequency_squares_to_eigenvalue(self, dirichlet):
-        ks = np.arange(1, 50)
-        assert np.array_equal(dirichlet.frequency(ks) ** 2, dirichlet.eigenvalue(ks))
+    def test_frequency_squares_to_eigenvalue(self):
+        sol = SeriesSolution(1.0, np.ones(49), np.ones(49))
+        assert np.array_equal(sol.thetas**2, sol.eigenvalues)
+        assert np.array_equal(sol.eigenvalues, np.arange(1, 50) ** 2)
 
 
 class TestProject:
-    def test_single_eigenfunction(self, dirichlet):
-        vec = project(lambda x: dirichlet.eigenfunction(1, x), dirichlet, 3)
+    def test_single_eigenfunction(self):
+        vec = project(lambda x: eigenfunction(1, x), 3)
         assert vec.coefficients[0] == pytest.approx(1.0, abs=1e-12)
         assert np.abs(vec.coefficients[1:]).max() < 1e-12
 
-    def test_zero_function(self, dirichlet):
-        vec = project(lambda x: np.zeros_like(x), dirichlet, 4)
+    def test_zero_function(self):
+        vec = project(lambda x: np.zeros_like(x), 4)
         assert np.all(vec.coefficients == 0)
 
-    def test_parabola_matches_closed_form(self, dirichlet):
+    def test_parabola_matches_closed_form(self):
         expected = np.array([parabola_coefficient(k) for k in range(1, 6)])
-        vec = project(parabola, dirichlet, 5)
+        vec = project(parabola, 5)
         assert np.abs(vec.coefficients - expected).max() < 1e-12
         # the closed form is quadrature-independent: a much finer rule agrees
-        fine = project(parabola, dirichlet, 5, GaussLegendre(panels=256, order=12))
+        fine = project(parabola, 5, GaussLegendre(panels=256, order=12))
         assert np.abs(fine.coefficients - expected).max() < 1e-12
 
-    def test_default_rule_resolves_high_modes(self, dirichlet):
+    def test_default_rule_resolves_high_modes(self):
         # a fixed 64-panel rule aliases sin(kx) above k ~ 170 and errs by up to 2.3 here
         n = 1000
         expected = np.array([parabola_coefficient(k) for k in range(1, n + 1)])
-        from_config = resolve_data("parabola", dirichlet, n, ExperimentConfig(N=n).build_rule())
+        from_config = resolve_data("parabola", n, ExperimentConfig(N=n).build_rule())
         assert np.abs(from_config.coefficients - expected).max() <= 1e-9
-        assert np.abs(project(parabola, dirichlet, n).coefficients - expected).max() <= 1e-9
+        assert np.abs(project(parabola, n).coefficients - expected).max() <= 1e-9
 
-    def test_zero_preset_is_exact_zeros_without_projection(self, dirichlet, monkeypatch):
+    def test_zero_preset_is_exact_zeros_without_projection(self, monkeypatch):
         def no_projection(*args, **kwargs):
             raise AssertionError("the zero preset needs no projection")
 
         monkeypatch.setattr(config, "project", no_projection)
-        vec = resolve_data("zero", dirichlet, 3000, projection_rule(3000))
+        vec = resolve_data("zero", 3000, projection_rule(3000))
         assert vec.coefficients.dtype == complex
         assert np.array_equal(vec.coefficients, np.zeros(3000, dtype=complex))
         assert not np.signbit(vec.coefficients.view(float)).any()
@@ -129,37 +142,37 @@ class TestProject:
         assert ExperimentConfig(N=1000, quad_panels=900).build_rule().panels == 900
 
     @pytest.mark.parametrize("n_modes,panels", [(100, None), (1000, None), (3000, None), (1000, 64)])
-    def test_fft_projection_matches_dense_product(self, dirichlet, n_modes, panels):
+    def test_fft_projection_matches_dense_product(self, n_modes, panels):
         # 64 panels do not resolve the modes above about 170 (the parabola's
         # coefficients come out wrong by up to 2.3), and there the FFT must alias
         # exactly as the dense product does: modes k and k + 128 share a panel sum
         rule = GaussLegendre(panels=panels) if panels else projection_rule(n_modes)
         nodes, weights = rule.nodes_weights(0.0, math.pi)
         weighted = weights * parabola(nodes)
-        dense = eigenfunction_matrix(dirichlet, n_modes, nodes) @ weighted
-        fft = project(parabola, dirichlet, n_modes, rule).coefficients
+        dense = eigenfunction_matrix(n_modes, nodes) @ weighted
+        fft = project(parabola, n_modes, rule).coefficients
         assert np.abs(fft - dense).max() <= 1e-13 * np.abs(weighted).sum()
         if panels is None:
             k = np.arange(1, n_modes + 1)
             assert np.abs(fft - SQ2PI * 2 * (1 - (-1.0) ** k) / k**3).max() <= 2e-13
 
-    def test_complex_function_projects_by_parts(self, dirichlet):
-        f = lambda x: parabola(x) + 1j * dirichlet.eigenfunction(2, x)
-        vec = project(f, dirichlet, 6)
+    def test_complex_function_projects_by_parts(self):
+        f = lambda x: parabola(x) + 1j * eigenfunction(2, x)
+        vec = project(f, 6)
         expected = np.array([parabola_coefficient(k) for k in range(1, 7)]) + 1j * (np.arange(1, 7) == 2)
         assert np.abs(vec.coefficients - expected).max() < 1e-12
 
-    def test_eigenfunction_matrix_rows_are_the_modes(self, dirichlet):
+    def test_eigenfunction_matrix_rows_are_the_modes(self):
         x = np.linspace(0.0, math.pi, 7)
-        matrix = eigenfunction_matrix(dirichlet, 5, x)
+        matrix = eigenfunction_matrix(5, x)
         assert matrix.shape == (5, 7)
-        assert np.array_equal(matrix, np.array([dirichlet.eigenfunction(k, x) for k in range(1, 6)]))
+        assert np.array_equal(matrix, np.array([eigenfunction(k, x) for k in range(1, 6)]))
 
-    def test_memory_bounded_at_large_n(self, dirichlet):
+    def test_memory_bounded_at_large_n(self):
         # the dense 3000 x 15000 basis would take 343 MiB, twice while it is built
         tracemalloc.start()
         try:
-            vec = project(parabola, dirichlet, 3000)
+            vec = project(parabola, 3000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -167,53 +180,53 @@ class TestProject:
         k = np.arange(1, 3001)
         assert np.abs(vec.coefficients - SQ2PI * 2 * (1 - (-1.0) ** k) / k**3).max() < 1e-9
 
-    def test_non_finite_function_rejected(self, dirichlet):
+    def test_non_finite_function_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            project(lambda x: np.where(x > 1, np.inf, 1.0), dirichlet, 2)
+            project(lambda x: np.where(x > 1, np.inf, 1.0), 2)
 
-    def test_bad_truncation_rejected(self, dirichlet):
+    def test_bad_truncation_rejected(self):
         with pytest.raises(ValueError):
-            project(parabola, dirichlet, 0)
+            project(parabola, 0)
 
-    def test_parseval_upper_bound(self, dirichlet):
+    def test_parseval_upper_bound(self):
         rule = GaussLegendre(panels=128, order=8)
         l2 = math.sqrt(integrate(rule, lambda x: parabola(x) ** 2, 0.0, math.pi))
         assert l2 == pytest.approx(math.sqrt(math.pi**5 / 30.0), rel=1e-13)
         for n in (5, 20, 50):
-            assert project(parabola, dirichlet, n).sobolev_norm(0) <= l2 + 1e-12
+            assert project(parabola, n).sobolev_norm(0) <= l2 + 1e-12
 
-    def test_parseval_equality_in_span(self, dirichlet):
-        f = lambda x: 2.0 * dirichlet.eigenfunction(1, x) - 0.5 * dirichlet.eigenfunction(3, x)
-        vec = project(f, dirichlet, 5)
+    def test_parseval_equality_in_span(self):
+        f = lambda x: 2.0 * eigenfunction(1, x) - 0.5 * eigenfunction(3, x)
+        vec = project(f, 5)
         assert vec.sobolev_norm(0) == pytest.approx(math.sqrt(4.25), rel=1e-12)
 
 
 class TestSobolevNorm:
-    def test_first_mode_any_order(self, dirichlet):
-        vec = SpectralVector([1.0, 0.0, 0.0], dirichlet)
+    def test_first_mode_any_order(self):
+        vec = SpectralVector([1.0, 0.0, 0.0])
         assert vec.sobolev_norm(2) == pytest.approx(1.0)
 
-    def test_second_mode_h1(self, dirichlet):
-        vec = SpectralVector([0.0, 1.0, 0.0], dirichlet)
+    def test_second_mode_h1(self):
+        vec = SpectralVector([0.0, 1.0, 0.0])
         assert vec.sobolev_norm(1) == pytest.approx(2.0)
 
-    def test_negative_order(self, dirichlet):
-        vec = SpectralVector([1.0, 1.0], dirichlet)
+    def test_negative_order(self):
+        vec = SpectralVector([1.0, 1.0])
         assert vec.sobolev_norm(-1) == pytest.approx(math.sqrt(1.25))
 
-    def test_h0_is_euclidean(self, dirichlet, rng):
+    def test_h0_is_euclidean(self, rng):
         c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        vec = SpectralVector(c, dirichlet)
+        vec = SpectralVector(c)
         assert vec.sobolev_norm(0) == pytest.approx(float(np.linalg.norm(c)), rel=1e-14)
 
-    def test_unsupported_order_rejected(self, dirichlet):
-        vec = SpectralVector([1.0], dirichlet)
+    def test_unsupported_order_rejected(self):
+        vec = SpectralVector([1.0])
         with pytest.raises(ValueError, match="unsupported"):
             vec.sobolev_norm(3)
 
-    def test_monotone_in_q_when_eigenvalues_at_least_one(self, dirichlet, rng):
+    def test_monotone_in_q_when_eigenvalues_at_least_one(self, rng):
         c = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-        vec = SpectralVector(c, dirichlet)
+        vec = SpectralVector(c)
         norms = [vec.sobolev_norm(q) for q in (-1, 0, 1, 2)]
         assert np.all(np.diff(norms) >= -1e-12)
 
@@ -228,21 +241,20 @@ class TestSobolevNorm:
         q=st.sampled_from([-1, 0, 1, 2]),
     )
     def test_norm_scaling(self, parts, scale, q):
-        spectrum = DirichletLaplacian1D()
         c = np.array([re + 1j * im for re, im in parts])
         s = complex(*scale)
-        vec = SpectralVector(c, spectrum)
-        lhs = SpectralVector(s * c, spectrum).sobolev_norm(q)
+        vec = SpectralVector(c)
+        lhs = SpectralVector(s * c).sobolev_norm(q)
         rhs = abs(s) * vec.sobolev_norm(q)
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
 
 
 class TestSpectralVectorPlumbing:
-    def test_mismatched_lengths_rejected(self, dirichlet):
+    def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            CauchyProblem(dirichlet, 1.0, SpectralVector([1.0], dirichlet),
-                          SpectralVector([1.0, 2.0], dirichlet))
+            CauchyProblem(1.0, SpectralVector([1.0]),
+                          SpectralVector([1.0, 2.0]))
 
-    def test_non_finite_rejected(self, dirichlet):
+    def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            SpectralVector([np.nan], dirichlet)
+            SpectralVector([np.nan])

@@ -296,7 +296,7 @@ class TestSweep:
         assert len(calls) == phi_calls
         zs = [r.split(",")[1] for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
         for omega, z in zip(omegas.split(","), zs):
-            assert z == "%.12e" % z_diagnostic(1000, cli.SPECTRUM, ProblemClock(5.0, float(omega))).z
+            assert z == "%.12e" % z_diagnostic(1000, ProblemClock(5.0, float(omega))).z
 
     def test_empty_omega_list_is_config_error(self, tmp_path, capsys):
         code = main(["sweep", "--T", "5", "--out", str(tmp_path)])
@@ -402,6 +402,14 @@ class TestConfigPlumbing:
         code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == "error: config field 'quad_panels': must be >= 1\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-8"])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, capsys, tol):
+        # tol = inf would pass the integral and real-system gates whatever they read
+        code = main(["solve", f"--tol={tol}", "--N", "5", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: config field 'tol': must be positive and finite\n"
         assert not (tmp_path / "out").exists()
 
     def test_config_values_are_converted_to_their_key_type(self):

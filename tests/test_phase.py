@@ -15,6 +15,7 @@ from specwave import (
     phi,
     z_diagnostic,
 )
+from specwave.basis import frequencies
 from specwave.phase import (
     CLASSIFY_TOL,
     EXACT_PHASE_LIMIT,
@@ -99,13 +100,13 @@ class TestPhi:
         with pytest.raises(ValueError):
             phi(1.0, 0.0)
 
-    def test_huge_horizon_rejected_without_overflow_warning(self, dirichlet):
+    def test_huge_horizon_rejected_without_overflow_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="mu and mu\\*T must be finite"):
                 phi(np.array([0.0, 100.0]), 1e307)
             with pytest.raises(ValueError, match="mu and mu\\*T must be finite"):
-                z_diagnostic(100, dirichlet, ProblemClock(1e307, 0.0))
+                z_diagnostic(100, ProblemClock(1e307, 0.0))
             assert phi(np.array([0.0, 1.0]), 1e307).shape == (2,)
             assert phi(np.array([], dtype=float), 1.0).shape == (0,)
 
@@ -151,40 +152,40 @@ class TestProblemClock:
 
 
 class TestDenominator:
-    def test_zero_weight_closed_form(self, dirichlet):
+    def test_zero_weight_closed_form(self):
         # omega = 0: |d_k| = 2 (1 - cos(k T)) / k, by direct integration
         for T in (1.0, 5.0, 9.3):
             clock = ProblemClock(T, 0.0)
             for k in (1, 2, 5, 40):
                 expected = 2.0 * (1 - math.cos(k * T)) / k
-                d = denominators(dirichlet.frequency(k), clock).values
+                d = denominators(float(k), clock).values
                 assert abs(d) == pytest.approx(expected, abs=1e-13)
 
-    def test_resonant_mode_solvable(self, dirichlet):
+    def test_resonant_mode_solvable(self):
         # theta = omega: d = phi(2 omega) - T, nonzero for admissible clocks
         clock = ProblemClock(1.0, 3.0)
-        d = denominators(dirichlet.frequency(3), clock).values
+        d = denominators(3.0, clock).values
         expected = phi(6.0, 1.0) - 1.0
         assert d == pytest.approx(expected, abs=1e-14)
         assert abs(d) > 0.1
 
-    def test_matches_trapezoid_quadrature(self, dirichlet):
+    def test_matches_trapezoid_quadrature(self):
         clock = ProblemClock(1.0, 0.5)
         t = np.linspace(0.0, 1.0, 100001)
         integrand = np.exp(1j * (0.5 + 1.0) * t) - np.exp(1j * (0.5 - 1.0) * t)
-        assert denominators(dirichlet.frequency(1), clock).values == pytest.approx(
+        assert denominators(1.0, clock).values == pytest.approx(
             complex(trapezoid(integrand, t)), abs=1e-10
         )
 
-    def test_matches_symbolic_integration(self, dirichlet):
+    def test_matches_symbolic_integration(self):
         sympy = pytest.importorskip("sympy")
         t = sympy.symbols("t", real=True)
-        omega, T, theta = sympy.Rational(1, 2), 3, 2  # k = 2 on the reference spectrum
+        omega, T, theta = sympy.Rational(1, 2), 3, 2  # mode k = 2, theta_2 = 2
         exact = sympy.integrate(
             sympy.exp(sympy.I * (omega + theta) * t) - sympy.exp(sympy.I * (omega - theta) * t),
             (t, 0, T),
         )
-        got = denominators(dirichlet.frequency(2), ProblemClock(3.0, 0.5)).values
+        got = denominators(2.0, ProblemClock(3.0, 0.5)).values
         assert got == pytest.approx(complex(exact.evalf(20)), abs=1e-14)
 
     @settings(max_examples=50, deadline=None)
@@ -194,59 +195,56 @@ class TestDenominator:
         k=st.integers(1, 100),
     )
     def test_conjugate_weight_preserves_magnitude(self, omega, T, k):
-        from specwave import DirichletLaplacian1D
-
-        spectrum = DirichletLaplacian1D()
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            plus = denominators(spectrum.frequency(k), ProblemClock(T, omega)).values
-            minus = denominators(spectrum.frequency(k), ProblemClock(T, -omega)).values
+            plus = denominators(float(k), ProblemClock(T, omega)).values
+            minus = denominators(float(k), ProblemClock(T, -omega)).values
         assert abs(plus) == pytest.approx(abs(minus), rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("T", [5.0, 10.0])
-    def test_matches_mpmath_without_weight(self, dirichlet, T):
+    def test_matches_mpmath_without_weight(self, T):
         # omega = 0 cancels hardest: phi(theta) - phi(-theta) = 4i sin^2(theta T/2)/theta,
         # about 1e-11 at the near-resonant modes k = 142 (T = 5) and k = 71 (T = 10)
         pytest.importorskip("mpmath")
         ks = np.unique(np.r_[np.arange(1, 2001, 10), 71, 142])
-        theta = dirichlet.frequency(ks)
+        theta = frequencies(2000)[ks - 1]
         got = denominators(theta, ProblemClock(T, 0.0)).values
         want = np.array([mp_denominator(t, 0.0, T) for t in theta])
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
 
 class TestDenominatorViaF:
-    def test_agrees_on_generic_modes(self, dirichlet):
+    def test_agrees_on_generic_modes(self):
         clock = ProblemClock(5.0, 0.01)
         for k in (1, 7, 100, 500):
-            d = denominators(dirichlet.frequency(k), clock).values
-            dv = denominator_via_f(k, dirichlet, clock)
+            d = denominators(float(k), clock).values
+            dv = denominator_via_f(k, clock)
             assert abs(dv - d) < 1e-10 * (1 + abs(d))
 
     def test_numerator_vanishes_at_origin(self):
         clock = ProblemClock(5.0, 0.3)
         assert resonance_numerator(0.0, clock) == pytest.approx(0.0, abs=1e-15)
 
-    def test_matches_quadrature(self, dirichlet):
+    def test_matches_quadrature(self):
         clock = ProblemClock(5.0, 0.01)
         expected = quad_phi(0.01 + 1.0, 5.0) - quad_phi(0.01 - 1.0, 5.0)
-        assert denominator_via_f(1, dirichlet, clock) == pytest.approx(expected, abs=1e-10)
+        assert denominator_via_f(1, clock) == pytest.approx(expected, abs=1e-10)
 
-    def test_refuses_near_resonance(self, dirichlet):
+    def test_refuses_near_resonance(self):
         clock = ProblemClock(5.0, 1.0 - 1e-4)
         with pytest.raises(ValueError, match="degenerates"):
-            denominator_via_f(1, dirichlet, clock)
+            denominator_via_f(1, clock)
 
 
 class TestClassify:
-    def test_exact_resonance(self, dirichlet):
-        code = z_diagnostic(3, dirichlet, ProblemClock(1.0, 3.0)).codes[2]
+    def test_exact_resonance(self):
+        code = z_diagnostic(3, ProblemClock(1.0, 3.0)).codes[2]
         assert LABELS[code] == "resonant(theta=+omega)"
 
-    def test_negative_resonance(self, dirichlet):
-        code = z_diagnostic(3, dirichlet, ProblemClock(1.0, -3.0)).codes[2]
+    def test_negative_resonance(self):
+        code = z_diagnostic(3, ProblemClock(1.0, -3.0)).codes[2]
         assert LABELS[code] == "resonant(theta=-omega)"
 
     def test_phase_coincidence(self):
@@ -259,15 +257,15 @@ class TestClassify:
         code = denominators(0.75, ProblemClock(2 * math.pi, 0.25)).codes[0]
         assert LABELS[code] == "phase-matched(phase=-omega)"
 
-    def test_generic_for_the_reference_clock(self, dirichlet):
+    def test_generic_for_the_reference_clock(self):
         clock = ProblemClock(1.0, 0.5)
-        codes = z_diagnostic(500, dirichlet, clock).codes
+        codes = z_diagnostic(500, clock).codes
         assert all(LABELS[c] == "generic" for c in codes)
 
-    def test_classes_exhaustive_and_exclusive(self, dirichlet):
+    def test_classes_exhaustive_and_exclusive(self):
         # one code per mode, each naming exactly one entry of the class table
         clock = ProblemClock(5.0, 0.37)
-        report = z_diagnostic(200, dirichlet, clock)
+        report = z_diagnostic(200, clock)
         assert report.codes.shape == (200,) and report.codes.dtype == np.int8
         assert set(report.codes.tolist()) <= set(range(len(LABELS)))
 
@@ -314,35 +312,35 @@ def test_classify_codes_match_scalar_rule(omega, T, free, n, tol):
 
 class TestZDiagnostic:
     @pytest.mark.parametrize("cell", sorted(Z500))
-    def test_regression_values(self, dirichlet, cell):
-        report = z_diagnostic(500, dirichlet, ProblemClock(*cell))
+    def test_regression_values(self, cell):
+        report = z_diagnostic(500, ProblemClock(*cell))
         assert report.z == pytest.approx(Z500[cell], rel=1e-12, abs=0)
 
-    def test_argmin_is_consistent(self, dirichlet):
-        report = z_diagnostic(500, dirichlet, ProblemClock(5.0, 0.0))
+    def test_argmin_is_consistent(self):
+        report = z_diagnostic(500, ProblemClock(5.0, 0.0))
         k = report.argmin_mode
         assert report.scaled[k - 1] == report.z
         assert k == 142
 
-    def test_running_min_nonincreasing(self, dirichlet):
-        report = z_diagnostic(300, dirichlet, ProblemClock(7.3, 0.02))
+    def test_running_min_nonincreasing(self):
+        report = z_diagnostic(300, ProblemClock(7.3, 0.02))
         zs = report.running_min()
         assert np.all(np.diff(zs) <= 0)
         assert zs[-1] == report.z
 
-    def test_separation_floor_persists(self, dirichlet):
+    def test_separation_floor_persists(self):
         # with omega != 0 the floor does not erode as more modes are added
         clock = ProblemClock(5.0, 0.01)
-        z500 = z_diagnostic(500, dirichlet, clock).z
-        z10k = z_diagnostic(10_000, dirichlet, clock).z
+        z500 = z_diagnostic(500, clock).z
+        z10k = z_diagnostic(10_000, clock).z
         assert z10k >= 0.5 * z500
 
-    def test_small_m_and_validation(self, dirichlet):
+    def test_small_m_and_validation(self):
         clock = ProblemClock(5.0, 0.0)
-        report = z_diagnostic(1, dirichlet, clock)
+        report = z_diagnostic(1, clock)
         assert report.z == pytest.approx(4.0 * (1 - math.cos(5.0)), rel=1e-12)
         with pytest.raises(ValueError):
-            z_diagnostic(0, dirichlet, clock)
+            z_diagnostic(0, clock)
 
 
 @settings(max_examples=50, deadline=None)

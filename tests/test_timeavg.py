@@ -20,6 +20,7 @@ from specwave import (
     z_diagnostic,
 )
 from specwave import phase
+from specwave.basis import frequencies
 from specwave.phase import LABELS
 from specwave.timeavg import _solve_modes
 
@@ -30,10 +31,8 @@ def solved_report(problem):
     return stability_report(problem, sol, sol.norm_trajectories(1001))
 
 
-def make_problem(dirichlet, clock, alpha, gamma):
-    return NonlocalProblem(
-        dirichlet, clock, SpectralVector(alpha, dirichlet), SpectralVector(gamma, dirichlet)
-    )
+def make_problem(clock, alpha, gamma):
+    return NonlocalProblem(clock, SpectralVector(alpha), SpectralVector(gamma))
 
 
 def solve_mode(alpha, gamma, theta, clock):
@@ -116,38 +115,38 @@ class TestSolveNonlocalMode:
 
 
 class TestNonlocalProblem:
-    def test_inadmissible_clock_rejected(self, dirichlet):
+    def test_inadmissible_clock_rejected(self):
         with pytest.raises(ValueError, match="inadmissible"):
-            make_problem(dirichlet, ProblemClock(5.0, 0.0), [1.0], [1.0])
+            make_problem(ProblemClock(5.0, 0.0), [1.0], [1.0])
 
-    def test_mismatched_data_rejected(self, dirichlet):
+    def test_mismatched_data_rejected(self):
         with pytest.raises(ValueError):
-            make_problem(dirichlet, ProblemClock(5.0, 0.01), [1.0], [1.0, 2.0])
+            make_problem(ProblemClock(5.0, 0.01), [1.0], [1.0, 2.0])
 
 
 class TestSolveNonlocal:
-    def test_zero_data_gives_zero_solution(self, dirichlet):
-        sol = solve_nonlocal(make_problem(dirichlet, ProblemClock(5.0, 0.01), np.zeros(5), np.zeros(5)))
+    def test_zero_data_gives_zero_solution(self):
+        sol = solve_nonlocal(make_problem(ProblemClock(5.0, 0.01), np.zeros(5), np.zeros(5)))
         assert sol.norm_trajectories(1001).u_h1.max() == 0.0
 
-    def test_real_data_yields_complex_solution(self, dirichlet):
+    def test_real_data_yields_complex_solution(self):
         # the weighted condition makes u genuinely complex even for real data
-        g = project(lambda x: x * (math.pi - x), dirichlet, 30)
-        a = SpectralVector(np.zeros(30), dirichlet)
-        problem = NonlocalProblem(dirichlet, ProblemClock(5.0, 0.01), a, g)
+        g = project(lambda x: x * (math.pi - x), 30)
+        a = SpectralVector(np.zeros(30))
+        problem = NonlocalProblem(ProblemClock(5.0, 0.01), a, g)
         sol = solve_nonlocal(problem)
         ts = np.linspace(0.0, 5.0, 100)
         assert np.abs(mode_values(sol, ts).imag).max() > 1e-3
 
-    def test_reference_toy_problem_all_modes_solve(self, dirichlet):
+    def test_reference_toy_problem_all_modes_solve(self):
         clock = ProblemClock(5.0, 0.01)
-        g = project(lambda x: x * (math.pi - x), dirichlet, 500)
-        a = SpectralVector(np.zeros(500), dirichlet)
-        sol = solve_nonlocal(NonlocalProblem(dirichlet, clock, a, g))
+        g = project(lambda x: x * (math.pi - x), 500)
+        a = SpectralVector(np.zeros(500))
+        sol = solve_nonlocal(NonlocalProblem(clock, a, g))
         assert len(sol) == 500
-        assert z_diagnostic(500, dirichlet, clock).z > 0.1
+        assert z_diagnostic(500, clock).z > 0.1
 
-    def test_recovers_forward_mapped_cauchy_solution(self, dirichlet, rng):
+    def test_recovers_forward_mapped_cauchy_solution(self, rng):
         # manufactured data: take a Cauchy solution, compute its weighted time
         # average by quadrature, and check the averaged-condition solver
         # recovers the same modes (uniqueness + inverse consistency)
@@ -155,28 +154,28 @@ class TestSolveNonlocal:
 
         clock = ProblemClock(5.0, 0.01)
         n = 30
-        alpha = SpectralVector(rng.standard_normal(n), dirichlet)
-        beta = SpectralVector(rng.standard_normal(n), dirichlet)
-        reference = solve_cauchy(CauchyProblem(dirichlet, clock.T, alpha, beta))
+        alpha = SpectralVector(rng.standard_normal(n))
+        beta = SpectralVector(rng.standard_normal(n))
+        reference = solve_cauchy(CauchyProblem(clock.T, alpha, beta))
         rule = GaussLegendre(panels=max(64, int(n * clock.T)), order=8)
         nodes, weights = rule.nodes_weights(0.0, clock.T)
         gamma = mode_values(reference, nodes) @ (weights * np.exp(1j * clock.omega * nodes))
         recovered = solve_nonlocal(
-            NonlocalProblem(dirichlet, clock, alpha, SpectralVector(gamma, dirichlet))
+            NonlocalProblem(clock, alpha, SpectralVector(gamma))
         )
         scale = max(np.abs(reference.C).max(), np.abs(reference.D).max())
         assert np.abs(recovered.C - reference.C).max() < 1e-10 * scale
         assert np.abs(recovered.D - reference.D).max() < 1e-10 * scale
 
-    def test_deterministic(self, dirichlet, rng):
+    def test_deterministic(self, rng):
         clock = ProblemClock(3.0, 0.2)
         alpha = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         gamma = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-        p = make_problem(dirichlet, clock, alpha, gamma)
+        p = make_problem(clock, alpha, gamma)
         s1, s2 = solve_nonlocal(p), solve_nonlocal(p)
         assert np.array_equal(s1.C, s2.C) and np.array_equal(s1.D, s2.D)
 
-    def test_elimination_reuses_the_denominators_phi(self, dirichlet, rng, monkeypatch):
+    def test_elimination_reuses_the_denominators_phi(self, rng, monkeypatch):
         clock = ProblemClock(3.0, 0.2)
         alpha = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         gamma = rng.standard_normal(40) + 1j * rng.standard_normal(40)
@@ -185,36 +184,36 @@ class TestSolveNonlocal:
         D = (gamma - phi(clock.omega - theta, clock.T) * alpha) / det
         calls = []
         monkeypatch.setattr(phase, "phi", lambda mu, T: calls.append(mu) or phi(mu, T))
-        solution = solve_nonlocal(make_problem(dirichlet, clock, alpha, gamma))
+        solution = solve_nonlocal(make_problem(clock, alpha, gamma))
         assert len(calls) == 2
         assert np.array_equal(solution.D, D) and np.array_equal(solution.C, alpha - D)
 
-    def test_healthy_solve_never_classifies(self, dirichlet, rng, monkeypatch):
+    def test_healthy_solve_never_classifies(self, rng, monkeypatch):
         # the labels are read only to name an ill-conditioned mode
         def refuse(*args):
             raise AssertionError("classified a healthy solve")
 
         monkeypatch.setattr(phase, "_classify_codes", refuse)
-        problem = make_problem(dirichlet, ProblemClock(5.0, 0.07),
+        problem = make_problem(ProblemClock(5.0, 0.07),
                                rng.standard_normal(200) + 0j, rng.standard_normal(200) + 0j)
         report = solved_report(problem)
         assert problem.mode_denominators.z > 0 and report.bound_all_ok
         monkeypatch.undo()
         assert set(problem.mode_denominators.codes.tolist()) == {LABELS.index("generic")}
 
-    def test_perturbation_response_bounded_by_c_obs(self, dirichlet):
+    def test_perturbation_response_bounded_by_c_obs(self):
         # scale-proportional perturbation of g: the sup norms respond with
         # exactly the observed stability ratio (homogeneity), within 10%
         clock = ProblemClock(5.0, 0.1)
-        g = project(lambda x: x * (math.pi - x), dirichlet, 60)
-        a = SpectralVector(np.zeros(60), dirichlet)
-        base = NonlocalProblem(dirichlet, clock, a, g)
+        g = project(lambda x: x * (math.pi - x), 60)
+        a = SpectralVector(np.zeros(60))
+        base = NonlocalProblem(clock, a, g)
         sol = solve_nonlocal(base)
         norms = sol.norm_trajectories(1001)
         report = stability_report(base, sol, norms)
-        delta = SpectralVector(0.1 * g.coefficients, dirichlet)
-        g_perturbed = SpectralVector(g.coefficients + delta.coefficients, dirichlet)
-        perturbed = NonlocalProblem(dirichlet, clock, a, g_perturbed)
+        delta = SpectralVector(0.1 * g.coefficients)
+        g_perturbed = SpectralVector(g.coefficients + delta.coefficients)
+        perturbed = NonlocalProblem(clock, a, g_perturbed)
         norms2 = solve_nonlocal(perturbed).norm_trajectories(1001)
         change = abs(
             (norms2.u_h1.max() + norms2.dudt_h0.max())
@@ -224,39 +223,39 @@ class TestSolveNonlocal:
 
 
 class TestCoefficientBound:
-    def test_zero_data_trivially_bounded(self, dirichlet):
-        p = make_problem(dirichlet, ProblemClock(5.0, 0.01), np.zeros(5), np.zeros(5))
+    def test_zero_data_trivially_bounded(self):
+        p = make_problem(ProblemClock(5.0, 0.01), np.zeros(5), np.zeros(5))
         check = coefficient_bound_check(p, solve_nonlocal(p))
         assert check.all_ok
 
-    def test_random_data_all_margins_nonnegative(self, dirichlet, rng):
+    def test_random_data_all_margins_nonnegative(self, rng):
         clock = ProblemClock(1.0, 0.5)
         alpha = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         gamma = rng.standard_normal(200) + 1j * rng.standard_normal(200)
-        p = make_problem(dirichlet, clock, alpha, gamma)
+        p = make_problem(clock, alpha, gamma)
         check = coefficient_bound_check(p, solve_nonlocal(p))
         assert check.all_ok
         assert check.z_floor > 0
         assert check.c == pytest.approx(4.0 / check.z_floor)
 
-    def test_solve_and_bound_share_one_denominator_pass(self, dirichlet, monkeypatch):
+    def test_solve_and_bound_share_one_denominator_pass(self, monkeypatch):
         # phi(omega + theta) and phi(omega - theta) once per problem, for the
         # elimination and the bound's z_floor alike
         calls = []
         phi = phase.phi
         monkeypatch.setattr(phase, "phi", lambda mu, T: calls.append(T) or phi(mu, T))
-        p = make_problem(dirichlet, ProblemClock(5.0, 0.3), np.ones(20), np.ones(20))
+        p = make_problem(ProblemClock(5.0, 0.3), np.ones(20), np.ones(20))
         report = solved_report(p)
         assert len(calls) == 2
-        assert report.bound_constant == 4.0 / phase.denominators(p.alpha.frequencies(), p.clock).z
+        assert report.bound_constant == 4.0 / phase.denominators(frequencies(20), p.clock).z
 
-    def test_small_divisors_break_the_bound_without_weight(self, dirichlet, rng):
+    def test_small_divisors_break_the_bound_without_weight(self, rng):
         # omega = 0 diagnostic: solve mode by mode and score against the
         # healthy floor observed at omega = 0.01; near-resonant modes blow up
         T = 5.0
         clock0 = ProblemClock(T, 0.0)
-        healthy_z = z_diagnostic(500, dirichlet, ProblemClock(T, 0.01)).z
-        report0 = z_diagnostic(500, dirichlet, clock0)
+        healthy_z = z_diagnostic(500, ProblemClock(T, 0.01)).z
+        report0 = z_diagnostic(500, clock0)
         near_resonant = np.argsort(report0.scaled)[:3] + 1
         gamma = rng.standard_normal(500) + 1j * rng.standard_normal(500)
         worst_ratio = 0.0
@@ -269,39 +268,39 @@ class TestCoefficientBound:
 
 
 class TestStabilityReport:
-    def test_zero_data_reports_zero_ratio(self, dirichlet):
-        p = make_problem(dirichlet, ProblemClock(5.0, 0.01), np.zeros(5), np.zeros(5))
+    def test_zero_data_reports_zero_ratio(self):
+        p = make_problem(ProblemClock(5.0, 0.01), np.zeros(5), np.zeros(5))
         report = solved_report(p)
         assert report.c_obs == 0.0
         assert report.sup_u_h1 == 0.0
         assert report.to_dict()["bound_all_ok"] is True
 
-    def test_ratio_flat_in_truncation(self, dirichlet):
+    def test_ratio_flat_in_truncation(self):
         clock = ProblemClock(5.0, 0.1)
         ratios = []
         for n in (50, 100, 200):
-            a = project(lambda x: x * (math.pi - x), dirichlet, n)
-            g = project(lambda x: x * (math.pi - x), dirichlet, n)
-            p = NonlocalProblem(dirichlet, clock, a, g)
+            a = project(lambda x: x * (math.pi - x), n)
+            g = project(lambda x: x * (math.pi - x), n)
+            p = NonlocalProblem(clock, a, g)
             ratios.append(solved_report(p).c_obs)
         assert max(ratios) < 2.0 * min(ratios)
 
-    def test_entries_finite_and_nonnegative(self, dirichlet, rng):
+    def test_entries_finite_and_nonnegative(self, rng):
         clock = ProblemClock(2.0, 0.7)
         alpha = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         gamma = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        p = make_problem(dirichlet, clock, alpha, gamma)
+        p = make_problem(clock, alpha, gamma)
         report = solved_report(p)
         for name in ("norm_a_h1", "norm_g_h2", "sup_u_h1", "sup_dudt_h0", "c_obs"):
             value = getattr(report, name)
             assert np.isfinite(value) and value >= 0.0, name
 
-    def test_ratio_grows_as_omega_shrinks(self, dirichlet):
-        g = project(lambda x: x * (math.pi - x), dirichlet, 100)
-        a = SpectralVector(np.zeros(100), dirichlet)
+    def test_ratio_grows_as_omega_shrinks(self):
+        g = project(lambda x: x * (math.pi - x), 100)
+        a = SpectralVector(np.zeros(100))
         ratios = {}
         for omega in (0.1, 0.01):
-            p = NonlocalProblem(dirichlet, ProblemClock(5.0, omega), a, g)
+            p = NonlocalProblem(ProblemClock(5.0, omega), a, g)
             ratios[omega] = solved_report(p).c_obs
         assert all(np.isfinite(r) for r in ratios.values())
         assert ratios[0.01] != ratios[0.1]

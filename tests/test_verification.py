@@ -21,11 +21,11 @@ from specwave.solution import SeriesSolution
 
 
 @pytest.fixture()
-def solved(dirichlet, rng):
+def solved(rng):
     clock = ProblemClock(5.0, 0.01)
-    alpha = SpectralVector(rng.standard_normal(100) + 1j * rng.standard_normal(100), dirichlet)
-    gamma = SpectralVector(rng.standard_normal(100) + 1j * rng.standard_normal(100), dirichlet)
-    problem = NonlocalProblem(dirichlet, clock, alpha, gamma)
+    alpha = SpectralVector(rng.standard_normal(100) + 1j * rng.standard_normal(100))
+    gamma = SpectralVector(rng.standard_normal(100) + 1j * rng.standard_normal(100))
+    problem = NonlocalProblem(clock, alpha, gamma)
     return problem, solve_nonlocal(problem)
 
 
@@ -34,9 +34,8 @@ def test_initial_condition_residual_at_machine_scale(solved):
     assert ver.initial_condition_relative(problem, sol) <= 1e-15
     # with a = 0 the residual is exactly zero (C = -D by construction)
     zero_a = NonlocalProblem(
-        problem.spectrum,
         problem.clock,
-        SpectralVector(np.zeros(len(problem.alpha)), problem.spectrum),
+        SpectralVector(np.zeros(len(problem.alpha))),
         problem.gamma,
     )
     assert ver.initial_condition_relative(zero_a, solve_nonlocal(zero_a)) == 0.0
@@ -44,7 +43,7 @@ def test_initial_condition_residual_at_machine_scale(solved):
 
 def scaled(sol, s):
     """The solution with every coefficient multiplied by s."""
-    return SeriesSolution(sol.spectrum, sol.T, s * sol.C, s * sol.D)
+    return SeriesSolution(sol.T, s * sol.C, s * sol.D)
 
 
 def relative_residual(problem, sol):
@@ -57,9 +56,9 @@ def test_integral_condition_residual_small(solved):
     assert rel < 1e-10
 
 
-def test_integral_residual_detects_wrong_solution(solved, dirichlet):
+def test_integral_residual_detects_wrong_solution(solved):
     problem, sol = solved
-    tampered = type(sol)(dirichlet, sol.T, sol.C * 1.01, sol.D)
+    tampered = type(sol)(sol.T, sol.C * 1.01, sol.D)
     assert ver.integral_condition_residual(problem, tampered).total > 1e-3
 
 
@@ -89,20 +88,20 @@ def test_weak_identity(solved, rng):
     assert weak_identity_residual(sol, pairs) < 1e-10
 
 
-def test_energy_estimate_margin_positive(dirichlet, rng):
-    alpha = SpectralVector(rng.standard_normal(50) + 1j * rng.standard_normal(50), dirichlet)
-    beta = SpectralVector(rng.standard_normal(50) + 1j * rng.standard_normal(50), dirichlet)
-    problem = CauchyProblem(dirichlet, 5.0, alpha, beta)
+def test_energy_estimate_margin_positive(rng):
+    alpha = SpectralVector(rng.standard_normal(50) + 1j * rng.standard_normal(50))
+    beta = SpectralVector(rng.standard_normal(50) + 1j * rng.standard_normal(50))
+    problem = CauchyProblem(5.0, alpha, beta)
     sol = solve_cauchy(problem)
     assert ver.energy_estimate_margin(problem, sol, sol.norm_trajectories(1001)) > 0
 
 
-def test_residuals_at_reference_configuration(dirichlet):
+def test_residuals_at_reference_configuration():
     # a = 0, g = projected parabola, the standard demonstration setup
     clock = ProblemClock(5.0, 0.01)
-    g = project(lambda x: x * (math.pi - x), dirichlet, 100)
-    a = SpectralVector(np.zeros(100), dirichlet)
-    problem = NonlocalProblem(dirichlet, clock, a, g)
+    g = project(lambda x: x * (math.pi - x), 100)
+    a = SpectralVector(np.zeros(100))
+    problem = NonlocalProblem(clock, a, g)
     sol = solve_nonlocal(problem)
     assert relative_residual(problem, sol) < 1e-8
     assert ver.initial_condition_relative(problem, sol) == 0.0
@@ -110,17 +109,17 @@ def test_residuals_at_reference_configuration(dirichlet):
     assert trip.coefficient_rel < 1e-10
 
 
-def _parabola_problem(dirichlet, n_modes, omega):
+def _parabola_problem(n_modes, omega):
     rng = np.random.default_rng(n_modes)
     k = np.arange(1, n_modes + 1)
-    a = SpectralVector((rng.uniform(-1, 1, n_modes) + 1j * rng.uniform(-1, 1, n_modes)) / k**3, dirichlet)
-    g = project(lambda x: x * (math.pi - x), dirichlet, n_modes)
-    return NonlocalProblem(dirichlet, ProblemClock(5.0, omega), a, g)
+    a = SpectralVector((rng.uniform(-1, 1, n_modes) + 1j * rng.uniform(-1, 1, n_modes)) / k**3)
+    g = project(lambda x: x * (math.pi - x), n_modes)
+    return NonlocalProblem(ProblemClock(5.0, omega), a, g)
 
 
-def test_quadrature_checks_memory_bounded_at_large_n(dirichlet):
+def test_quadrature_checks_memory_bounded_at_large_n():
     # a dense N x (time nodes) moment matrix would take 4.1 GiB here
-    problem = _parabola_problem(dirichlet, 3000, 0.07)
+    problem = _parabola_problem(3000, 0.07)
     sol = solve_nonlocal(problem)
     tracemalloc.start()
     try:
@@ -142,25 +141,25 @@ def _dense_mode_energy_drift(solution, time_points=1000):
     return (top - energy.min(axis=1)) / np.where(top > 0, top, 1.0)
 
 
-def _random_solution(dirichlet, n_modes):
+def _random_solution(n_modes):
     rng = np.random.default_rng(n_modes)
     C = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
     D = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-    return SeriesSolution(dirichlet, 5.0, C, D)
+    return SeriesSolution(5.0, C, D)
 
 
 @pytest.mark.parametrize("n_modes", [1, 100, 1000])
-def test_streamed_mode_energy_drift_equals_dense(dirichlet, n_modes):
+def test_streamed_mode_energy_drift_equals_dense(n_modes):
     # the factored phases round differently, so agreement is at rounding, not bitwise
-    sol = _random_solution(dirichlet, n_modes)
+    sol = _random_solution(n_modes)
     streamed, dense = ver.mode_energy_drift(sol), _dense_mode_energy_drift(sol)
     assert np.abs(streamed - dense).max() <= 1e-14
     assert max(streamed.max(), dense.max()) < 1e-12
 
 
-def test_mode_energy_drift_memory_bounded_at_large_n(dirichlet):
+def test_mode_energy_drift_memory_bounded_at_large_n():
     # the dense N x 1000 y and y' arrays would take over 200 MiB here
-    sol = _random_solution(dirichlet, 3000)
+    sol = _random_solution(3000)
     tracemalloc.start()
     try:
         drift = ver.mode_energy_drift(sol)
@@ -171,8 +170,8 @@ def test_mode_energy_drift_memory_bounded_at_large_n(dirichlet):
     assert drift.shape == (3000,) and drift.max() < 1e-12
 
 
-def test_small_scaling_flagged_at_large_n(dirichlet):
-    problem = _parabola_problem(dirichlet, 1000, 0.2137)
+def test_small_scaling_flagged_at_large_n():
+    problem = _parabola_problem(1000, 0.2137)
     sol = solve_nonlocal(problem)
     scale = 1 + problem.gamma.sobolev_norm(0)
     assert relative_residual(problem, sol) < 1e-8
