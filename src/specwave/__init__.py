@@ -14,11 +14,9 @@ from .phase import (
 from .quadrature import GaussLegendre
 from .solution import SeriesSolution
 from .timeavg import (
-    BoundCheck,
     IllConditionedModeError,
     NonlocalProblem,
     StabilityReport,
-    coefficient_bound_check,
     solve_nonlocal,
     stability_report,
 )
@@ -26,7 +24,6 @@ from .timeavg import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundCheck",
     "CauchyProblem",
     "DenominatorReport",
     "GaussLegendre",
@@ -36,7 +33,6 @@ __all__ = [
     "SeriesSolution",
     "SpectralVector",
     "StabilityReport",
-    "coefficient_bound_check",
     "derivative_coefficients",
     "phi",
     "project",

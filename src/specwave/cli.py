@@ -49,6 +49,9 @@ REFERENCE_Z500 = (
 )
 REFERENCE_RTOL = 0.02
 
+# uniform times in [0, T] of norms.csv and of the sup norms in sweep's c_obs
+NORM_TIMES = 1001
+
 
 # rows formatted and written at once: bounds the cell bytes held in memory
 _BLOCK_ROWS = 4096
@@ -110,7 +113,7 @@ def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, soluti
     grid = solution.field(cfg.nx, cfg.nt)
     manifest.files.append(write_field_csv(out / "field_re.csv", xs, ts, grid.real))
     manifest.files.append(write_field_csv(out / "field_im.csv", xs, ts, grid.imag))
-    norms = solution.norm_trajectories(cfg.time_points)
+    norms = solution.norm_trajectories(NORM_TIMES)
     manifest.files.append(write_csv(
         out / "norms.csv",
         "t,u_h0,u_h1,dudt_h0",
@@ -181,7 +184,7 @@ def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
         except IllConditionedModeError as exc:
             rows.append([omega, z_n, float("nan"), float("nan"), b"ill-conditioned k=%d" % exc.k])
             continue
-        report = stability_report(problem, solution, solution.norm_trajectories(cfg.time_points))
+        report = stability_report(problem, solution, solution.norm_trajectories(NORM_TIMES))
         max_coeff = float((np.abs(solution.C) + np.abs(solution.D)).max())
         rows.append([omega, z_n, report.c_obs, max_coeff, b"ok"])
     manifest.files.append(write_csv(

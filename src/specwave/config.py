@@ -100,7 +100,6 @@ class ExperimentConfig:
     g: str = "parabola"
     nx: int = 201
     nt: int = 201
-    time_points: int = 1001
     out: str | None = None  # then $SPECWAVE_OUT, then the working directory
     tol: float = 1e-8
     quad_panels: int = 64
@@ -114,8 +113,8 @@ class ExperimentConfig:
             raise ConfigError("T", "must be positive")
         if self.N < 1:
             raise ConfigError("N", "must be >= 1")
-        if self.nx < 2 or self.nt < 2 or self.time_points < 2:
-            raise ConfigError("grid", "nx, nt, and time_points must be >= 2")
+        if self.nx < 2 or self.nt < 2:
+            raise ConfigError("grid", "nx and nt must be >= 2")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ConfigError("tol", "must be positive and finite")
         if self.quad_panels < 1:

@@ -1,8 +1,9 @@
 """Truncated eigenfunction-expansion solutions u(t) = sum_k y_k(t) v_k, and their evaluation.
 
 The frequencies are theta_k = k (`basis.frequencies`), so the field and norms
-on uniform times are chirp-z sums (`_chirp_sums`); where a chirp phase would reach
-EXACT_PHASE_LIMIT they sum the mode blocks instead (`_block_field`, `_block_squares`).
+on uniform times are chirp-z sums (`_chirp_sums`). Where a chirp phase would
+reach EXACT_PHASE_LIMIT a chirp sum runs against factored exact-phase tables
+instead, and the norms sum the mode blocks (`_block_squares`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import DOMAIN, SpectralVector, eigenfunction, frequencies
+from .basis import DOMAIN, SpectralVector, frequencies
 from .phase import EXACT_PHASE_LIMIT, _exact_phase, _time_step, _uniform_phases
 
 # complex phases a blocked evaluation holds at once: 2**16 x 16 B = 1 MiB
@@ -54,11 +55,22 @@ def _chirp_sums(weights: np.ndarray, dt: float, factor: int, count: int) -> np.n
     b = factor dt / 2: one FFT convolution of power-of-two length at least
     n + count - 1 for every row, O((n + count) log(n + count)). Fewer than
     log2(length) terms are summed directly against their count x n phases.
+    Where a chirp phase would reach EXACT_PHASE_LIMIT (`_chirp_fits`), the
+    weights are summed against `phase._uniform_phases` tables of the
+    frequencies factor k, in blocks of about _BLOCK_ELEMENTS entries: O(n count),
+    phases up to factor (n - 1) qG dt (qG < count, a multiple of isqrt(count)).
     Every phase is exact (`phase._exact_phase` of dt and an integer), so the
     error is the summation's, about eps sum_k |weights_k| times a small
     multiple of log2 of the length.
     """
     n = weights.shape[-1]
+    if not _chirp_fits(dt, factor, n, count):
+        sums = np.zeros(weights.shape[:-1] + (count,), dtype=complex)
+        freqs, step = factor * np.arange(n), max(1, _BLOCK_ELEMENTS // count)
+        for start in range(0, n, step):
+            table = _uniform_phases(dt, freqs[start:start + step], count)
+            sums += np.einsum("...k,kj->...j", weights[..., start:start + step], table)
+        return sums
     size = 1 << (n + count - 2).bit_length()
     if n < size.bit_length():
         table = np.exp(1j * _exact_phase(dt, factor * np.multiply.outer(np.arange(n), np.arange(count))))
@@ -70,17 +82,6 @@ def _chirp_sums(weights: np.ndarray, dt: float, factor: int, count: int) -> np.n
     kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
     convolved = np.fft.ifft(np.fft.fft(weights * chirp[:n], size) * np.fft.fft(kernel))
     return convolved[..., :count] * chirp[:count]
-
-
-def _block_field(solution, nx: int, time_points: int) -> np.ndarray:
-    """`SeriesSolution.field` in O(N nx time_points) over `solution._mode_blocks`: the
-    real eigenfunctions multiply y_k as (re, im) columns, half a complex product's flops."""
-    xs = np.linspace(*DOMAIN, nx)
-    ks = np.arange(1, len(solution) + 1)
-    grid = np.zeros((nx, 2 * time_points))
-    for modes, back, ahead in solution._mode_blocks(time_points):
-        grid += eigenfunction(ks[modes], xs).T @ (back + ahead).view(float)
-    return grid.view(complex)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +100,7 @@ class SeriesSolution:
 
     Immutable after assembly and safe to evaluate concurrently. `field` and
     `norm_trajectories` evaluate it on uniform times in [0, T] by chirp-z sums
-    over the integer frequencies; their fallback, and
+    over the integer frequencies; the norms' fallback, and
     `verification.mode_energy_drift`, read `_mode_blocks`.
     """
 
@@ -161,8 +162,11 @@ class SeriesSolution:
         2M chirp sums over l. The last row sits at x = fl(pi), where
         sin(k fl(pi)) is about k 1.2e-16, not 0: it is sum_k sin(k fl(pi)) y_k,
         one more chirp sum over k. Costs O(N log N + M time_points log) and no
-        matrix product. Falls back to `_block_field` when a chirp phase would
-        reach EXACT_PHASE_LIMIT: on the default 201 x 201 grid, past T ~ 1e8.
+        matrix product. A chirp sum whose phases would reach EXACT_PHASE_LIMIT
+        (on the default 201 x 201 grid, past T ~ 1e8) sums against factored
+        exact-phase tables instead, O(N time_points). Every frequency of the
+        three sums (M l, r and k) is at most N, so every horizon is accepted
+        whose `_mode_blocks` phases, up to theta_N qG dt, stay in the domain.
         """
         if nx < 2:
             raise ValueError(f"the field grid needs nx >= 2 points, got {nx}")
@@ -170,8 +174,6 @@ class SeriesSolution:
         n_modes = len(self)
         period = 2 * (nx - 1)
         depth = n_modes // period + 1
-        if not (_chirp_fits(dt, period, depth, time_points) and _chirp_fits(dt, 1, n_modes + 1, time_points)):
-            return _block_field(self, nx, time_points)
         residues = min(period, n_modes + 1)
         weights = np.zeros((2, depth * period), dtype=complex)  # mode k at column k
         weights[0, 1:n_modes + 1] = self.C.conj()
@@ -216,7 +218,9 @@ class SeriesSolution:
         bound exceeds _NORM_REL of a square is summed again from all modes.
         Falls back to summing every block (`_block_squares`) when a chirp phase
         would reach EXACT_PHASE_LIMIT: at 1001 times, past T ~ 4e9 for
-        N = 1000 and T ~ 4e5 for N = 100000.
+        N = 1000 and T ~ 4e5 for N = 100000. The field's table sums do not
+        serve here: their e^{2ikt} phases would reach 2 N qG dt, twice the
+        blocks' theta_N qG dt, and so refuse half the horizons the blocks accept.
         """
         dt = _time_step(self.T, time_points)
         n_modes = len(self)

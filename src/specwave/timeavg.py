@@ -106,46 +106,12 @@ def solve_nonlocal(problem: NonlocalProblem) -> SeriesSolution:
     return SeriesSolution(problem.clock.T, C, D)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundCheck:
-    """Per-mode check of |C|+|D| <= c (|alpha| + (1+theta)|gamma|), c = 4/z_floor."""
-
-    c: float
-    z_floor: float
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def margin(self) -> np.ndarray:
-        return self.rhs - self.lhs
-
-    @property
-    def ok(self) -> np.ndarray:
-        return self.margin >= 0.0
-
-    @property
-    def all_ok(self) -> bool:
-        return bool(self.ok.all())
-
-
-def coefficient_bound_check(problem: NonlocalProblem, solution: SeriesSolution) -> BoundCheck:
-    """Check the per-mode coefficient bound with the observed separation floor.
-
-    z_floor is the minimum of |d_k| (1 + theta_k) over the solved modes; with a
-    healthy floor every margin is positive, while omega ~ 0 drives near-resonant
-    modes far past the bound.
-    """
-    theta = solution.thetas
-    z_floor = problem.mode_denominators.z
-    c = 4.0 / z_floor
-    lhs = np.abs(solution.C) + np.abs(solution.D)
-    rhs = c * (np.abs(problem.alpha.coefficients) + (1.0 + theta) * np.abs(problem.gamma.coefficients))
-    return BoundCheck(c, z_floor, lhs, rhs)
-
-
 @dataclass(frozen=True)
 class StabilityReport:
-    """Observed size of the solution against the size of the data."""
+    """Observed size of the solution against the size of the data, and the
+    per-mode coefficient bound |C| + |D| <= c (|alpha| + (1 + theta) |gamma|)
+    with c = 4 / z (`bound_constant`): its least margin rhs - lhs and whether
+    every mode keeps it."""
 
     norm_a_h1: float
     norm_g_h2: float
@@ -170,13 +136,18 @@ def stability_report(
     reported as 0 for zero data. A well-posed configuration keeps c_obs
     bounded independently of the truncation order. The sup norms are the
     maxima of `norms`, the solution's trajectories (`norm_trajectories`).
+    The coefficient bound takes z, the least |d_k| (1 + theta_k) over the
+    solved modes: with a healthy z every margin is nonnegative, while
+    omega ~ 0 drives near-resonant modes far past the bound.
     """
     sup_u = float(norms.u_h1.max())
     sup_du = float(norms.dudt_h0.max())
     na = problem.alpha.sobolev_norm(1)
     ng = problem.gamma.sobolev_norm(2)
     data = na + ng
-    bound = coefficient_bound_check(problem, solution)
+    c = 4.0 / problem.mode_denominators.z
+    rhs = c * (np.abs(problem.alpha.coefficients) + (1.0 + solution.thetas) * np.abs(problem.gamma.coefficients))
+    margin = rhs - (np.abs(solution.C) + np.abs(solution.D))
     return StabilityReport(
         norm_a_h1=na,
         norm_g_h2=ng,
@@ -184,7 +155,7 @@ def stability_report(
         sup_dudt_h0=sup_du,
         c_obs=(sup_u + sup_du) / data if data > 0 else 0.0,
         n_modes=len(solution),
-        bound_constant=bound.c,
-        bound_min_margin=float(bound.margin.min()),
-        bound_all_ok=bound.all_ok,
+        bound_constant=c,
+        bound_min_margin=float(margin.min()),
+        bound_all_ok=bool((margin >= 0.0).all()),
     )

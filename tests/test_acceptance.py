@@ -16,7 +16,6 @@ from specwave import (
     NonlocalProblem,
     ProblemClock,
     SpectralVector,
-    coefficient_bound_check,
     phi,
     project,
     solve_nonlocal,
@@ -126,8 +125,8 @@ def test_criterion_5_mode_correctness():
 def test_criterion_6_coefficient_bound(random_instances):
     with criterion(6, "|C|+|D| <= (4/z(N)) (|alpha| + (1+theta)|gamma|) everywhere"):
         for problem, solution in random_instances:
-            check = coefficient_bound_check(problem, solution)
-            assert check.all_ok
+            report = stability_report(problem, solution, solution.norm_trajectories(1001))
+            assert report.bound_all_ok and report.bound_min_margin >= 0.0
 
 
 def test_criterion_7_stability_flat_in_truncation():

@@ -371,7 +371,8 @@ class TestConfigPlumbing:
         assert "sweep" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [("kind", "sweep"), ("omegas", [0.3, 0.1]),
-                                           ("spectrum", "dirichlet-1d"), ("quad_order", 8)])
+                                           ("spectrum", "dirichlet-1d"), ("quad_order", 8),
+                                           ("time_points", 1001)])
     def test_removed_config_keys_are_unknown(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: value}))

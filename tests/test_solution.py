@@ -16,11 +16,16 @@ from specwave import (
     solve_cauchy,
     solve_nonlocal,
 )
+from specwave import solution
 from specwave.basis import eigenfunction
-from specwave.solution import _block_field, _block_squares, _chirp_sums
+from specwave.phase import _uniform_phases
+from specwave.solution import _block_squares, _chirp_sums
 from specwave.verification import integral_condition_residual
 
 EPS = np.finfo(float).eps
+
+# bit length of the chirp-z convolution length for 1000 frequencies at 201 times
+LOG_LENGTH_1000_201 = (1 << (1000 + 201 - 2).bit_length()).bit_length()
 
 
 def mp_mode_terms(C, D, k, dt, j):
@@ -124,12 +129,35 @@ class TestEvaluate:
         assert np.abs(grid[-1] - terms.sum(axis=0)).max() <= 1e-9 * np.abs(terms).sum(axis=0).min()
         assert np.all(grid[0] == 0) and not np.signbit(grid[0].view(float)).any()
 
-    def test_block_route_field_matches_the_folded_one(self, rng):
-        ks = np.arange(1, 301)
-        sol = SeriesSolution(5.0, rng.standard_normal(300) / ks, 1j * rng.standard_normal(300) / ks)
-        folded = sol.field(23, 17)
-        blocks = _block_field(sol, 23, 17)
-        assert np.abs(folded - blocks).max() <= 1e-14 * np.abs(blocks).max()
+    @pytest.mark.parametrize("T,n_modes", [
+        pytest.param(1e10, 100, id="T1e10-N100"),
+        pytest.param(1e12, 3, id="T1e12-N3"),
+    ])
+    def test_field_past_the_chirp_domain_matches_dense_reference(self, rng, T, n_modes):
+        # chirp phases would pass 2**42 here, so the sums run against factored
+        # exact-phase tables. The times j T/200 and every k t_j are exact
+        # floats, so the dense reference's phases are exact too
+        ks = np.arange(1, n_modes + 1)
+        C = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / ks
+        D = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / ks
+        sol = SeriesSolution(T, C, D)
+        dense = field(sol, np.linspace(0.0, math.pi, 201), np.linspace(0.0, T, 201))
+        assert np.abs(sol.field(201, 201) - dense).max() <= 1e-13 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("n_modes", [1, 3, 100, 401])
+    @pytest.mark.parametrize("nx,nt", [(201, 201), (20, 20)])
+    def test_field_horizons_end_where_the_block_phases_reach_2_42(self, n_modes, nx, nt):
+        # the last phase theta_N qG_max dt, qG_max the largest multiple of
+        # isqrt(nt) below nt, reaches 2**42 at T*. Real data (C = conj D) give
+        # an exactly real field on every route
+        group = math.isqrt(nt)
+        last = (nt - 1) // group * group
+        horizon = 2.0**42 * (nt - 1) / (n_modes * last)
+        coefficients = np.ones(n_modes) / np.arange(1, n_modes + 1)
+        grid = SeriesSolution(0.999 * horizon, coefficients, coefficients).field(nx, nt)
+        assert np.isfinite(grid).all() and np.all(grid.imag == 0)
+        with pytest.raises(ValueError, match="2\\*\\*42"):
+            SeriesSolution(1.001 * horizon, coefficients, coefficients).field(nx, nt)
 
     @pytest.mark.parametrize("time_points", [0, -1])
     def test_no_time_points_rejected(self, time_points):
@@ -179,6 +207,28 @@ class TestChirpSums:
                     want = mpmath.fsum(mpmath.mpc(w) * mpmath.expj(phase * k) for k, w in enumerate(weights[row]))
                     bound = 2 * length.bit_length() * EPS * np.abs(weights[row]).sum()
                     assert abs(got[row, j] - complex(want)) <= bound
+
+    def test_tables_past_the_chirp_domain_match_one_table(self, rng, monkeypatch):
+        # n = 1000 frequencies at 201 times: four blocks of 2**16 // 201 = 326
+        weights = rng.standard_normal((2, 3, 1000)) + 1j * rng.standard_normal((2, 3, 1000))
+        dt, factor = 1e7, 2  # chirp phases reach 1e13, table phases 3.9e12
+        assert not solution._chirp_fits(dt, factor, 1000, 201)
+        tables = []
+        monkeypatch.setattr(solution, "_uniform_phases", lambda *a: tables.append(_uniform_phases(*a)) or tables[-1])
+        got = _chirp_sums(weights, dt, factor, 201)
+        assert len(tables) == 4
+        want = np.einsum("...k,kj->...j", weights, _uniform_phases(dt, factor * np.arange(1000), 201))
+        bound = 2 * LOG_LENGTH_1000_201 * EPS * np.abs(weights).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_tables_match_the_fft_where_both_run(self, rng, monkeypatch):
+        weights = rng.standard_normal((2, 1000)) + 1j * rng.standard_normal((2, 1000))
+        dt, factor = 5.0 / 200, 1
+        fft = _chirp_sums(weights, dt, factor, 201)
+        monkeypatch.setattr(solution, "_chirp_fits", lambda *a: False)
+        tables = _chirp_sums(weights, dt, factor, 201)
+        bound = 2 * LOG_LENGTH_1000_201 * EPS * np.abs(weights).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(tables - fft) <= bound)
 
 
 class TestTimeDerivative:

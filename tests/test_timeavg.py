@@ -12,7 +12,6 @@ from specwave import (
     NonlocalProblem,
     ProblemClock,
     SpectralVector,
-    coefficient_bound_check,
     phi,
     project,
     solve_nonlocal,
@@ -225,18 +224,21 @@ class TestSolveNonlocal:
 class TestCoefficientBound:
     def test_zero_data_trivially_bounded(self):
         p = make_problem(ProblemClock(5.0, 0.01), np.zeros(5), np.zeros(5))
-        check = coefficient_bound_check(p, solve_nonlocal(p))
-        assert check.all_ok
+        report = solved_report(p)
+        assert report.bound_all_ok
+        assert report.bound_min_margin == 0.0
 
     def test_random_data_all_margins_nonnegative(self, rng):
         clock = ProblemClock(1.0, 0.5)
         alpha = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         gamma = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         p = make_problem(clock, alpha, gamma)
-        check = coefficient_bound_check(p, solve_nonlocal(p))
-        assert check.all_ok
-        assert check.z_floor > 0
-        assert check.c == pytest.approx(4.0 / check.z_floor)
+        report = solved_report(p)
+        assert report.bound_all_ok
+        assert report.bound_min_margin >= 0.0
+        z_floor = p.mode_denominators.z
+        assert z_floor > 0
+        assert report.bound_constant == pytest.approx(4.0 / z_floor)
 
     def test_solve_and_bound_share_one_denominator_pass(self, monkeypatch):
         # phi(omega + theta) and phi(omega - theta) once per problem, for the
