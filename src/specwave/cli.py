@@ -9,8 +9,9 @@ when the run fails after making its output directory (with `exit_code` and
 `error`). Exit code 0 iff every manifest check passed; 1 for a failed check, an
 ill-conditioned mode, an unwritable output or an allocation the machine
 refuses; 2 for a config error, an inadmissible omega, an overflowing phase,
-2*omega*T or (omega +/- theta_k)*T, or an evaluation phase theta_k*t beyond
-exact reduction (2**42).
+2*omega*T or (omega +/- theta_k)*T, or an evaluation phase beyond exact
+reduction (2**43; the norms' phases 2 theta_k t reach it where theta_N t
+passes about 2**42).
 """
 
 from __future__ import annotations
@@ -107,13 +108,14 @@ def cmd_denominators(cfg: ExperimentConfig, args, out: Path, manifest: RunManife
 
 
 def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, solution):
-    """Field CSVs and norms.csv; returns the norm trajectories for the reports."""
+    """Field CSVs and norms.csv; returns the norm trajectories for the reports.
+    The norms' phases pass EXACT_PHASE_LIMIT first, so they run before any write."""
+    norms = solution.norm_trajectories(NORM_TIMES)
     xs = np.linspace(*DOMAIN, cfg.nx)
     ts = np.linspace(0.0, cfg.T, cfg.nt)
     grid = solution.field(cfg.nx, cfg.nt)
     manifest.files.append(write_field_csv(out / "field_re.csv", xs, ts, grid.real))
     manifest.files.append(write_field_csv(out / "field_im.csv", xs, ts, grid.imag))
-    norms = solution.norm_trajectories(NORM_TIMES)
     manifest.files.append(write_csv(
         out / "norms.csv",
         "t,u_h0,u_h1,dudt_h0",

@@ -23,12 +23,14 @@ from .basis import frequencies
 
 TWO_PI = 2.0 * math.pi
 
-# 2*pi as four 13-bit pieces and a full-precision tail (2*pi - sum is 6e-33):
-# q * piece is exact for |q| < 2**40, which holds for every |phase| < 2**42
+# 2*pi as five pieces of at most 12 bits and a full-precision tail (2*pi - sum
+# is 6e-33): q * piece is exact for |q| < 2**41, which holds for every
+# |phase| < 2**43. The first two pieces sum to 0x1.921p+2, so every partial
+# sum, and every phase below 2**42, reduces as with that one 13-bit piece
 _TWO_PI_PIECES = tuple(float.fromhex(h) for h in (
-    "0x1.921p+2", "0x1.f6ap-11", "0x1.11p-24", "0x1.68cp-37", "0x1.1a62633145c07p-52",
+    "0x1.92p+2", "0x1p-10", "0x1.f6ap-11", "0x1.11p-24", "0x1.68cp-37", "0x1.1a62633145c07p-52",
 ))
-EXACT_PHASE_LIMIT = 2.0**42
+EXACT_PHASE_LIMIT = 2.0**43
 
 # clocks with dist(2*omega*T, 2*pi*Z) at or below this are rejected by the solver;
 # conditioning degrades like the reciprocal of the distance, so warn early
@@ -110,10 +112,10 @@ def _exact_phase(a, b) -> np.ndarray:
     """The exact product a*b of two floats (or arrays), reduced mod 2*pi to [-pi, pi].
 
     Dekker's two-product writes a*b = p + e exactly. Cody-Waite subtracts
-    q = round(p / 2 pi) times each piece of _TWO_PI_PIECES; the first four
+    q = round(p / 2 pi) times each piece of _TWO_PI_PIECES; the first five
     subtractions are exact, so the result is within about one ulp of pi of the
     true a*b - 2 pi q, however large a*b is. Domain: |a*b| < EXACT_PHASE_LIMIT
-    (2**42) and |a|, |b| < 2**996; anything else, a non-finite value included,
+    (2**43) and |a|, |b| < 2**996; anything else, a non-finite value included,
     raises ValueError.
     """
     a = np.asarray(a, dtype=float)
@@ -123,7 +125,7 @@ def _exact_phase(a, b) -> np.ndarray:
             and max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0)) < 2.0**996):
         raise ValueError(
             f"phase beyond exact reduction: a product a*b reaches {float(np.abs(p).max(initial=0.0)):.3e}, "
-            "but phases must stay below 2**42 (~4.4e12)"
+            "but phases must stay below 2**43 (~8.8e12)"
         )
     a_high, a_low = _split(a)
     b_high, b_low = _split(b)

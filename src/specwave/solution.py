@@ -1,9 +1,9 @@
 """Truncated eigenfunction-expansion solutions u(t) = sum_k y_k(t) v_k, and their evaluation.
 
 The frequencies are theta_k = k (`basis.frequencies`), so the field and norms
-on uniform times are chirp-z sums (`_chirp_sums`). Where a chirp phase would
-reach EXACT_PHASE_LIMIT a chirp sum runs against factored exact-phase tables
-instead, and the norms sum the mode blocks (`_block_squares`).
+on uniform times are chirp-z sums (`_chirp_sums`), at every horizon: where a
+chirp phase would reach EXACT_PHASE_LIMIT a chirp sum runs against factored
+exact-phase tables instead.
 """
 
 from __future__ import annotations
@@ -29,17 +29,11 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return z.real**2 + z.imag**2
 
 
-def _block_squares(solution, blocks, count: int) -> np.ndarray:
-    """||u||_H0^2, ||u||_H1^2 and ||u'||_H0^2 at `count` times, summed over the
-    mode `blocks` of `solution._mode_blocks`."""
-    squares = np.zeros((3, count))
-    for modes, back, ahead in blocks:
-        y2 = _abs2(back + ahead)
-        lam = solution.eigenvalues[modes]
-        squares[0] += y2.sum(axis=0)
-        squares[1] += np.einsum("k,kj->j", lam, y2)
-        squares[2] += np.einsum("k,kj->j", lam, _abs2(ahead - back))
-    return squares
+def _block_squares(lam: np.ndarray, back: np.ndarray, ahead: np.ndarray) -> np.ndarray:
+    """||u||_H0^2, ||u||_H1^2 and ||u'||_H0^2 of one block of modes, eigenvalues
+    `lam`, from its back and ahead terms as `SeriesSolution._mode_blocks` yields them."""
+    y2, dy2 = _abs2(back + ahead), _abs2(ahead - back)
+    return np.stack([y2.sum(axis=0), np.einsum("k,kj->j", lam, y2), np.einsum("k,kj->j", lam, dy2)])
 
 
 def _chirp_fits(dt: float, factor: int, n: int, count: int) -> bool:
@@ -100,7 +94,7 @@ class SeriesSolution:
 
     Immutable after assembly and safe to evaluate concurrently. `field` and
     `norm_trajectories` evaluate it on uniform times in [0, T] by chirp-z sums
-    over the integer frequencies; the norms' fallback, and
+    over the integer frequencies; the norms' first block, and
     `verification.mode_energy_drift`, read `_mode_blocks`.
     """
 
@@ -163,7 +157,7 @@ class SeriesSolution:
         sin(k fl(pi)) is about k 1.2e-16, not 0: it is sum_k sin(k fl(pi)) y_k,
         one more chirp sum over k. Costs O(N log N + M time_points log) and no
         matrix product. A chirp sum whose phases would reach EXACT_PHASE_LIMIT
-        (on the default 201 x 201 grid, past T ~ 1e8) sums against factored
+        (on the default 201 x 201 grid, past T ~ 2e8) sums against factored
         exact-phase tables instead, O(N time_points). Every frequency of the
         three sums (M l, r and k) is at most N, so every horizon is accepted
         whose `_mode_blocks` phases, up to theta_N qG dt, stay in the domain.
@@ -216,19 +210,16 @@ class SeriesSolution:
         term, so decaying data leave little to cancel. The rest errs by at most
         about eps (s_q + 2 log2(length) sum_k |w_k|); every time where that
         bound exceeds _NORM_REL of a square is summed again from all modes.
-        Falls back to summing every block (`_block_squares`) when a chirp phase
-        would reach EXACT_PHASE_LIMIT: at 1001 times, past T ~ 4e9 for
-        N = 1000 and T ~ 4e5 for N = 100000. The field's table sums do not
-        serve here: their e^{2ikt} phases would reach 2 N qG dt, twice the
-        blocks' theta_N qG dt, and so refuse half the horizons the blocks accept.
+        Past the chirp domain (at 1001 times, T ~ 9e9 for N = 1000 and
+        T ~ 9e5 for N = 100000) the chirp sum runs against exact-phase tables,
+        whose e^{2ikt} phases reach 2 N qG dt, below EXACT_PHASE_LIMIT = 2**43
+        exactly where the mode phases theta_N qG dt stay below 2**42.
         """
         dt = _time_step(self.T, time_points)
         n_modes = len(self)
-        if not _chirp_fits(dt, 2, n_modes + 1, time_points):
-            return _block_squares(self, self._mode_blocks(time_points), time_points)
-        head = next(self._mode_blocks(time_points))
-        squares = _block_squares(self, [head], time_points)
-        tail = slice(head[0].stop, None)
+        modes, back, ahead = next(self._mode_blocks(time_points))
+        squares = _block_squares(self.eigenvalues[modes], back, ahead)
+        tail = slice(modes.stop, None)
         lam = self.eigenvalues[tail]
         both = _abs2(self.C[tail]) + _abs2(self.D[tail])
         diagonal = np.array([both.sum(), np.dot(lam, both)])
@@ -245,8 +236,7 @@ class SeriesSolution:
         for start in range(0, redo.size, step):
             rows = redo[start:start + step]
             ph = _uniform_phases(dt, rows, n_modes + 1)[:, 1:].T
-            block = (slice(None), self.C[:, None] * ph.conj(), self.D[:, None] * ph)
-            squares[:, rows] = _block_squares(self, [block], rows.size)
+            squares[:, rows] = _block_squares(self.eigenvalues, self.C[:, None] * ph.conj(), self.D[:, None] * ph)
         return squares
 
     def norm_trajectories(self, time_points: int) -> NormTrajectories:

@@ -17,6 +17,10 @@
 - `norm_trajectory(solution, q, ts)`: the pointwise H^q norm of u (or du/dt)
   from `mode_values`/`mode_derivatives`, the reference for
   `SeriesSolution.norm_trajectories`. Used by `test_solution`.
+- `exact_phase_13_bit(a, b)`: the exact phase reduction as it stood with
+  2 pi in four 13-bit pieces, exact for products below 2^42; the frozen
+  reference that `phase._exact_phase` must match bit for bit there. Used by
+  `test_phase`.
 - `mode_integrals` and `weak_identity_residual`: closed-form antiderivatives
   of each mode, checking the integrated oscillator equation
   y'(t) - y'(s) = -lambda int_s^t y dr. Used by `test_cauchy`,
@@ -71,6 +75,27 @@ def denominator_via_f(k, clock):
     if np.asarray(k).ndim == 0:
         return complex(value)
     return value
+
+
+def exact_phase_13_bit(a, b) -> np.ndarray:
+    """a*b reduced mod 2 pi by Dekker's two-product and Cody-Waite with 2 pi in
+    four 13-bit pieces and a tail, for |a*b| < 2**42; no domain check."""
+    def split(x):
+        c = 134217729.0 * x
+        high = c - (c - x)
+        return high, x - high
+
+    pieces = [float.fromhex(h) for h in ("0x1.921p+2", "0x1.f6ap-11", "0x1.11p-24", "0x1.68cp-37")]
+    tail = float.fromhex("0x1.1a62633145c07p-52")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    p = a * b
+    (a_high, a_low), (b_high, b_low) = split(a), split(b)
+    e = ((a_high * b_high - p) + a_high * b_low + a_low * b_high) + a_low * b_low
+    q = np.rint(p / (2.0 * np.pi))
+    r = p
+    for piece in pieces:
+        r = r - q * piece
+    return r + (e - q * tail)
 
 
 def _modes(solution, t):

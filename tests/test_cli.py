@@ -552,11 +552,12 @@ class TestRunLifecycle:
         assert peak < 256 * 2**20
 
     def test_phases_past_exact_reduction_exit_2(self, tmp_path, capsys):
-        # theta_3 T = 4.5e12 is past 2**42: the evaluation refuses rather than
-        # write phases with no correct digit
+        # the norms' phases 2 theta_3 t reach 8.9e12, past 2**43: the evaluation
+        # refuses rather than write phases with no correct digit
         code = main(["solve", "--T", "1.5e12", "--omega", "0.3", "--N", "3", "--out", str(tmp_path)])
         assert code == 2
         assert "exact reduction" in read_manifest(tmp_path)["error"]
+        assert read_manifest(tmp_path)["files"] == ["manifest.json"]
         assert "error: phase beyond exact reduction" in capsys.readouterr().err
 
     def test_out_of_memory_exits_1_and_still_writes_manifest(self, tmp_path, monkeypatch, capsys):

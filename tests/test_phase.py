@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2.0 spells it trapz
 
-from oracles import denominator_via_f, integrate, resonance_numerator
+from oracles import denominator_via_f, exact_phase_13_bit, integrate, resonance_numerator
 from specwave import (
     GaussLegendre,
     ProblemClock,
@@ -365,17 +365,34 @@ class TestExactPhase:
         pytest.importorskip("mpmath")
         # products of either sign from 1e-9 up to the limit: float by float, and a
         # float step times an integer count, as the chirp and block phases form them
-        sizes = rng.choice([-1.0, 1.0], 400) * 2.0 ** rng.uniform(-30, 42, 400)
+        sizes = rng.choice([-1.0, 1.0], 400) * 2.0 ** rng.uniform(-30, 43, 400)
         a = 2.0 ** rng.uniform(-20, 20, 400)
         a[:200] = rng.integers(1, 1 << 40, 200).astype(float)
         b = sizes / a
-        a = np.append(a, [0.025, 1e9, 5.0 / 1000, -7.3, math.pi])
-        b = np.append(b, [(1 << 40) - 1, 4397.0, 2.0 * 101_000**2, 6.0e11, 1.0])
+        a = np.append(a, [0.025, 1e9, 5.0 / 1000, -7.3, math.pi, 0.1])
+        b = np.append(b, [(1 << 40) - 1, 4397.0, 2.0 * 101_000**2, 6.0e11, 1.0, (1 << 46) - 3])
         keep = np.abs(a * b) < EXACT_PHASE_LIMIT
         got = _exact_phase(b[keep], a[keep])
         assert np.all(np.abs(got) <= math.pi + 1e-15)
         worst = max(self.circle_error(g, x, y) for g, x, y in zip(got, a[keep], b[keep]))
         assert worst <= 2 * np.finfo(float).eps
+
+    def test_bit_identical_to_13_bit_pieces_below_2_42(self, rng):
+        # splitting the leading piece 0x1.921p+2 in two leaves every partial sum
+        # as it was, so products below 2**42 reduce exactly as before, near
+        # multiples of 2 pi (where the pieces cancel most) included
+        n = 50_000
+        sizes = rng.choice([-1.0, 1.0], n) * 2.0 ** rng.uniform(-30, 42, n)
+        a = 2.0 ** rng.uniform(-20, 20, n)
+        a[: n // 2] = rng.integers(1, 1 << 40, n // 2).astype(float)
+        q = rng.integers(1, int(2.0**42 / TWO_PI), n).astype(float)
+        near = q * TWO_PI + rng.uniform(-1e-3, 1e-3, n)
+        a = np.concatenate([a, 2.0 ** rng.integers(-10, 10, n).astype(float)])
+        b = np.concatenate([sizes, near]) / a
+        keep = np.abs(a * b) < 2.0**42
+        assert keep.sum() > 0.99 * a.size
+        got, want = _exact_phase(a[keep], b[keep]), exact_phase_13_bit(a[keep], b[keep])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_rounding_the_product_first_would_lose_digits(self):
         # fl(a b) is off by up to half an ulp of 4.4e11, 3e-5; the exact phase is not
@@ -384,7 +401,7 @@ class TestExactPhase:
         assert self.circle_error(_exact_phase(a, b), a, b) <= 2 * np.finfo(float).eps
 
     @pytest.mark.parametrize("a,b", [
-        (1.0, EXACT_PHASE_LIMIT), (-2.0, 2.0**41), (2.0**997, 2.0**-997), (math.nan, 1.0), (math.inf, 0.5),
+        (1.0, EXACT_PHASE_LIMIT), (-2.0, 2.0**42), (2.0**997, 2.0**-997), (math.nan, 1.0), (math.inf, 0.5),
     ])
     def test_refuses_beyond_the_domain(self, a, b):
         with pytest.raises(ValueError, match="exact reduction"):

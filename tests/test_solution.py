@@ -36,6 +36,24 @@ def mp_mode_terms(C, D, k, dt, j):
     return mpmath.mpc(C) / e + mpmath.mpc(D) * e
 
 
+def mp_norm_error(sol, norms, dt, times) -> float:
+    """Largest relative error of `norms` against the 40-digit norms of `sol` at t = j dt, j in `times`."""
+    import mpmath
+
+    ks, worst = np.arange(1, len(sol) + 1), 0.0
+    for j in times:
+        with mpmath.workdps(40):
+            back = [mp_mode_terms(C, 0, k, dt, j) for k, C in zip(ks, sol.C)]
+            ahead = [mp_mode_terms(0, D, k, dt, j) for k, D in zip(ks, sol.D)]
+            y = [b + d for b, d in zip(back, ahead)]
+            dy = [k * (d - b) for k, b, d in zip(ks, back, ahead)]  # |y'| = k |D e - C / e|
+            want = [mpmath.sqrt(mpmath.fsum(k ** (2 * q) * abs(v) ** 2 for k, v in zip(ks, vals)))
+                    for vals, q in ((y, 0), (y, 1), (dy, 0))]
+        for got, value in zip((norms.u_h0, norms.u_h1, norms.dudt_h0), want):
+            worst = max(worst, abs(got[j] - float(value)) / float(value))
+    return worst
+
+
 def single_cosine(T=5.0):
     return SeriesSolution(T, C=[0.5], D=[0.5])
 
@@ -146,17 +164,17 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n_modes", [1, 3, 100, 401])
     @pytest.mark.parametrize("nx,nt", [(201, 201), (20, 20)])
-    def test_field_horizons_end_where_the_block_phases_reach_2_42(self, n_modes, nx, nt):
+    def test_field_horizons_end_where_the_phases_reach_2_43(self, n_modes, nx, nt):
         # the last phase theta_N qG_max dt, qG_max the largest multiple of
-        # isqrt(nt) below nt, reaches 2**42 at T*. Real data (C = conj D) give
+        # isqrt(nt) below nt, reaches 2**43 at T*. Real data (C = conj D) give
         # an exactly real field on every route
         group = math.isqrt(nt)
         last = (nt - 1) // group * group
-        horizon = 2.0**42 * (nt - 1) / (n_modes * last)
+        horizon = 2.0**43 * (nt - 1) / (n_modes * last)
         coefficients = np.ones(n_modes) / np.arange(1, n_modes + 1)
         grid = SeriesSolution(0.999 * horizon, coefficients, coefficients).field(nx, nt)
         assert np.isfinite(grid).all() and np.all(grid.imag == 0)
-        with pytest.raises(ValueError, match="2\\*\\*42"):
+        with pytest.raises(ValueError, match="2\\*\\*43"):
             SeriesSolution(1.001 * horizon, coefficients, coefficients).field(nx, nt)
 
     @pytest.mark.parametrize("time_points", [0, -1])
@@ -310,14 +328,29 @@ class TestNormTrajectory:
         assert np.abs(norms.u_h0 - norm_trajectory(sol, 0, ts)).max() < 1e-14
         assert np.abs(norms.dudt_h0 - norm_trajectory(sol, 0, ts, derivative=True)).max() < 1e-14
 
-    def test_block_route_norms_match_the_chirp_one(self, rng):
-        # the route taken when a chirp phase would pass 2**42, here at a horizon
-        # where both run: the chirp sum covers modes 66..300 at 1001 times
+    def test_block_route_norms_match_the_chirp_one(self, rng, monkeypatch):
+        # the table tail that runs past the chirp domain, forced here at a
+        # horizon where every mode block runs too: it covers modes 66..300
         ks = np.arange(1, 301)
         sol = SeriesSolution(5.0, rng.standard_normal(300) / ks, 1j * rng.standard_normal(300) / ks)
-        chirp = sol._norm_squares(1001)
-        blocks = _block_squares(sol, sol._mode_blocks(1001), 1001)
-        assert np.all(np.abs(chirp - blocks) <= 1e-14 * blocks)
+        monkeypatch.setattr(solution, "_chirp_fits", lambda *a: False)
+        tables = sol._norm_squares(1001)
+        blocks = sum(_block_squares(sol.eigenvalues[modes], back, ahead) for modes, back, ahead in sol._mode_blocks(1001))
+        assert np.all(np.abs(tables - blocks) <= 1e-14 * blocks)
+
+    @pytest.mark.parametrize("n_modes", [3, 100, 3000])
+    def test_norm_horizons_end_where_the_doubled_phases_reach_2_43(self, n_modes):
+        # past the chirp domain the tail's e^{2ikt} phases 2 N qG_max dt reach
+        # 2**43 at T* = 2**42 1000 / (N qG_max), qG_max = 992 at 1001 times, as
+        # the field's theta_N qG_max dt reach 2**42. Near N = 1000 the chirp
+        # still fits at T*, so those N are left out
+        horizon = 2.0**42 * 1000 / (n_modes * 992)
+        coefficients = np.ones(n_modes) / np.arange(1, n_modes + 1) ** 2
+        norms = SeriesSolution(0.999 * horizon, coefficients, coefficients).norm_trajectories(1001)
+        assert norms.u_h0[0] == pytest.approx(2 * np.linalg.norm(coefficients), rel=1e-14)
+        assert np.isfinite(norms.u_h1).all() and np.isfinite(norms.dudt_h0).all()
+        with pytest.raises(ValueError, match="2\\*\\*43"):
+            SeriesSolution(1.001 * horizon, coefficients, coefficients).norm_trajectories(1001)
 
     def test_grid_norms_vanish_where_a_cosine_does(self):
         # no cancellation floor: |cos t| is resolved to rounding near its zeros
@@ -343,26 +376,30 @@ class TestNormTrajectory:
     def test_grid_norms_match_mpmath_at_n_2000(self, rng):
         # the CLI's kind of data: H^2 coefficients solved at omega = 0.07. The
         # routes evaluate t_j = j dt exactly, dt = fl(T / 1000)
-        mpmath = pytest.importorskip("mpmath")
+        pytest.importorskip("mpmath")
         n_modes, T = 2000, 5.0
         ks = np.arange(1, n_modes + 1)
         g = project(lambda x: x * (math.pi - x), n_modes)
         a = SpectralVector((rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / ks**3)
         sol = solve_nonlocal(NonlocalProblem(ProblemClock(T, 0.07), a, g))
         norms = sol.norm_trajectories(1001)
+        assert mp_norm_error(sol, norms, T / 1000, (0, 1, 437, 1000, *rng.integers(2, 1000, 3).tolist())) <= 4e-15
+
+    def test_grid_norms_match_mpmath_past_the_chirp_domain(self, rng):
+        # at T = 1.2e9 a chirp phase would reach 1.1e13, so the tail sums
+        # against exact-phase tables with phases up to 7.1e12; t_j = j dt
+        # exactly, dt = fl(T / 1000), which is no integer here, so rounding
+        # k t_j first would cost about 1e-3 of phase
+        pytest.importorskip("mpmath")
+        n_modes, T = 3000, 1.2e9 + 0.5
+        ks = np.arange(1, n_modes + 1)
+        C = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / ks**2
+        D = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / ks**2
+        sol = SeriesSolution(T, C, D)
         dt = T / 1000
-        worst = 0.0
-        for j in (0, 1, 437, 1000, *rng.integers(2, 1000, 3).tolist()):
-            with mpmath.workdps(40):
-                back = [mp_mode_terms(C, 0, k, dt, j) for k, C in zip(ks, sol.C)]
-                ahead = [mp_mode_terms(0, D, k, dt, j) for k, D in zip(ks, sol.D)]
-                y = [b + d for b, d in zip(back, ahead)]
-                dy = [k * (d - b) for k, b, d in zip(ks, back, ahead)]  # |y'| = k |D e - C / e|
-                want = [mpmath.sqrt(mpmath.fsum(k ** (2 * q) * abs(v) ** 2 for k, v in zip(ks, vals)))
-                        for vals, q in ((y, 0), (y, 1), (dy, 0))]
-            for got, value in zip((norms.u_h0, norms.u_h1, norms.dudt_h0), want):
-                worst = max(worst, abs(got[j] - float(value)) / float(value))
-        assert worst <= 4e-15
+        assert not solution._chirp_fits(dt, 2, n_modes + 1, 1001)
+        norms = sol.norm_trajectories(1001)
+        assert mp_norm_error(sol, norms, dt, (0, 1, 1000, *rng.integers(2, 1000, 3).tolist())) <= 4e-15
 
     def test_block_phases_match_mpmath_with_flat_coefficients(self):
         # every phase theta_k t_j = k j dt comes reduced from the exact product:
