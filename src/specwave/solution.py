@@ -31,7 +31,8 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 def _block_squares(lam: np.ndarray, back: np.ndarray, ahead: np.ndarray) -> np.ndarray:
     """||u||_H0^2, ||u||_H1^2 and ||u'||_H0^2 of one block of modes, eigenvalues
-    `lam`, from its back and ahead terms as `SeriesSolution._mode_blocks` yields them."""
+    `lam`, from its terms back = C_k e^{-i theta_k t_j} and ahead = D_k e^{i theta_k t_j}
+    (shape (modes, times)): y_k = back + ahead and y_k' = i theta_k (ahead - back)."""
     y2, dy2 = _abs2(back + ahead), _abs2(ahead - back)
     return np.stack([y2.sum(axis=0), np.einsum("k,kj->j", lam, y2), np.einsum("k,kj->j", lam, dy2)])
 
@@ -94,8 +95,8 @@ class SeriesSolution:
 
     Immutable after assembly and safe to evaluate concurrently. `field` and
     `norm_trajectories` evaluate it on uniform times in [0, T] by chirp-z sums
-    over the integer frequencies; the norms' first block, and
-    `verification.mode_energy_drift`, read `_mode_blocks`.
+    over the integer frequencies; the norms' first block of modes is summed
+    term by term over `phase._uniform_phases` tables.
     """
 
     T: float
@@ -123,25 +124,6 @@ class SeriesSolution:
     def eigenvalues(self) -> np.ndarray:
         return self.thetas**2
 
-    def _mode_blocks(self, time_points: int):
-        """Yield (modes, C_k e^{-i theta_k t_j}, D_k e^{i theta_k t_j}) block by block.
-
-        The times are t_j = j dt, `time_points` of them uniform in [0, T]
-        (dt = `phase._time_step(T, time_points)`), and `modes` is the slice of
-        the block's modes. The phases come factored from
-        `phase._uniform_phases`: about 2 N sqrt(time_points) exact phases and one
-        complex product per entry of the N x time_points table, each within
-        about an ulp of pi of theta_k t_j. A block
-        holds about _BLOCK_ELEMENTS entries, so no N x time_points buffer is ever
-        held; y_k = back + ahead and y_k' = i theta_k (ahead - back).
-        """
-        dt = _time_step(self.T, time_points)
-        step = max(1, _BLOCK_ELEMENTS // time_points)
-        for start in range(0, len(self), step):
-            modes = slice(start, start + step)
-            ph = _uniform_phases(dt, self.thetas[modes], time_points)
-            yield modes, self.C[modes, None] * np.conj(ph), self.D[modes, None] * ph
-
     def field(self, nx: int, time_points: int) -> np.ndarray:
         """u on the `nx` uniform points x_m = m pi / (nx - 1) of the domain x
         `time_points` uniform times in [0, T]; shape (nx, time_points).
@@ -160,7 +142,7 @@ class SeriesSolution:
         (on the default 201 x 201 grid, past T ~ 2e8) sums against factored
         exact-phase tables instead, O(N time_points). Every frequency of the
         three sums (M l, r and k) is at most N, so every horizon is accepted
-        whose `_mode_blocks` phases, up to theta_N qG dt, stay in the domain.
+        whose mode phases, up to theta_N qG dt, stay in the domain.
         """
         if nx < 2:
             raise ValueError(f"the field grid needs nx >= 2 points, got {nx}")
@@ -200,14 +182,15 @@ class SeriesSolution:
         """||u||_H0^2, ||u||_H1^2 and ||u'||_H0^2 on `time_points` uniform times in
         [0, T]; shape (3, time_points).
 
-        The first mode block of `_mode_blocks` as it is, the rest by one chirp
-        sum. |C e^{-ikt} + D e^{ikt}|^2 = |C|^2 + |D|^2 + 2 Re conj(C) D e^{2ikt},
+        The first H = _BLOCK_ELEMENTS // time_points modes term by term over
+        their `phase._uniform_phases` table, the rest by one chirp sum.
+        |C e^{-ikt} + D e^{ikt}|^2 = |C|^2 + |D|^2 + 2 Re conj(C) D e^{2ikt},
         and |y'|^2 is k^2 times the same with the last sign flipped. So over
         modes k > H, with s_q = sum_k k^{2q} (|C_k|^2 + |D_k|^2) and W_q(t) the
         chirp sum of w_k = k^{2q} conj(C_k) D_k at frequency 2k, the squares are
         s_0 + 2 Re W_0, s_1 + 2 Re W_1 and s_1 - 2 Re W_1: O((N + time_points)
-        log) for all times. The first block (its H modes) is summed term by
-        term, so decaying data leave little to cancel. The rest errs by at most
+        log) for all times. The first H modes are summed term by term, so
+        decaying data leave little to cancel. The rest errs by at most
         about eps (s_q + 2 log2(length) sum_k |w_k|); every time where that
         bound exceeds _NORM_REL of a square is summed again from all modes.
         Past the chirp domain (at 1001 times, T ~ 9e9 for N = 1000 and
@@ -217,9 +200,10 @@ class SeriesSolution:
         """
         dt = _time_step(self.T, time_points)
         n_modes = len(self)
-        modes, back, ahead = next(self._mode_blocks(time_points))
-        squares = _block_squares(self.eigenvalues[modes], back, ahead)
-        tail = slice(modes.stop, None)
+        head = slice(0, max(1, _BLOCK_ELEMENTS // time_points))
+        ph = _uniform_phases(dt, self.thetas[head], time_points)
+        squares = _block_squares(self.eigenvalues[head], self.C[head, None] * ph.conj(), self.D[head, None] * ph)
+        tail = slice(head.stop, None)
         lam = self.eigenvalues[tail]
         both = _abs2(self.C[tail]) + _abs2(self.D[tail])
         diagonal = np.array([both.sum(), np.dot(lam, both)])

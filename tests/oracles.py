@@ -13,7 +13,12 @@
 - `mode_values(solution, t)`, `mode_derivatives(solution, t)` and
   `field(solution, xs, ts)`: y_k(t), y_k'(t) and u(x, t) at any times in
   [0, T], from one e^{i theta_k t} per mode and time; the dense reference for
-  the factored mode blocks of `SeriesSolution`. Used throughout.
+  the factored phase tables of `SeriesSolution`. Used throughout.
+- `mode_energy_drift(solution)`: each mode's relative spread of
+  |y'|^2 + lambda |y|^2 over 1000 uniform times, from `mode_values` and
+  `mode_derivatives`; a time-sampled energy check, which a solve error in C
+  or D cannot move, unlike `verification.mode_energy_data_relative`. Used by
+  `test_verification` and `test_solution`.
 - `norm_trajectory(solution, q, ts)`: the pointwise H^q norm of u (or du/dt)
   from `mode_values`/`mode_derivatives`, the reference for
   `SeriesSolution.norm_trajectories`. Used by `test_solution`.
@@ -117,6 +122,16 @@ def mode_derivatives(solution, t) -> np.ndarray:
     """y_k'(t) for all modes; shape (N,) + shape(t)."""
     ph, theta, C, D = _modes(solution, t)
     return (1j * theta) * (D * ph - C * np.conj(ph))
+
+
+def mode_energy_drift(solution, time_points: int = 1000) -> np.ndarray:
+    """Per-mode (max - min) / max of |y'|^2 + lambda |y|^2 over `time_points` uniform
+    times in [0, T]; 0 for a mode with zero energy."""
+    ts = np.linspace(0.0, solution.T, time_points)
+    y, yp = mode_values(solution, ts), mode_derivatives(solution, ts)
+    energy = np.abs(yp) ** 2 + solution.eigenvalues[:, None] * np.abs(y) ** 2
+    top = energy.max(axis=1)
+    return (top - energy.min(axis=1)) / np.where(top > 0, top, 1.0)
 
 
 def field(solution, xs, ts) -> np.ndarray:

@@ -12,10 +12,12 @@ import pytest
 
 from oracles import denominator_via_f, mode_values, weak_identity_residual
 from specwave import (
+    CauchyProblem,
     GaussLegendre,
     NonlocalProblem,
     ProblemClock,
     SpectralVector,
+    derivative_coefficients,
     phi,
     project,
     solve_nonlocal,
@@ -99,7 +101,7 @@ def test_criterion_4_condition_residuals(random_instances):
 
 
 def test_criterion_5_mode_correctness():
-    with criterion(5, "mode ODE by finite differences, energy drift, weak identity"):
+    with criterion(5, "mode ODE by finite differences, energy from the data, weak identity"):
         rng = np.random.default_rng(7)
         clock = ProblemClock(5.0, 0.05)
         # finite differences at h = 1e-4 resolve frequencies up to theta ~ 30
@@ -117,7 +119,8 @@ def test_criterion_5_mode_correctness():
         # passes through zero and cannot anchor a relative error
         scale = lam * (np.abs(solution.C) + np.abs(solution.D))[:, None]
         assert (np.abs(fd - exact) / scale).max() < 1e-6
-        assert float(ver.mode_energy_drift(solution).max()) < 1e-12
+        cauchy = CauchyProblem(clock.T, alpha, derivative_coefficients(solution))
+        assert ver.mode_energy_data_relative(cauchy, solution) < 1e-12
         pairs = [tuple(sorted(rng.uniform(0.0, clock.T, 2))) for _ in range(10)]
         assert weak_identity_residual(solution, pairs) < 1e-10
 

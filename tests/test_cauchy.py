@@ -125,10 +125,8 @@ class TestModeDynamics:
     def test_per_mode_energy_conserved(self, rng):
         alpha = rng.standard_normal(30) + 1j * rng.standard_normal(30)
         beta = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-        sol = solve_cauchy(make_problem(alpha, beta))
-        drifts = ver.mode_energy_drift(sol)
-        for k in (1, 10, 30):
-            assert drifts[k - 1] < 1e-12
+        problem = make_problem(alpha, beta)
+        assert ver.mode_energy_data_relative(problem, solve_cauchy(problem)) < 1e-12
 
     def test_weak_identity_closed_form(self, rng):
         # y'(t) - y'(s) = -lambda int_s^t y dr with the analytic antiderivative

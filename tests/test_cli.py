@@ -256,7 +256,7 @@ class TestCauchy:
                      "--b", "parabola", "--out", str(tmp_path)])
         assert code == 0
         checks = {c["name"]: c for c in json.loads((tmp_path / "verification.json").read_text())}
-        assert checks["mode_energy_drift"]["pass"]
+        assert checks["mode_energy_data_rel"]["pass"]
         assert checks["energy_estimate_violation"]["pass"]
         energy = json.loads((tmp_path / "energy.json").read_text())
         assert energy["estimate_margin"] > 0

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import eigenfunction_matrix, field, mode_derivatives, mode_values, norm_trajectory
+from oracles import eigenfunction_matrix, field, mode_derivatives, mode_energy_drift, mode_values, norm_trajectory
 from specwave import (
     CauchyProblem,
     GaussLegendre,
@@ -330,12 +330,17 @@ class TestNormTrajectory:
 
     def test_block_route_norms_match_the_chirp_one(self, rng, monkeypatch):
         # the table tail that runs past the chirp domain, forced here at a
-        # horizon where every mode block runs too: it covers modes 66..300
+        # horizon where term-by-term blocks run too: it covers modes 66..300
         ks = np.arange(1, 301)
         sol = SeriesSolution(5.0, rng.standard_normal(300) / ks, 1j * rng.standard_normal(300) / ks)
         monkeypatch.setattr(solution, "_chirp_fits", lambda *a: False)
         tables = sol._norm_squares(1001)
-        blocks = sum(_block_squares(sol.eigenvalues[modes], back, ahead) for modes, back, ahead in sol._mode_blocks(1001))
+        dt, blocks = 5.0 / 1000, 0.0
+        for start in range(0, 300, 65):
+            modes = slice(start, start + 65)
+            ph = _uniform_phases(dt, sol.thetas[modes], 1001)
+            back, ahead = sol.C[modes, None] * ph.conj(), sol.D[modes, None] * ph
+            blocks = blocks + _block_squares(sol.eigenvalues[modes], back, ahead)
         assert np.all(np.abs(tables - blocks) <= 1e-14 * blocks)
 
     @pytest.mark.parametrize("n_modes", [3, 100, 3000])
@@ -407,15 +412,13 @@ class TestNormTrajectory:
         # oracles.mode_values does) errs by up to eps k t_j / 2 ~ 3e-13
         mpmath = pytest.importorskip("mpmath")
         n_modes, T = 1000, 5.0
-        sol = SeriesSolution(T, np.ones(n_modes), np.ones(n_modes))
         dt, worst = T / 200, 0.0
-        for modes, back, ahead in sol._mode_blocks(201):
-            for i in (0, len(back) - 1):
-                k = modes.start + i + 1
-                for j in (1, 77, 199, 200):
-                    with mpmath.workdps(40):
-                        want = complex(mp_mode_terms(1, 1, k, dt, j))
-                    worst = max(worst, abs(back[i, j] + ahead[i, j] - want))
+        table = _uniform_phases(dt, np.arange(1, n_modes + 1), 201)
+        for k in (1, 326, 327, 652, 653, 978, 979, 1000):
+            for j in (1, 77, 199, 200):
+                with mpmath.workdps(40):
+                    want = complex(mp_mode_terms(1, 1, k, dt, j))
+                worst = max(worst, abs(table[k - 1, j].conj() + table[k - 1, j] - want))
         assert worst <= 4 * EPS
 
     def test_shared_trajectories_memory_bounded_at_large_n(self, rng):
@@ -437,12 +440,7 @@ class TestNormTrajectory:
         C = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         D = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         sol = SeriesSolution(4.0, C, D)
-        ts = np.linspace(0.0, 4.0, 500)
-        y = mode_values(sol, ts)
-        yp = mode_derivatives(sol, ts)
-        energy = np.abs(yp) ** 2 + sol.eigenvalues[:, None] * np.abs(y) ** 2
-        drift = (energy.max(1) - energy.min(1)) / energy.max(1)
-        assert drift.max() < 1e-12
+        assert mode_energy_drift(sol, 500).max() < 1e-12
 
 
 class TestRealImaginaryParts:

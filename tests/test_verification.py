@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import mode_derivatives, mode_values, weak_identity_residual
+from oracles import mode_energy_drift, weak_identity_residual
 from specwave import (
     CauchyProblem,
     GaussLegendre,
     NonlocalProblem,
     ProblemClock,
     SpectralVector,
+    derivative_coefficients,
     project,
     solve_cauchy,
     solve_nonlocal,
@@ -78,8 +79,25 @@ def test_real_system_residuals(solved):
 
 
 def test_mode_energy_drift_tiny(solved):
-    _, sol = solved
-    assert float(ver.mode_energy_drift(sol).max()) < 1e-12
+    # the solution solves the Cauchy problem with b = du/dt(0), and each
+    # mode's energy matches that data's
+    problem, sol = solved
+    cauchy = CauchyProblem(sol.T, problem.alpha, derivative_coefficients(sol))
+    assert ver.mode_energy_data_relative(cauchy, sol) < 1e-12
+
+
+def test_mode_energy_data_identity_sees_a_solve_error(rng):
+    # a 1e-9 relative error in D leaves each mode's energy constant in time,
+    # so the time-sampled drift cannot see it; the data identity reads it
+    n_modes = 100
+    ks = np.arange(1, n_modes + 1)
+    problem = CauchyProblem(5.0, SpectralVector(rng.standard_normal(n_modes) / ks),
+                            SpectralVector(rng.standard_normal(n_modes)))
+    sol = solve_cauchy(problem)
+    assert ver.mode_energy_data_relative(problem, sol) < 1e-12
+    planted = SeriesSolution(sol.T, sol.C, sol.D * (1 + 1e-9))
+    assert ver.mode_energy_data_relative(problem, planted) > 1e-12
+    assert mode_energy_drift(planted).max() < 1e-12
 
 
 def test_weak_identity(solved, rng):
@@ -93,7 +111,7 @@ def test_energy_estimate_margin_positive(rng):
     beta = SpectralVector(rng.standard_normal(50) + 1j * rng.standard_normal(50))
     problem = CauchyProblem(5.0, alpha, beta)
     sol = solve_cauchy(problem)
-    assert ver.energy_estimate_margin(problem, sol, sol.norm_trajectories(1001)) > 0
+    assert ver.energy_estimate_margin(problem, sol.norm_trajectories(1001)) > 0
 
 
 def test_residuals_at_reference_configuration():
@@ -131,43 +149,6 @@ def test_quadrature_checks_memory_bounded_at_large_n():
     scale = 1 + problem.gamma.sobolev_norm(0)
     assert total / scale < 1e-8
     assert max(re_resid, im_resid) < 1e-8 * scale
-
-
-def _dense_mode_energy_drift(solution, time_points=1000):
-    ts = np.linspace(0.0, solution.T, time_points)
-    y, yp = mode_values(solution, ts), mode_derivatives(solution, ts)
-    energy = np.abs(yp) ** 2 + solution.eigenvalues[:, None] * np.abs(y) ** 2
-    top = energy.max(axis=1)
-    return (top - energy.min(axis=1)) / np.where(top > 0, top, 1.0)
-
-
-def _random_solution(n_modes):
-    rng = np.random.default_rng(n_modes)
-    C = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-    D = rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)
-    return SeriesSolution(5.0, C, D)
-
-
-@pytest.mark.parametrize("n_modes", [1, 100, 1000])
-def test_streamed_mode_energy_drift_equals_dense(n_modes):
-    # the factored phases round differently, so agreement is at rounding, not bitwise
-    sol = _random_solution(n_modes)
-    streamed, dense = ver.mode_energy_drift(sol), _dense_mode_energy_drift(sol)
-    assert np.abs(streamed - dense).max() <= 1e-14
-    assert max(streamed.max(), dense.max()) < 1e-12
-
-
-def test_mode_energy_drift_memory_bounded_at_large_n():
-    # the dense N x 1000 y and y' arrays would take over 200 MiB here
-    sol = _random_solution(3000)
-    tracemalloc.start()
-    try:
-        drift = ver.mode_energy_drift(sol)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-    assert drift.shape == (3000,) and drift.max() < 1e-12
 
 
 def test_small_scaling_flagged_at_large_n():
