@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, _csv, verification
 from .basis import DOMAIN
 from .cauchy import CauchyProblem, solve_cauchy
-from .config import ConfigError, ExperimentConfig, RunManifest, resolve_data
+from .config import ConfigError, ExperimentConfig, RunManifest
 from .phase import LABELS, ProblemClock, z_diagnostic
 from .timeavg import (
     IllConditionedModeError,
@@ -125,13 +125,12 @@ def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, soluti
 
 
 def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    rule = cfg.build_rule()
-    problem = NonlocalProblem(cfg.clock(), resolve_data(cfg.a, cfg.N, rule), resolve_data(cfg.g, cfg.N, rule))
+    problem = NonlocalProblem(cfg.clock(), *cfg.data(cfg.a, cfg.g))
     solution = solve_nonlocal(problem)
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
 
     report = stability_report(problem, solution, norms)
-    manifest.files.append(write_json(out / "stability.json", report.to_dict()))
+    manifest.files.append(write_json(out / "stability.json", asdict(report)))
 
     init_res = verification.initial_condition_relative(problem, solution)
     integral = verification.integral_condition_residual(problem, solution)
@@ -147,8 +146,7 @@ def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
 
 
 def cmd_cauchy(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    rule = cfg.build_rule()
-    problem = CauchyProblem(cfg.T, resolve_data(cfg.a, cfg.N, rule), resolve_data(cfg.b, cfg.N, rule))
+    problem = CauchyProblem(cfg.T, *cfg.data(cfg.a, cfg.b))
     solution = solve_cauchy(problem)
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
 
@@ -169,9 +167,7 @@ def cmd_cauchy(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
 
 
 def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    rule = cfg.build_rule()
-    alpha = resolve_data(cfg.a, cfg.N, rule)
-    gamma = resolve_data(cfg.g, cfg.N, rule)
+    alpha, gamma = cfg.data(cfg.a, cfg.g)
     rows = []
     for omega in cfg.omega:
         clock = ProblemClock(cfg.T, omega)
@@ -210,7 +206,7 @@ def cmd_paper_table(cfg: ExperimentConfig, args, out: Path, manifest: RunManifes
 
 
 def cmd_project(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    vec = resolve_data(args.f, cfg.N, cfg.build_rule())
+    (vec,) = cfg.data(args.f)
     c = vec.coefficients
     manifest.files.append(write_csv(
         out / "coefficients.csv",

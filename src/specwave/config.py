@@ -128,8 +128,12 @@ class ExperimentConfig:
             cfg = replace(self, omega=self.omega[0])
         return cfg
 
-    def build_rule(self) -> GaussLegendre:
-        return projection_rule(self.N, self.quad_panels)
+    def data(self, *specs: str) -> tuple[SpectralVector, ...]:
+        """`resolve_data` of each spec on N modes under one projection rule; a spec
+        given twice resolves (and projects) once. Errors come in the order given."""
+        rule = projection_rule(self.N, self.quad_panels)
+        resolved = {spec: resolve_data(spec, self.N, rule) for spec in dict.fromkeys(specs)}
+        return tuple(resolved[spec] for spec in specs)
 
     def clock(self) -> ProblemClock:
         return ProblemClock(self.T, self.omega)

@@ -6,7 +6,7 @@ anywhere, mu = 0 included. The per-mode solvability denominator is
 d_k = phi(omega + theta_k, T) - phi(omega - theta_k, T); its scaled magnitude
 |d_k| (1 + theta_k) must stay away from zero for the time-averaged problem to
 be well conditioned, and z(m) = min over k <= m of that quantity is the
-computable separation diagnostic. `denominators` returns all of it in one
+computable separation diagnostic. `z_diagnostic` returns all of it in one
 `DenominatorReport`, which the solver and every diagnostic read.
 """
 
@@ -216,21 +216,15 @@ class DenominatorReport:
         return np.minimum.accumulate(self.scaled)
 
 
-def denominators(theta, clock: ProblemClock) -> DenominatorReport:
-    """The report of d = phi(omega + theta) - phi(omega - theta), theta[k-1] the
-    frequency of mode k (a scalar is mode 1).
+def z_diagnostic(m: int, clock: ProblemClock) -> DenominatorReport:
+    """The report of d_k = phi(omega + theta_k) - phi(omega - theta_k) and z(m), k = 1..m.
 
     The one place the per-mode determinant is computed; the solver eliminates
     with its phi_minus, and every diagnostic reads it from here.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    theta = frequencies(m)
     phi_minus = phi(clock.omega - theta, clock.T)
     d = phi(clock.omega + theta, clock.T) - phi_minus
     return DenominatorReport(theta, d, np.abs(d) * (1.0 + theta), phi_minus, clock)
-
-
-def z_diagnostic(m: int, clock: ProblemClock) -> DenominatorReport:
-    """Evaluate d_k for the modes k = 1..m and aggregate the separation diagnostic z(m)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return denominators(frequencies(m), clock)

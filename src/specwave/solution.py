@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import DOMAIN, SpectralVector, frequencies
+from .basis import DOMAIN, frequencies
 from .phase import EXACT_PHASE_LIMIT, _exact_phase, _time_step, _uniform_phases
 
 # complex phases a blocked evaluation holds at once: 2**16 x 16 B = 1 MiB
@@ -173,10 +173,6 @@ class SeriesSolution:
         back, ahead = _chirp_sums(weights[:, :n_modes + 1], dt, 1, time_points)
         grid[-1] = math.sqrt(2.0 / math.pi) * (np.conj(back) + ahead)
         return grid
-
-    def initial_coefficients(self) -> SpectralVector:
-        """Coefficients of u(0), i.e. C + D."""
-        return SpectralVector(self.C + self.D)
 
     def _norm_squares(self, time_points: int) -> np.ndarray:
         """||u||_H0^2, ||u||_H1^2 and ||u'||_H0^2 on `time_points` uniform times in

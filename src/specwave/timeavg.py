@@ -14,13 +14,13 @@ which is exactly what the diagnostics in `phase` measure.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .basis import SpectralVector, frequencies
-from .phase import LABELS, DenominatorReport, ProblemClock, denominators
+from .basis import SpectralVector
+from .phase import LABELS, DenominatorReport, ProblemClock, z_diagnostic
 from .solution import NormTrajectories, SeriesSolution
 
 # modes with |d_k| (1 + theta_k) below this floor amplify data noise past ~1e12
@@ -71,39 +71,27 @@ class NonlocalProblem:
 
     @cached_property
     def mode_denominators(self) -> DenominatorReport:
-        """`denominators` of every mode, computed once for the solve and the coefficient bound."""
-        return denominators(frequencies(len(self.alpha)), self.clock)
-
-
-def _solve_modes(alpha, gamma, dens: DenominatorReport, T: float):
-    """(C, D) for every mode's 2x2 system by elimination with the modes' report `dens`.
-
-    C is recovered as alpha_k - D, so the initial condition holds to rounding
-    at the coefficient scale (error below eps (|C| + |D|), and exactly zero
-    whenever alpha_k = 0). Raises IllConditionedModeError for the worst mode
-    when any |d_k| (1 + theta_k) falls below the conditioning floor of T. The
-    stable phi makes this path correct through the resonance theta = +/-omega
-    without special-casing. Takes a bare report, so the diagnostics can solve
-    at omega = 0.
-    """
-    floor = condition_floor(T)
-    if dens.z < floor:
-        raise IllConditionedModeError(dens, floor)
-    D = (gamma - dens.phi_minus * alpha) / dens.values
-    C = alpha - D
-    return C, D
+        """`z_diagnostic` of every mode, computed once for the solve and the coefficient bound."""
+        return z_diagnostic(len(self.alpha), self.clock)
 
 
 def solve_nonlocal(problem: NonlocalProblem) -> SeriesSolution:
-    """Assemble all modes of the time-averaged problem.
+    """Assemble all modes by elimination with the problem's `mode_denominators`.
 
-    u(0) = a holds in coefficients to rounding at the mode scale (C_k is
-    alpha_k - D_k by construction); the time-average condition holds
-    mode-exactly and is re-checked by independent quadrature in `verification`.
+    C is recovered as alpha_k - D, so u(0) = a holds in coefficients to rounding
+    at the mode scale (error below eps (|C| + |D|), exactly zero where alpha_k = 0);
+    the time-average condition holds mode-exactly and is re-checked by
+    independent quadrature in `verification`. Raises IllConditionedModeError for
+    the worst mode when any |d_k| (1 + theta_k) falls below the conditioning
+    floor of T; the stable phi needs no special case at theta = +/-omega.
     """
     dens = problem.mode_denominators
-    C, D = _solve_modes(problem.alpha.coefficients, problem.gamma.coefficients, dens, problem.clock.T)
-    return SeriesSolution(problem.clock.T, C, D)
+    floor = condition_floor(problem.clock.T)
+    if dens.z < floor:
+        raise IllConditionedModeError(dens, floor)
+    alpha = problem.alpha.coefficients
+    D = (problem.gamma.coefficients - dens.phi_minus * alpha) / dens.values
+    return SeriesSolution(problem.clock.T, alpha - D, D)
 
 
 @dataclass(frozen=True)
@@ -122,9 +110,6 @@ class StabilityReport:
     bound_constant: float
     bound_min_margin: float
     bound_all_ok: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def stability_report(

@@ -8,7 +8,7 @@
   `field` below.
 - `resonance_numerator` and `denominator_via_f`: the closed form
   d_k = 2 f(k) / (i (omega^2 - k^2)) at theta_k = k, a cross-check of
-  `phase.denominators` that never calls phi. Used by `test_phase` and
+  `phase.z_diagnostic` that never calls phi. Used by `test_phase` and
   acceptance criterion 8.
 - `mode_values(solution, t)`, `mode_derivatives(solution, t)` and
   `field(solution, xs, ts)`: y_k(t), y_k'(t) and u(x, t) at any times in
@@ -74,7 +74,7 @@ def denominator_via_f(k, clock):
     gap = np.minimum(np.abs(theta - clock.omega), np.abs(theta + clock.omega))
     if np.any(gap <= F_FORM_MIN_GAP):
         raise ValueError(
-            f"theta within {F_FORM_MIN_GAP:g} of +/-omega: closed form degenerates, use denominators()"
+            f"theta within {F_FORM_MIN_GAP:g} of +/-omega: closed form degenerates, use z_diagnostic()"
         )
     value = 2.0 * resonance_numerator(theta, clock) / (1j * (clock.omega**2 - theta**2))
     if np.asarray(k).ndim == 0:

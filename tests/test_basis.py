@@ -122,7 +122,7 @@ class TestProject:
         # a fixed 64-panel rule aliases sin(kx) above k ~ 170 and errs by up to 2.3 here
         n = 1000
         expected = np.array([parabola_coefficient(k) for k in range(1, n + 1)])
-        from_config = resolve_data("parabola", n, ExperimentConfig(N=n).build_rule())
+        (from_config,) = ExperimentConfig(N=n).data("parabola")
         assert np.abs(from_config.coefficients - expected).max() <= 1e-9
         assert np.abs(project(parabola, n).coefficients - expected).max() <= 1e-9
 
@@ -136,10 +136,13 @@ class TestProject:
         assert np.array_equal(vec.coefficients, np.zeros(3000, dtype=complex))
         assert not np.signbit(vec.coefficients.view(float)).any()
 
-    def test_rule_floor_leaves_small_and_explicit_rules(self):
-        assert ExperimentConfig(N=102).build_rule() == GaussLegendre(panels=64, order=8)
-        assert ExperimentConfig(N=103).build_rule().panels == 65
-        assert ExperimentConfig(N=1000, quad_panels=900).build_rule().panels == 900
+    def test_rule_floor_leaves_small_and_explicit_rules(self, monkeypatch):
+        assert projection_rule(102) == GaussLegendre(panels=64, order=8)
+        assert projection_rule(103).panels == 65
+        rules = []
+        monkeypatch.setattr(config, "resolve_data", lambda spec, n, rule: rules.append(rule))
+        ExperimentConfig(N=1000, quad_panels=900).data("parabola")
+        assert [rule.panels for rule in rules] == [900]
 
     @pytest.mark.parametrize("n_modes,panels", [(100, None), (1000, None), (3000, None), (1000, 64)])
     def test_fft_projection_matches_dense_product(self, n_modes, panels):

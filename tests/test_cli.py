@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specwave import cli, phase
+from specwave import cli, config, phase
 from specwave.solution import SeriesSolution
 from specwave.cli import main
 from specwave.config import ConfigError, ExperimentConfig
@@ -262,6 +262,17 @@ class TestCauchy:
         assert energy["estimate_margin"] > 0
         assert energy["sup_u_h1"] > 0
 
+    def test_one_preset_for_both_data_projects_once(self, tmp_path, monkeypatch):
+        specs, problems = [], []
+        resolve_data, solve_cauchy = config.resolve_data, cli.solve_cauchy
+        monkeypatch.setattr(config, "resolve_data", lambda spec, *rest: specs.append(spec) or resolve_data(spec, *rest))
+        monkeypatch.setattr(cli, "solve_cauchy", lambda problem: problems.append(problem) or solve_cauchy(problem))
+        code = main(["cauchy", "--N", "50", "--a", "parabola", "--b", "parabola", "--out", str(tmp_path)])
+        assert code == 0
+        assert specs == ["parabola"]
+        (problem,) = problems
+        assert np.array_equal(problem.alpha.coefficients, problem.beta.coefficients)
+
 
 class TestSweep:
     def test_decreasing_omega_decreases_z(self, tmp_path):
@@ -283,6 +294,20 @@ class TestSweep:
         rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
         assert rows[0].endswith("ok")
         assert rows[1].endswith("inadmissible")
+
+    def test_ill_conditioned_row_flagged_but_run_continues(self, tmp_path):
+        # 3 T = 20000 pi: beside omega = 1e-9 / T, |d_3| (1 + 3) = 2.7e-9 is below
+        # the floor 1e-12 T; the clock is admissible, so the row solves and fails
+        T = 20000 * math.pi / 3
+        with pytest.warns(UserWarning, match="conditioning"):
+            code = main(["sweep", "--T", repr(T), "--omega", f"0.31,{1e-9 / T!r}",
+                         "--N", "5", "--out", str(tmp_path)])
+        assert code == 1
+        rows = [r.split(",") for r in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert rows[0][-1] == "ok"
+        assert rows[1][2:] == ["nan", "nan", "ill-conditioned k=3"]
+        checks = read_manifest(tmp_path)["checks"]
+        assert [(c["name"], c["value"]) for c in checks] == [("failed_rows", 1.0)]
 
     @pytest.mark.parametrize("omegas,phi_calls", [("0.3,0.1", 4), ("0.3,0,0.1", 6)])
     def test_one_denominator_pass_per_omega(self, tmp_path, monkeypatch, omegas, phi_calls):

@@ -23,7 +23,6 @@ from specwave.phase import (
     TWO_PI,
     _classify_codes,
     _exact_phase,
-    denominators,
     phase_distance,
 )
 
@@ -158,13 +157,13 @@ class TestDenominator:
             clock = ProblemClock(T, 0.0)
             for k in (1, 2, 5, 40):
                 expected = 2.0 * (1 - math.cos(k * T)) / k
-                d = denominators(float(k), clock).values
+                d = z_diagnostic(k, clock).values[k - 1]
                 assert abs(d) == pytest.approx(expected, abs=1e-13)
 
     def test_resonant_mode_solvable(self):
         # theta = omega: d = phi(2 omega) - T, nonzero for admissible clocks
         clock = ProblemClock(1.0, 3.0)
-        d = denominators(3.0, clock).values
+        d = z_diagnostic(3, clock).values[2]
         expected = phi(6.0, 1.0) - 1.0
         assert d == pytest.approx(expected, abs=1e-14)
         assert abs(d) > 0.1
@@ -173,7 +172,7 @@ class TestDenominator:
         clock = ProblemClock(1.0, 0.5)
         t = np.linspace(0.0, 1.0, 100001)
         integrand = np.exp(1j * (0.5 + 1.0) * t) - np.exp(1j * (0.5 - 1.0) * t)
-        assert denominators(1.0, clock).values == pytest.approx(
+        assert z_diagnostic(1, clock).values[0] == pytest.approx(
             complex(trapezoid(integrand, t)), abs=1e-10
         )
 
@@ -185,7 +184,7 @@ class TestDenominator:
             sympy.exp(sympy.I * (omega + theta) * t) - sympy.exp(sympy.I * (omega - theta) * t),
             (t, 0, T),
         )
-        got = denominators(2.0, ProblemClock(3.0, 0.5)).values
+        got = z_diagnostic(2, ProblemClock(3.0, 0.5)).values[1]
         assert got == pytest.approx(complex(exact.evalf(20)), abs=1e-14)
 
     @settings(max_examples=50, deadline=None)
@@ -199,8 +198,8 @@ class TestDenominator:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            plus = denominators(float(k), ProblemClock(T, omega)).values
-            minus = denominators(float(k), ProblemClock(T, -omega)).values
+            plus = z_diagnostic(k, ProblemClock(T, omega)).values[k - 1]
+            minus = z_diagnostic(k, ProblemClock(T, -omega)).values[k - 1]
         assert abs(plus) == pytest.approx(abs(minus), rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("T", [5.0, 10.0])
@@ -210,7 +209,7 @@ class TestDenominator:
         pytest.importorskip("mpmath")
         ks = np.unique(np.r_[np.arange(1, 2001, 10), 71, 142])
         theta = frequencies(2000)[ks - 1]
-        got = denominators(theta, ProblemClock(T, 0.0)).values
+        got = z_diagnostic(2000, ProblemClock(T, 0.0)).values[ks - 1]
         want = np.array([mp_denominator(t, 0.0, T) for t in theta])
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
 
@@ -219,7 +218,7 @@ class TestDenominatorViaF:
     def test_agrees_on_generic_modes(self):
         clock = ProblemClock(5.0, 0.01)
         for k in (1, 7, 100, 500):
-            d = denominators(float(k), clock).values
+            d = z_diagnostic(k, clock).values[k - 1]
             dv = denominator_via_f(k, clock)
             assert abs(dv - d) < 1e-10 * (1 + abs(d))
 
@@ -249,12 +248,12 @@ class TestClassify:
 
     def test_phase_coincidence(self):
         # (theta - omega) T = 2 pi exactly
-        code = denominators(1.5, ProblemClock(2 * math.pi, 0.5)).codes[0]
+        code = _classify_codes(np.array([1.5]), ProblemClock(2 * math.pi, 0.5), CLASSIFY_TOL)[0]
         assert LABELS[code] == "phase-matched(phase=+omega)"
 
     def test_phase_coincidence_conjugate_branch(self):
         # (theta + omega) T = 2 pi exactly
-        code = denominators(0.75, ProblemClock(2 * math.pi, 0.25)).codes[0]
+        code = _classify_codes(np.array([0.75]), ProblemClock(2 * math.pi, 0.25), CLASSIFY_TOL)[0]
         assert LABELS[code] == "phase-matched(phase=-omega)"
 
     def test_generic_for_the_reference_clock(self):

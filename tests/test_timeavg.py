@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,9 +20,7 @@ from specwave import (
     z_diagnostic,
 )
 from specwave import phase
-from specwave.basis import frequencies
 from specwave.phase import LABELS
-from specwave.timeavg import _solve_modes
 
 
 def solved_report(problem):
@@ -34,16 +33,29 @@ def make_problem(clock, alpha, gamma):
     return NonlocalProblem(clock, SpectralVector(alpha), SpectralVector(gamma))
 
 
-def solve_mode(alpha, gamma, theta, clock):
-    """One mode through the solver's array kernel, which takes a bare report (omega = 0 too)."""
-    dens = phase.denominators([theta], clock)
-    C, D = _solve_modes(np.array([alpha], complex), np.array([gamma], complex), dens, clock.T)
-    return complex(C[0]), complex(D[0])
+def solve_mode(alpha, gamma, k, clock):
+    """(C_k, D_k) of a solve_nonlocal run whose modes below k carry zero data."""
+    a, g = np.zeros(k, complex), np.zeros(k, complex)
+    a[-1], g[-1] = alpha, gamma
+    sol = solve_nonlocal(make_problem(clock, a, g))
+    return complex(sol.C[-1]), complex(sol.D[-1])
+
+
+def near_zero_clock(T):
+    """omega = 1e-9 / T: 2 omega T is 2e-9 from 2 pi Z, twice the admissibility
+    tolerance, so the clock is admissible and warns."""
+    with pytest.warns(UserWarning, match="conditioning"):
+        return ProblemClock(T, 1e-9 / T)
+
+
+# 3 T = 20000 pi: beside omega = 1e-9 / T, mode 3 alone is phase-matched, with
+# |d_3| (1 + 3) = 2.7e-9 below the floor 1e-12 T = 2.1e-8; modes 1, 2, 4, 5 read >= 3.6
+ILL_T = 20000 * math.pi / 3
 
 
 class TestSolveNonlocalMode:
     def test_zero_data(self):
-        C, D = solve_mode(0.0, 0.0, 1.0, ProblemClock(1.0, 0.5))
+        C, D = solve_mode(0.0, 0.0, 1, ProblemClock(1.0, 0.5))
         assert C == 0 and D == 0
 
     def test_resonant_mode_uses_stable_path(self):
@@ -51,7 +63,7 @@ class TestSolveNonlocalMode:
         # C*T + D*phi(2 omega) = gamma, solvable because phi(2 omega) != T
         clock = ProblemClock(1.0, 3.0)
         alpha, gamma = 1.0 + 0.5j, -0.2 + 0.8j
-        C, D = solve_mode(alpha, gamma, 3.0, clock)
+        C, D = solve_mode(alpha, gamma, 3, clock)
         wd = phi(6.0, 1.0)
         assert C + D == pytest.approx(alpha, abs=1e-15)
         assert C * 1.0 + D * wd == pytest.approx(gamma, abs=1e-13)
@@ -59,7 +71,7 @@ class TestSolveNonlocalMode:
     def test_generic_mode_satisfies_both_equations(self):
         clock = ProblemClock(1.0, 0.5)
         alpha, gamma = 1.0, 0.3 + 0.1j
-        C, D = solve_mode(alpha, gamma, 1.0, clock)
+        C, D = solve_mode(alpha, gamma, 1, clock)
         assert C + D == pytest.approx(alpha, abs=1e-15)
         lhs = C * phi(-0.5, 1.0) + D * phi(1.5, 1.0)
         assert abs(lhs - gamma) < 1e-12 * (1 + abs(gamma))
@@ -68,7 +80,7 @@ class TestSolveNonlocalMode:
         # independent check: integrate e^{i omega t} y(t) numerically
         clock = ProblemClock(1.0, 0.5)
         alpha, gamma = 1.0, 0.3 + 0.1j
-        C, D = solve_mode(alpha, gamma, 1.0, clock)
+        C, D = solve_mode(alpha, gamma, 1, clock)
         rule = GaussLegendre(panels=128, order=8)
         moment = integrate(
             rule,
@@ -80,25 +92,24 @@ class TestSolveNonlocalMode:
         assert moment == pytest.approx(gamma, abs=1e-12)
 
     def test_ill_conditioned_mode_raises(self):
-        # omega = 0, theta T = 2 pi: the denominator vanishes identically
-        clock = ProblemClock(2 * math.pi, 0.0)
+        # omega ~ 0, theta T = 20000 pi: the denominator nearly vanishes
+        clock = near_zero_clock(ILL_T)
         with pytest.raises(IllConditionedModeError) as err:
-            solve_mode(1.0, 1.0, 1.0, clock)
-        assert err.value.k == 1
-        assert err.value.abs_d < 1e-12
+            solve_mode(1.0, 1.0, 3, clock)
+        assert err.value.k == 3
+        assert err.value.abs_d * (1 + err.value.theta) < err.value.floor
         assert err.value.label == "phase-matched(phase=+omega)"
         assert "resonance" in str(err.value)
 
     def test_ill_conditioned_mode_reported_among_healthy_ones(self):
-        # omega = 0, T = 2 pi: only theta = 1 has theta T on 2 pi Z
-        theta = np.array([0.3, 1.0, 1.7])
-        clock = ProblemClock(2 * math.pi, 0.0)
+        # omega ~ 0, T = 20000 pi / 3: of modes 1..5 only theta = 3 has theta T on 2 pi Z
+        clock = near_zero_clock(ILL_T)
         with pytest.raises(IllConditionedModeError) as err:
-            _solve_modes(np.ones(3, complex), np.ones(3, complex), phase.denominators(theta, clock), clock.T)
-        assert err.value.k == 2
-        assert err.value.theta == 1.0
+            solve_nonlocal(make_problem(clock, np.ones(5, complex), np.ones(5, complex)))
+        assert err.value.k == 3
+        assert err.value.theta == 3.0
         assert err.value.label == "phase-matched(phase=+omega)"
-        assert "mode k=2" in str(err.value)
+        assert "mode k=3" in str(err.value)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -108,7 +119,7 @@ class TestSolveNonlocalMode:
     )
     def test_initial_condition_exact_at_mode_scale(self, ar, ai, gr, gi, theta):
         alpha = complex(ar, ai)
-        C, D = solve_mode(alpha, complex(gr, gi), float(theta), ProblemClock(5.0, 0.01))
+        C, D = solve_mode(alpha, complex(gr, gi), theta, ProblemClock(5.0, 0.01))
         # (alpha - D) + D re-rounds; the floor is eps at the coefficient scale
         assert abs(C + D - alpha) <= 1e-15 * (1 + abs(C) + abs(D))
 
@@ -249,20 +260,20 @@ class TestCoefficientBound:
         p = make_problem(ProblemClock(5.0, 0.3), np.ones(20), np.ones(20))
         report = solved_report(p)
         assert len(calls) == 2
-        assert report.bound_constant == 4.0 / phase.denominators(frequencies(20), p.clock).z
+        assert report.bound_constant == 4.0 / z_diagnostic(20, p.clock).z
 
     def test_small_divisors_break_the_bound_without_weight(self, rng):
-        # omega = 0 diagnostic: solve mode by mode and score against the
-        # healthy floor observed at omega = 0.01; near-resonant modes blow up
+        # omega ~ 0 diagnostic: solve, and score the modes that are near-resonant
+        # at omega = 0 against the healthy floor observed at omega = 0.01
         T = 5.0
-        clock0 = ProblemClock(T, 0.0)
         healthy_z = z_diagnostic(500, ProblemClock(T, 0.01)).z
-        report0 = z_diagnostic(500, clock0)
+        report0 = z_diagnostic(500, ProblemClock(T, 0.0))
         near_resonant = np.argsort(report0.scaled)[:3] + 1
         gamma = rng.standard_normal(500) + 1j * rng.standard_normal(500)
+        sol = solve_nonlocal(make_problem(near_zero_clock(T), np.zeros(500), gamma))
         worst_ratio = 0.0
         for k in near_resonant:
-            C, D = solve_mode(0.0, gamma[k - 1], float(k), clock0)
+            C, D = sol.C[k - 1], sol.D[k - 1]
             lhs = abs(C) + abs(D)
             rhs = (4.0 / healthy_z) * (1 + k) * abs(gamma[k - 1])
             worst_ratio = max(worst_ratio, lhs / rhs)
@@ -275,7 +286,7 @@ class TestStabilityReport:
         report = solved_report(p)
         assert report.c_obs == 0.0
         assert report.sup_u_h1 == 0.0
-        assert report.to_dict()["bound_all_ok"] is True
+        assert asdict(report)["bound_all_ok"] is True
 
     def test_ratio_flat_in_truncation(self):
         clock = ProblemClock(5.0, 0.1)
