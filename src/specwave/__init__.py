@@ -4,7 +4,7 @@ Cauchy velocity datum, plus the small-denominator diagnostics that show why
 omega != 0 keeps the per-mode solves well conditioned."""
 
 from .basis import SpectralVector, project
-from .cauchy import CauchyProblem, derivative_coefficients, solve_cauchy
+from .cauchy import CauchyProblem, solve_cauchy
 from .phase import (
     DenominatorReport,
     ProblemClock,
@@ -33,7 +33,6 @@ __all__ = [
     "SeriesSolution",
     "SpectralVector",
     "StabilityReport",
-    "derivative_coefficients",
     "phi",
     "project",
     "solve_cauchy",

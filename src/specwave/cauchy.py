@@ -1,8 +1,7 @@
 """Classical initial-value solver: u(0) = a, du/dt(0) = b, mode by mode.
 
-Besides being useful on its own, this is the round-trip oracle for the
-time-average solver: any solution of the averaged problem also solves the
-Cauchy problem with b = du/dt(0), and re-solving must reproduce it.
+Any solution of the averaged problem also solves the Cauchy problem with
+b = du/dt(0); the tests re-solve it to check that statement.
 """
 
 from __future__ import annotations
@@ -49,7 +48,3 @@ def solve_cauchy(problem: CauchyProblem) -> SeriesSolution:
     C = (-b + 1j * theta * a) / denom
     return SeriesSolution(problem.T, C, D)
 
-
-def derivative_coefficients(solution: SeriesSolution) -> SpectralVector:
-    """Coefficient vector of du/dt(0): component k is i theta_k (D_k - C_k)."""
-    return SpectralVector(1j * solution.thetas * (solution.D - solution.C))

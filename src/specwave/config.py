@@ -24,9 +24,12 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
-def preset_function(name: str):
-    """Named analytic data functions on DOMAIN."""
+def preset_function(name: str, n_modes: int):
+    """Named analytic data functions on DOMAIN; None for a datum with no component
+    on modes 1..n_modes: 'zero', or an eigenmode past n_modes (orthogonal to each)."""
     a, b = DOMAIN
+    if name == "zero":
+        return None
     if name == "parabola":
         # (x - a)(b - x): smooth, vanishes at both ends, coefficients decay ~ k^-3
         return lambda x: (np.asarray(x, dtype=float) - a) * (b - np.asarray(x, dtype=float))
@@ -37,19 +40,19 @@ def preset_function(name: str):
             raise ConfigError("data", f"bad eigenmode preset {name!r}") from None
         if j < 1:
             raise ConfigError("data", f"eigenmode preset {name!r}: modes start at 1")
-        return lambda x: eigenfunction(j, x)
+        # projected by a rule sized to n_modes, a higher mode would alias onto the kept ones
+        return (lambda x: eigenfunction(j, x)) if j <= n_modes else None
     raise ConfigError("data", f"unknown preset {name!r}; use zero, parabola, eigenmode:<k>, or coeffs:<list>")
 
 
 def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
     """Turn a data specification string into a coefficient vector.
 
-    Either 'zero' (exact zeros, nothing to project), a preset name
-    ('parabola', 'eigenmode:3') projected by quadrature, or an explicit list
-    'coeffs:1,0,0.5-0.5j' padded with zeros up to the truncation order.
+    Either an explicit list 'coeffs:1,0,0.5-0.5j' padded with zeros up to the
+    truncation order, exact zeros for a preset with no kept component
+    (`preset_function`), or a preset ('parabola', 'eigenmode:3') projected by
+    quadrature.
     """
-    if spec_text == "zero":
-        return SpectralVector(np.zeros(n_modes, dtype=complex))
     if spec_text.startswith("coeffs:"):
         body = spec_text[len("coeffs:"):].strip()
         try:
@@ -61,7 +64,10 @@ def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None
         coeffs = np.zeros(n_modes, dtype=complex)
         coeffs[: len(given)] = given
         return SpectralVector(coeffs)
-    return project(preset_function(spec_text), n_modes, rule)
+    f = preset_function(spec_text, n_modes)
+    if f is None:
+        return SpectralVector(np.zeros(n_modes, dtype=complex))
+    return project(f, n_modes, rule)
 
 
 # a key's type is its default's; `out` is unset (None) by default, a string when given

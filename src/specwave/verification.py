@@ -1,21 +1,19 @@
-"""Checks of assembled solutions: residuals, round trips, conservation.
+"""Checks of assembled solutions: residuals and conservation.
 
 The checks the CLI runs: the initial condition in coefficients, the
-time-average condition by Gauss-Legendre time quadrature (never phi), a Cauchy
-re-solve from du/dt(0), each mode's energy against the Cauchy data and the
-energy estimate. All but the round trip go through a route different from the
-one that produced the solution, so a green check is evidence rather than
-tautology; the round trip reads only the initial-condition residual.
+time-average condition by Gauss-Legendre time quadrature (never phi), each
+mode's energy against the Cauchy data and the energy estimate. Each goes
+through a route different from the one that produced the solution, so a green
+check is evidence rather than tautology.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .cauchy import CauchyProblem, derivative_coefficients, solve_cauchy
+from .cauchy import CauchyProblem
 from .quadrature import GaussLegendre
 from .solution import NormTrajectories, SeriesSolution
 from .timeavg import NonlocalProblem
@@ -72,33 +70,6 @@ def integral_condition_residual(problem: NonlocalProblem, solution: SeriesSoluti
         float(np.sqrt(np.sum(resid.real**2))),
         float(np.sqrt(np.sum(resid.imag**2))),
     )
-
-
-@dataclass(frozen=True)
-class RoundTrip:
-    """Agreement between a solution and its Cauchy re-solve with b = du/dt(0)."""
-
-    coefficient_rel: float
-    field_max: float
-    field_scale: float
-
-
-def roundtrip_check(problem: NonlocalProblem, solution: SeriesSolution) -> RoundTrip:
-    """Extract b = du/dt(0), re-solve as a Cauchy problem, compare in coefficients
-    and on a 20 x 20 space-time field grid. Not independent of the solve: the
-    re-solve gives C' - C = D' - D = (alpha - C - D) / 2, so both halves read
-    only the initial-condition residual; an error in D with C = alpha - D passes.
-    """
-    b = derivative_coefficients(solution)
-    redone = solve_cauchy(CauchyProblem(problem.clock.T, problem.alpha, b))
-    scale = max(np.abs(solution.C).max(), np.abs(solution.D).max(), 1e-300)
-    coeff = max(
-        np.abs(redone.C - solution.C).max(), np.abs(redone.D - solution.D).max()
-    ) / scale
-    f1 = solution.field(20, 20)
-    f2 = redone.field(20, 20)
-    fscale = float(np.abs(f1).max())
-    return RoundTrip(float(coeff), float(np.abs(f1 - f2).max()), fscale)
 
 
 def mode_energy_data_relative(problem: CauchyProblem, solution: SeriesSolution) -> float:

@@ -26,6 +26,10 @@
   2 pi in four 13-bit pieces, exact for products below 2^42; the frozen
   reference that `phase._exact_phase` must match bit for bit there. Used by
   `test_phase`.
+- `derivative_coefficients(solution)`: the coefficients of du/dt(0), the
+  velocity datum of the Cauchy problem that a solution of the averaged problem
+  also solves. Used by `test_cauchy`, `test_verification` and acceptance
+  criteria 3 and 5.
 - `mode_integrals` and `weak_identity_residual`: closed-form antiderivatives
   of each mode, checking the integrated oscillator equation
   y'(t) - y'(s) = -lambda int_s^t y dr. Used by `test_cauchy`,
@@ -34,7 +38,7 @@
 
 import numpy as np
 
-from specwave.basis import SOBOLEV_ORDERS, eigenfunction
+from specwave.basis import SOBOLEV_ORDERS, SpectralVector, eigenfunction
 from specwave.quadrature import sample
 
 # denominator_via_f degenerates within this distance of theta = +/- omega
@@ -147,6 +151,11 @@ def norm_trajectory(solution, q: int, ts, derivative: bool = False) -> np.ndarra
     ts = np.asarray(ts, dtype=float)
     y = mode_derivatives(solution, ts) if derivative else mode_values(solution, ts)
     return np.sqrt(solution.eigenvalues**q @ np.abs(y) ** 2)
+
+
+def derivative_coefficients(solution) -> SpectralVector:
+    """Coefficient vector of du/dt(0): component k is i theta_k (D_k - C_k)."""
+    return SpectralVector(1j * solution.thetas * (solution.D - solution.C))
 
 
 def mode_integrals(solution, s: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -136,6 +136,18 @@ class TestProject:
         assert np.array_equal(vec.coefficients, np.zeros(3000, dtype=complex))
         assert not np.signbit(vec.coefficients.view(float)).any()
 
+    def test_eigenmode_past_truncation_is_exact_zeros(self, monkeypatch):
+        # v_j is orthogonal to v_1..v_N for j > N; a rule sized to N would alias it
+        # (eigenmode:5000 on 16 modes read up to 0.55), and one sized to j = 1e9 would not fit
+        rule = projection_rule(16)
+        kept = resolve_data("eigenmode:16", 16, rule).coefficients
+        assert np.array_equal(kept, project(lambda x: eigenfunction(16, x), 16, rule).coefficients)
+        assert abs(kept[15] - 1) < 1e-14
+        monkeypatch.setattr(config, "project", lambda *args: pytest.fail("nothing to project"))
+        for j in (17, 5000, 10**9):
+            vec = resolve_data(f"eigenmode:{j}", 16, rule)
+            assert np.array_equal(vec.coefficients, np.zeros(16, dtype=complex)), j
+
     def test_rule_floor_leaves_small_and_explicit_rules(self, monkeypatch):
         assert projection_rule(102) == GaussLegendre(panels=64, order=8)
         assert projection_rule(103).panels == 65

@@ -6,11 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import field, integrate, mode_integrals, mode_values, weak_identity_residual
+from oracles import (
+    derivative_coefficients,
+    field,
+    integrate,
+    mode_integrals,
+    mode_values,
+    weak_identity_residual,
+)
 from specwave import (
     CauchyProblem,
     SpectralVector,
-    derivative_coefficients,
     solve_cauchy,
 )
 from specwave import verification as ver

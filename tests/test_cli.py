@@ -207,6 +207,12 @@ class TestSolve:
         assert code == 0
         assert len(record) == 1
 
+    def test_manifest_holds_the_four_checks(self, tmp_path):
+        assert main(["solve", "--N", "50", "--out", str(tmp_path)]) == 0
+        assert [c["name"] for c in read_manifest(tmp_path)["checks"]] == [
+            "initial_condition_rel", "integral_condition_rel", "real_system_re", "real_system_im",
+        ]
+
     def test_field_grid_dimensions(self, tmp_path):
         main(["solve", "--T", "5", "--omega", "0.1", "--N", "10",
               "--grid", "31x17", "--out", str(tmp_path)])
@@ -353,6 +359,16 @@ class TestProject:
         assert c1 == pytest.approx(4.0 * math.sqrt(2 / math.pi), rel=1e-12)
         c2 = float(rows[2].split(",")[1])
         assert abs(c2) < 1e-14
+
+    @pytest.mark.parametrize("command", ["project", "cauchy"])
+    def test_eigenmode_past_truncation_is_zero(self, tmp_path, command):
+        # orthogonal to every kept mode: zero coefficients, so a zero field
+        flag = "--f" if command == "project" else "--a"
+        assert main([command, flag, "eigenmode:5000", "--N", "16", "--out", str(tmp_path)]) == 0
+        name = "coefficients.csv" if command == "project" else "norms.csv"
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        assert len(rows) == (16 if command == "project" else 1001)
+        assert all(float(cell) == 0.0 for row in rows for cell in row.split(",")[1:])
 
     def test_unknown_preset_rejected(self, tmp_path, capsys):
         code = main(["project", "--f", "whatever", "--out", str(tmp_path)])
@@ -627,3 +643,16 @@ class TestRunLifecycle:
         code = main(["cauchy", "--N", "30", "--a", "parabola", "--out", str(tmp_path)])
         assert code == 0
         assert calls == [1001]
+
+    def test_solve_computes_the_field_once(self, tmp_path, monkeypatch):
+        calls = []
+        field = SeriesSolution.field
+
+        def counted(self, nx, time_points):
+            calls.append((nx, time_points))
+            return field(self, nx, time_points)
+
+        monkeypatch.setattr(SeriesSolution, "field", counted)
+        code = main(["solve", "--N", "30", "--a", "parabola", "--out", str(tmp_path)])
+        assert code == 0
+        assert calls == [(201, 201)]
