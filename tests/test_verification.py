@@ -62,6 +62,16 @@ def test_integral_residual_detects_wrong_solution(solved):
     assert ver.integral_condition_residual(problem, tampered).total > 1e-3
 
 
+def test_roundtrip_agreement(solved):
+    # re-solving the Cauchy problem with b = du/dt(0) reproduces the solution
+    problem, sol = solved
+    redone = solve_cauchy(CauchyProblem(sol.T, problem.alpha, derivative_coefficients(sol)))
+    scale = max(np.abs(sol.C).max(), np.abs(sol.D).max())
+    assert max(np.abs(redone.C - sol.C).max(), np.abs(redone.D - sol.D).max()) / scale < 1e-10
+    fields = sol.field(20, 20), redone.field(20, 20)
+    assert np.abs(fields[0] - fields[1]).max() < 1e-9 * (1 + np.abs(fields[0]).max())
+
+
 def test_real_system_residuals(solved):
     problem, sol = solved
     _, re_resid, im_resid = ver.integral_condition_residual(problem, sol)
