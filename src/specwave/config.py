@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import DOMAIN, SpectralVector, eigenfunction, project, projection_rule
+from .basis import DOMAIN, SpectralVector, project, projection_rule
 from .phase import ProblemClock
 from .quadrature import GaussLegendre
 
@@ -24,35 +24,20 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
-def preset_function(name: str, n_modes: int):
-    """Named analytic data functions on DOMAIN; None for a datum with no component
-    on modes 1..n_modes: 'zero', or an eigenmode past n_modes (orthogonal to each)."""
-    a, b = DOMAIN
-    if name == "zero":
-        return None
-    if name == "parabola":
-        # (x - a)(b - x): smooth, vanishes at both ends, coefficients decay ~ k^-3
-        return lambda x: (np.asarray(x, dtype=float) - a) * (b - np.asarray(x, dtype=float))
-    if name.startswith("eigenmode:"):
-        try:
-            j = int(name.split(":", 1)[1])
-        except ValueError:
-            raise ConfigError("data", f"bad eigenmode preset {name!r}") from None
-        if j < 1:
-            raise ConfigError("data", f"eigenmode preset {name!r}: modes start at 1")
-        # projected by a rule sized to n_modes, a higher mode would alias onto the kept ones
-        return (lambda x: eigenfunction(j, x)) if j <= n_modes else None
-    raise ConfigError("data", f"unknown preset {name!r}; use zero, parabola, eigenmode:<k>, or coeffs:<list>")
-
-
 def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
-    """Turn a data specification string into a coefficient vector.
+    """Turn a data specification string into a coefficient vector on modes 1..n_modes.
 
-    Either an explicit list 'coeffs:1,0,0.5-0.5j' padded with zeros up to the
-    truncation order, exact zeros for a preset with no kept component
-    (`preset_function`), or a preset ('parabola', 'eigenmode:3') projected by
-    quadrature.
+    An explicit list 'coeffs:1,0,0.5-0.5j' is padded with zeros up to the
+    truncation order. 'zero' is exact zeros, and 'eigenmode:j' the exact unit
+    vector e_j: v_j is orthonormal to each kept mode, so it is zeros for j past
+    n_modes (a rule sized to n_modes would alias it). Only 'parabola' is
+    projected by quadrature, under `rule`.
     """
+    if spec_text == "parabola":
+        # x(pi - x) on DOMAIN: smooth, vanishes at both ends, coefficients decay ~ k^-3
+        a, b = DOMAIN
+        return project(lambda x: (x - a) * (b - x), n_modes, rule)
+    coeffs = np.zeros(n_modes, dtype=complex)
     if spec_text.startswith("coeffs:"):
         body = spec_text[len("coeffs:"):].strip()
         try:
@@ -61,13 +46,19 @@ def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None
             raise ConfigError("data", f"unparseable coefficient list {body!r}") from None
         if len(given) > n_modes:
             raise ConfigError("data", f"{len(given)} coefficients given but truncation is {n_modes}")
-        coeffs = np.zeros(n_modes, dtype=complex)
         coeffs[: len(given)] = given
-        return SpectralVector(coeffs)
-    f = preset_function(spec_text, n_modes)
-    if f is None:
-        return SpectralVector(np.zeros(n_modes, dtype=complex))
-    return project(f, n_modes, rule)
+    elif spec_text.startswith("eigenmode:"):
+        try:
+            j = int(spec_text.split(":", 1)[1])
+        except ValueError:
+            raise ConfigError("data", f"bad eigenmode preset {spec_text!r}") from None
+        if j < 1:
+            raise ConfigError("data", f"eigenmode preset {spec_text!r}: modes start at 1")
+        if j <= n_modes:
+            coeffs[j - 1] = 1.0
+    elif spec_text != "zero":
+        raise ConfigError("data", f"unknown preset {spec_text!r}; use zero, parabola, eigenmode:<k>, or coeffs:<list>")
+    return SpectralVector(coeffs)
 
 
 # a key's type is its default's; `out` is unset (None) by default, a string when given

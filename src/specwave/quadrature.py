@@ -45,14 +45,15 @@ class GaussLegendre:
             raise ValueError("panels and order must both be >= 1")
 
     def nodes_weights(self, a: float, b: float):
-        """Nodes and weights for integration over [a, b]."""
+        """Nodes and weights for integration over [a, b]: every panel has the one
+        half-width h = (b - a) / (2 panels) and midpoint a + h(2p + 1), so the
+        weights repeat exactly from panel to panel, as `basis._sine_sums` (one
+        FFT down the panels) and `exp_moments` (a closed form over them) assume."""
         x, w = _reference_rule(self.order)
-        edges = np.linspace(a, b, self.panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (mid[:, None] + half[:, None] * x).ravel()
-        weights = (half[:, None] * w).ravel()
-        return nodes, weights
+        half = 0.5 * (b - a) / self.panels
+        mid = a + half * (2 * np.arange(self.panels) + 1)
+        nodes = (mid[:, None] + half * x).ravel()
+        return nodes, np.tile(half * w, self.panels)
 
     def exp_moments(self, mu, a: float, b: float) -> np.ndarray:
         """sum_j w_j exp(i mu t_j) over this rule's nodes on [a, b], for each mu.

@@ -72,12 +72,18 @@ def test_exp_moments_match_dense_sum():
         # 70 panels, a count that is not a square, on an offset interval
         (GaussLegendre(panels=70, order=8),
          np.array([0.0, 0.1, 0.5, -0.5, 1.1, 3.7, -3.7, -7.3, 7.3, -19.0, 40.0, -40.0]), 0.25, 5.0),
+        # the projection rule for N = 100000: the FFT sums down its panels need one
+        # half-width, and differences of rounded edges would spread it by 4.8e-12
+        (GaussLegendre(panels=62_500, order=8), np.array([0.0, 1.0, -2.0, 317.5, 62_500.0, -99_000.0]), 0.0, math.pi),
     ]
     for case_rule, freqs, a, b in cases:
         got = case_rule.exp_moments(freqs, a, b)
         want = _dense_exp_moments(case_rule, freqs, a, b)
         _, weights = case_rule.nodes_weights(a, b)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(weights).sum()
+        panels = weights.reshape(case_rule.panels, case_rule.order)
+        assert np.array_equal(panels, np.broadcast_to(panels[0], panels.shape))
+        assert abs(weights.sum() - (b - a)) <= 4 * np.spacing(b - a)
     # any shape of frequencies is kept
     got = rule.exp_moments(mu, 0.0, T)
     assert np.array_equal(rule.exp_moments(mu[:6].reshape(2, 3), 0.0, T), got[:6].reshape(2, 3))

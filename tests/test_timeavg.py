@@ -20,6 +20,7 @@ from specwave import (
     z_diagnostic,
 )
 from specwave import phase
+from specwave.config import ExperimentConfig
 from specwave.phase import LABELS
 
 
@@ -307,6 +308,17 @@ class TestStabilityReport:
         for name in ("norm_a_h1", "norm_g_h2", "sup_u_h1", "sup_dudt_h0", "c_obs"):
             value = getattr(report, name)
             assert np.isfinite(value) and value >= 0.0, name
+
+    def test_projected_parabola_has_its_closed_form_h2_norm(self):
+        # ||g||_H2 of x(pi - x) on modes 1..N is sqrt(sum over odd k <= N of 32 / (pi k^2)),
+        # and k^4 weights a few eps per coefficient to 5e-12 here: a projection error
+        # of 1e-12 on one high mode moves it by far more than the bound
+        n = 100_000
+        cfg = ExperimentConfig(N=n, omega=0.07, a="parabola", g="parabola")
+        report = solved_report(NonlocalProblem(cfg.clock(), *cfg.data(cfg.a, cfg.g)))
+        closed = math.sqrt(math.fsum(32.0 / (math.pi * k * k) for k in range(1, n + 1, 2)))
+        assert closed == pytest.approx(3.5449005183188693, rel=1e-15)
+        assert report.norm_g_h2 == pytest.approx(closed, rel=1e-9)
 
     def test_ratio_grows_as_omega_shrinks(self):
         g = project(lambda x: x * (math.pi - x), 100)
