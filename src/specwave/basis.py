@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import GaussLegendre, _reference_rule, sample
+from .quadrature import GaussLegendre, _reference_rule
 
 DOMAIN = (0.0, math.pi)
 
@@ -79,7 +79,7 @@ def projection_rule(n_modes: int, panels: int = 64) -> GaussLegendre:
     on (0, pi); a fixed panel count aliases the high modes (64 panels return
     the parabola's coefficients wrong by up to 2.3 at n_modes = 1000).
     """
-    return GaussLegendre(panels=max(panels, -(-5 * n_modes // 8)), order=8)
+    return GaussLegendre(panels=max(panels, -(-5 * n_modes // 8)))
 
 
 def _sine_sums(weighted: np.ndarray, rule: GaussLegendre, n_modes: int) -> np.ndarray:
@@ -100,7 +100,7 @@ def _sine_sums(weighted: np.ndarray, rule: GaussLegendre, n_modes: int) -> np.nd
     a, b = DOMAIN
     period = 2 * rule.panels
     half = 0.5 * (b - a) / rule.panels
-    x, _ = _reference_rule(rule.order)
+    x, _ = _reference_rule()
     ks = np.arange(1, n_modes + 1)
     panel_sums = np.fft.ifft(weighted.reshape(rule.panels, rule.order), n=period, axis=0)
     rows = panel_sums[ks % period] * period
@@ -112,11 +112,15 @@ def _sine_sums(weighted: np.ndarray, rule: GaussLegendre, n_modes: int) -> np.nd
 def project(f, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
     """Coefficients (f, v_k) for k = 1..n_modes by quadrature over DOMAIN.
 
-    Without a rule, `projection_rule(n_modes)` sizes one to the modes. The sums
-    over the nodes are `_sine_sums`, one FFT.
+    Without a rule, `projection_rule(n_modes)` sizes one to the modes. f is
+    called once, on all the nodes (a constant broadcasts), and a non-finite
+    sample is a ValueError; the sums over the nodes are `_sine_sums`, one FFT.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     rule = rule or projection_rule(n_modes)
     nodes, weights = rule.nodes_weights(*DOMAIN)
-    return SpectralVector(_sine_sums(weights * sample(f, nodes), rule, n_modes))
+    samples = f(nodes)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("integrand produced non-finite samples")
+    return SpectralVector(_sine_sums(weights * samples, rule, n_modes))

@@ -31,7 +31,7 @@ from . import __version__, _csv, verification
 from .basis import DOMAIN
 from .cauchy import CauchyProblem, solve_cauchy
 from .config import ConfigError, ExperimentConfig, RunManifest
-from .phase import LABELS, ProblemClock, z_diagnostic
+from .phase import LABELS, ProblemClock, _time_step, z_diagnostic
 from .timeavg import (
     IllConditionedModeError,
     NonlocalProblem,
@@ -49,6 +49,10 @@ REFERENCE_Z500 = (
     (10.0, 0.01, 0.1998),
 )
 REFERENCE_RTOL = 0.02
+
+# bound on solve's integral-condition residual, relative to 1 + ||g||_H0, and
+# on its real-system parts, absolute
+INTEGRAL_TOL = 1e-8
 
 # uniform times in [0, T] of norms.csv and of the sup norms in sweep's c_obs
 NORM_TIMES = 1001
@@ -112,7 +116,7 @@ def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, soluti
     The norms' phases pass EXACT_PHASE_LIMIT first, so they run before any write."""
     norms = solution.norm_trajectories(NORM_TIMES)
     xs = np.linspace(*DOMAIN, cfg.nx)
-    ts = np.linspace(0.0, cfg.T, cfg.nt)
+    ts = np.arange(cfg.nt) * _time_step(cfg.T, cfg.nt)
     grid = solution.field(cfg.nx, cfg.nt)
     manifest.files.append(write_field_csv(out / "field_re.csv", xs, ts, grid.real))
     manifest.files.append(write_field_csv(out / "field_im.csv", xs, ts, grid.imag))
@@ -136,9 +140,9 @@ def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     integral = verification.integral_condition_residual(problem, solution)
     g_scale = 1.0 + problem.gamma.sobolev_norm(0)
     manifest.add_check("initial_condition_rel", init_res, 1e-14)
-    manifest.add_check("integral_condition_rel", integral.total / g_scale, cfg.tol)
-    manifest.add_check("real_system_re", integral.re, cfg.tol * g_scale)
-    manifest.add_check("real_system_im", integral.im, cfg.tol * g_scale)
+    manifest.add_check("integral_condition_rel", integral.total / g_scale, INTEGRAL_TOL)
+    manifest.add_check("real_system_re", integral.re, INTEGRAL_TOL * g_scale)
+    manifest.add_check("real_system_im", integral.im, INTEGRAL_TOL * g_scale)
     manifest.files.append(write_json(out / "verification.json", manifest.checks))
 
 
@@ -279,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--N", type=int, default=None, help="truncation order")
         sp.add_argument("--T", type=float, default=None, help="time horizon")
         sp.add_argument("--omega", type=str, default=None, help="weight frequency (or comma list)")
-        sp.add_argument("--tol", type=float, default=None, help="verification tolerance")
         sp.add_argument("--grid", type=str, default=None, help="field grid as <nx>x<nt>")
         for flag in command.flags:
             text, default = DATA_FLAGS[flag]
@@ -289,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args, command: Command) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {key: getattr(args, key, None) for key in ("out", "N", "T", "tol", "a", "b", "g")}
+    overrides = {key: getattr(args, key, None) for key in ("out", "N", "T", "a", "b", "g")}
     if args.omega is not None:
         overrides["omega"] = _parse_omega(args.omega)
     if args.grid is not None:

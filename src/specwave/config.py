@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from numbers import Integral, Real
@@ -98,7 +97,6 @@ class ExperimentConfig:
     nx: int = 201
     nt: int = 201
     out: str | None = None  # then $SPECWAVE_OUT, then the working directory
-    tol: float = 1e-8
     quad_panels: int = 64
 
     def validate(self, omega_list: bool = False) -> "ExperimentConfig":
@@ -112,8 +110,6 @@ class ExperimentConfig:
             raise ConfigError("N", "must be >= 1")
         if self.nx < 2 or self.nt < 2:
             raise ConfigError("grid", "nx and nt must be >= 2")
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ConfigError("tol", "must be positive and finite")
         if self.quad_panels < 1:
             raise ConfigError("quad_panels", "must be >= 1")
         listed, cfg = isinstance(self.omega, tuple), self

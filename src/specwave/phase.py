@@ -138,7 +138,8 @@ def _exact_phase(a, b) -> np.ndarray:
 
 
 def _time_step(T: float, count: int) -> float:
-    """dt of `count` uniform times t_j = j dt in [0, T], as np.linspace spaces them."""
+    """dt = T / (count - 1) of the `count` uniform times t_j = j dt in [0, T] that every
+    evaluation uses and prints; the last can be an ulp off T (np.linspace's is T)."""
     if count < 1:
         raise ValueError(f"evaluation needs time_points >= 1, got {count}")
     return T / (count - 1) if count > 1 else 0.0

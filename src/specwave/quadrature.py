@@ -4,52 +4,40 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
 
-@lru_cache(maxsize=64)
-def _reference_rule(order: int):
-    return np.polynomial.legendre.leggauss(order)
-
-
-def sample(f, nodes: np.ndarray) -> np.ndarray:
-    """Evaluate f on the nodes, tolerating non-vectorized callables."""
-    try:
-        values = np.asarray(f(nodes))
-    except (TypeError, ValueError):
-        values = np.asarray([f(x) for x in nodes])
-    else:
-        if values.shape != nodes.shape:
-            values = np.asarray([f(x) for x in nodes])
-    if not np.all(np.isfinite(values)):
-        raise ValueError("integrand produced non-finite samples")
-    return values
+@lru_cache(maxsize=1)
+def _reference_rule():
+    return np.polynomial.legendre.leggauss(GaussLegendre.order)
 
 
 @dataclass(frozen=True)
 class GaussLegendre:
-    """Composite Gauss-Legendre rule: `panels` equal panels, `order` nodes each.
+    """Composite Gauss-Legendre rule: `panels` equal panels of `order` = 8 nodes each,
+    exact through degree 15 on each panel.
 
-    The default 64x8 rule resolves smooth, slowly oscillating integrands to
+    The default 64-panel rule resolves smooth, slowly oscillating integrands to
     near machine precision; raise `panels` for strongly oscillatory integrands
     (node spacing must resolve the oscillation, as `basis.projection_rule` and
     the verification time rule do).
     """
 
     panels: int = 64
-    order: int = 8
+    order: ClassVar[int] = 8
 
     def __post_init__(self):
-        if self.panels < 1 or self.order < 1:
-            raise ValueError("panels and order must both be >= 1")
+        if self.panels < 1:
+            raise ValueError("panels must be >= 1")
 
     def nodes_weights(self, a: float, b: float):
         """Nodes and weights for integration over [a, b]: every panel has the one
         half-width h = (b - a) / (2 panels) and midpoint a + h(2p + 1), so the
         weights repeat exactly from panel to panel, as `basis._sine_sums` (one
         FFT down the panels) and `exp_moments` (a closed form over them) assume."""
-        x, w = _reference_rule(self.order)
+        x, w = _reference_rule()
         half = 0.5 * (b - a) / self.panels
         mid = a + half * (2 * np.arange(self.panels) + 1)
         nodes = (mid[:, None] + half * x).ravel()
@@ -70,7 +58,7 @@ class GaussLegendre:
         mu h = m pi. Frequencies outside it raise ValueError.
         """
         mu = np.asarray(mu, dtype=float)
-        x, w = _reference_rule(self.order)
+        x, w = _reference_rule()
         half = 0.5 * (b - a) / self.panels
         reach = float(np.abs(mu).max(initial=0.0)) * half
         if reach > 2.5:

@@ -220,6 +220,8 @@ class SeriesSolution:
         return squares
 
     def norm_trajectories(self, time_points: int) -> NormTrajectories:
-        """||u||_H0, ||u||_H1 and ||du/dt||_H0 on `time_points` uniform times in [0, T]."""
+        """||u||_H0, ||u||_H1 and ||du/dt||_H0 on `time_points` uniform times
+        t_j = j dt in [0, T], the times they are evaluated at (`phase._time_step`)."""
         u_h0, u_h1, dudt_h0 = np.sqrt(self._norm_squares(time_points))
-        return NormTrajectories(np.linspace(0.0, self.T, time_points), u_h0, u_h1, dudt_h0)
+        ts = np.arange(time_points) * _time_step(self.T, time_points)
+        return NormTrajectories(ts, u_h0, u_h1, dudt_h0)

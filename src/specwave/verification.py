@@ -61,7 +61,7 @@ def integral_condition_residual(problem: NonlocalProblem, solution: SeriesSoluti
     # T/4 panels per unit of the fastest frequency |omega| + theta_N keep every
     # |mu| h <= 2, inside exp_moments' domain, and resolve each oscillation
     panels = max(64, int(np.ceil((float(theta[-1]) + abs(clock.omega)) * clock.T / 4.0)))
-    minus, plus = GaussLegendre(panels=panels, order=8).exp_moments(
+    minus, plus = GaussLegendre(panels=panels).exp_moments(
         clock.omega + np.stack([-theta, theta]), 0.0, clock.T
     )
     resid = solution.C * minus + solution.D * plus - problem.gamma.coefficients

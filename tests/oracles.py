@@ -39,16 +39,16 @@
 import numpy as np
 
 from specwave.basis import SOBOLEV_ORDERS, SpectralVector, eigenfunction
-from specwave.quadrature import sample
 
 # denominator_via_f degenerates within this distance of theta = +/- omega
 F_FORM_MIN_GAP = 1e-3
 
 
 def integrate(rule, f, a: float, b: float):
-    """int_a^b f by `rule`: its weights against f sampled on its nodes."""
+    """int_a^b f by `rule`: its weights against f called once on its nodes (a
+    constant broadcasts); shares no code with `basis.project`."""
     nodes, weights = rule.nodes_weights(a, b)
-    return weights @ sample(f, nodes)
+    return weights @ np.broadcast_to(f(nodes), nodes.shape)
 
 
 def eigenfunction_matrix(n_modes: int, x) -> np.ndarray:

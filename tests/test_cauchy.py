@@ -146,7 +146,7 @@ class TestModeDynamics:
         sol = solve_cauchy(make_problem([1.0, 0.5j], [0.25, -1.0]))
         from specwave import GaussLegendre
 
-        rule = GaussLegendre(panels=64, order=8)
+        rule = GaussLegendre(panels=64)
         quad = integrate(rule, lambda t: mode_values(sol, t)[1], 0.3, 4.1)
         closed = mode_integrals(sol, np.array([0.3]), np.array([4.1]))[1, 0]
         assert closed == pytest.approx(quad, abs=1e-12)

@@ -257,6 +257,30 @@ class TestCauchy:
                 expected = math.cos(t) * math.sqrt(2 / math.pi) * math.sin(x)
                 assert v == pytest.approx(expected, abs=1e-10)
 
+    def test_printed_times_are_the_evaluated_times(self, tmp_path, monkeypatch):
+        # every route evaluates u at t_j = j dt, dt = T / (n - 1), and the field
+        # header and norms.csv print those times: at T = 0.9 the last is 200 dt,
+        # an ulp past T, where np.linspace would give T itself
+        written = {}
+        write_field_csv, write_csv = cli.write_field_csv, cli.write_csv
+
+        def field_csv(path, xs, ts, grid):
+            written["field"] = ts
+            return write_field_csv(path, xs, ts, grid)
+
+        def csv(path, header, columns):
+            written[path.name] = columns[0]
+            return write_csv(path, header, columns)
+
+        monkeypatch.setattr(cli, "write_field_csv", field_csv)
+        monkeypatch.setattr(cli, "write_csv", csv)
+        code = main(["cauchy", "--T", "0.9", "--N", "4", "--a", "eigenmode:1", "--grid", "3x201",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert np.array_equal(written["field"], np.arange(201) * (0.9 / 200))
+        assert written["field"][-1] == 0.9000000000000001
+        assert np.array_equal(written["norms.csv"], np.arange(1001) * (0.9 / 1000))
+
     def test_energy_checks_recorded(self, tmp_path):
         code = main(["cauchy", "--T", "5", "--N", "50", "--a", "parabola",
                      "--b", "parabola", "--out", str(tmp_path)])
@@ -413,7 +437,7 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("key,value", [("kind", "sweep"), ("omegas", [0.3, 0.1]),
                                            ("spectrum", "dirichlet-1d"), ("quad_order", 8),
-                                           ("time_points", 1001)])
+                                           ("time_points", 1001), ("tol", 1e-8)])
     def test_removed_config_keys_are_unknown(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: value}))
@@ -423,7 +447,7 @@ class TestConfigPlumbing:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [
-        ("N", "10"), ("T", "5"), ("nx", 3.5), ("N", True), ("tol", [1e-8]), ("omega", "0.1"),
+        ("N", "10"), ("T", "5"), ("nx", 3.5), ("N", True), ("T", [5.0]), ("omega", "0.1"),
         ("omega", [0.1, "0.2"]), ("omega", [[0.1]]), ("a", 3), ("out", 1), ("quad_panels", 64.0),
         ("T", 10**400),
     ])
@@ -446,18 +470,18 @@ class TestConfigPlumbing:
         assert capsys.readouterr().err == "error: config field 'quad_panels': must be >= 1\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-8"])
-    def test_tol_must_be_positive_and_finite(self, tmp_path, capsys, tol):
-        # tol = inf would pass the integral and real-system gates whatever they read
-        code = main(["solve", f"--tol={tol}", "--N", "5", "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == "error: config field 'tol': must be positive and finite\n"
+    def test_tol_flag_is_rejected(self, tmp_path, capsys):
+        # the gates' bounds are fixed (cli.INTEGRAL_TOL); no flag moves or loosens them
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--tol", "1e-3", "--N", "5", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_values_are_converted_to_their_key_type(self):
-        cfg = ExperimentConfig().merged(T=5, omega=[1, 0.5], N=np.int64(7), tol=1)
-        assert (cfg.T, cfg.omega, cfg.N, cfg.tol) == (5.0, (1.0, 0.5), 7, 1.0)
-        assert [type(v) for v in (cfg.T, cfg.omega[0], cfg.N, cfg.tol)] == [float, float, int, float]
+        cfg = ExperimentConfig().merged(T=5, omega=[1, 0.5], N=np.int64(7), nx=np.int32(9))
+        assert (cfg.T, cfg.omega, cfg.N, cfg.nx) == (5.0, (1.0, 0.5), 7, 9)
+        assert [type(v) for v in (cfg.T, cfg.omega[0], cfg.N, cfg.nx)] == [float, float, int, int]
 
     def test_one_element_omega_list_is_its_number(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -623,8 +647,9 @@ class TestRunLifecycle:
         assert manifest["files"] == ["manifest.json"]
         assert capsys.readouterr().err == f"error: {manifest['error']}\n"
 
-    def test_failed_check_exits_1_and_still_writes_manifest(self, tmp_path):
-        code = main(["solve", "--N", "20", "--tol", "1e-30", "--out", str(tmp_path)])
+    def test_failed_check_exits_1_and_still_writes_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "INTEGRAL_TOL", 1e-30)
+        code = main(["solve", "--N", "20", "--out", str(tmp_path)])
         assert code == 1
         failed = [c["name"] for c in read_manifest(tmp_path)["checks"] if not c["pass"]]
         assert "integral_condition_rel" in failed

@@ -51,7 +51,7 @@ def mp_denominator(theta: float, omega: float, T: float) -> complex:
 
 
 def quad_phi(mu: float, T: float, panels: int | None = None) -> complex:
-    rule = GaussLegendre(panels=panels or max(64, int(abs(mu) * T) + 1), order=8)
+    rule = GaussLegendre(panels=panels or max(64, int(abs(mu) * T) + 1))
     return integrate(rule, lambda t: np.exp(1j * mu * t), 0.0, T)
 
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import integrate
-from specwave import GaussLegendre
+from specwave import GaussLegendre, project
 
 
 def test_polynomials_integrated_exactly():
-    # order-6 Gauss is exact through degree 11 on each panel
-    rule = GaussLegendre(panels=4, order=6)
-    for p in range(12):
+    # 8-node Gauss is exact through degree 15 on each panel
+    rule = GaussLegendre(panels=4)
+    for p in range(16):
         value = integrate(rule, lambda x: x**p, 0.0, 2.0)
         assert value == pytest.approx(2.0 ** (p + 1) / (p + 1), rel=1e-13)
 
@@ -26,7 +26,7 @@ def test_complex_integrand():
 
 
 def test_nodes_and_weights_structure():
-    rule = GaussLegendre(panels=16, order=4)
+    rule = GaussLegendre(panels=8)
     nodes, weights = rule.nodes_weights(-1.0, 3.0)
     assert nodes.size == weights.size == rule.panels * rule.order == 64
     assert np.all(weights > 0)
@@ -35,23 +35,17 @@ def test_nodes_and_weights_structure():
     assert nodes[0] > -1.0 and nodes[-1] < 3.0
 
 
-def test_scalar_integrand_fallback():
-    rule = GaussLegendre(panels=2, order=5)
-    value = integrate(rule, lambda x: math.cos(float(x)), 0.0, 1.0)
-    assert value == pytest.approx(math.sin(1.0), rel=1e-12)
-
-
 def test_non_finite_samples_rejected():
-    rule = GaussLegendre(panels=2, order=2)
+    # project evaluates its integrand once, on all the nodes, and checks it there
     with pytest.raises(ValueError, match="non-finite"):
-        integrate(rule, lambda x: np.full_like(x, np.nan), 0.0, 1.0)
+        project(lambda x: np.full_like(x, np.nan), 4, GaussLegendre(panels=2))
 
 
 def test_degenerate_rule_rejected():
     with pytest.raises(ValueError):
         GaussLegendre(panels=0)
-    with pytest.raises(ValueError):
-        GaussLegendre(order=0)
+    with pytest.raises(TypeError):
+        GaussLegendre(order=8)  # one 8-node reference rule: not a parameter
 
 
 def _dense_exp_moments(rule, mu, a, b):
@@ -62,7 +56,7 @@ def _dense_exp_moments(rule, mu, a, b):
 def test_exp_moments_match_dense_sum():
     # the rule verification sizes for N = 1000, T = 5, omega = 0.01
     T, omega, theta_n = 5.0, 0.01, 1000.0
-    rule = GaussLegendre(panels=1251, order=8)
+    rule = GaussLegendre(panels=1251)
     special = [0.0, 1e-12, -3e-7, 2.5e-3, 0.37,
                theta_n + omega, theta_n - omega, -theta_n + omega, -theta_n - omega]
     rng = np.random.default_rng(7)
@@ -70,11 +64,11 @@ def test_exp_moments_match_dense_sum():
     cases = [
         (rule, mu, 0.0, T),
         # 70 panels, a count that is not a square, on an offset interval
-        (GaussLegendre(panels=70, order=8),
+        (GaussLegendre(panels=70),
          np.array([0.0, 0.1, 0.5, -0.5, 1.1, 3.7, -3.7, -7.3, 7.3, -19.0, 40.0, -40.0]), 0.25, 5.0),
         # the projection rule for N = 100000: the FFT sums down its panels need one
         # half-width, and differences of rounded edges would spread it by 4.8e-12
-        (GaussLegendre(panels=62_500, order=8), np.array([0.0, 1.0, -2.0, 317.5, 62_500.0, -99_000.0]), 0.0, math.pi),
+        (GaussLegendre(panels=62_500), np.array([0.0, 1.0, -2.0, 317.5, 62_500.0, -99_000.0]), 0.0, math.pi),
     ]
     for case_rule, freqs, a, b in cases:
         got = case_rule.exp_moments(freqs, a, b)
@@ -95,7 +89,7 @@ def test_exp_moments_against_mpmath(mu):
     a, b = 0.25, 5.0
     with mpmath.workdps(30):
         exact = complex(mpmath.quad(lambda t: mpmath.expj(mu * t), [a, b]))
-    for rule in [GaussLegendre(), GaussLegendre(panels=70, order=8)]:
+    for rule in [GaussLegendre(), GaussLegendre(panels=70)]:
         got = rule.exp_moments(np.array([mu]), a, b)[0]
         assert abs(got - exact) <= 1e-13 * (b - a)
 
@@ -106,7 +100,7 @@ def test_exp_moments_rounding_at_scale():
     # e^{i mu h} (e^{2i mu h P} - 1) / (e^{2i mu h} - 1)
     mpmath = pytest.importorskip("mpmath")
     T, omega, P = 5.0, 0.07, 125_001
-    rule = GaussLegendre(panels=P, order=8)
+    rule = GaussLegendre(panels=P)
     k = np.random.default_rng(3).integers(1, 100_001, 24).astype(float)
     mu = np.concatenate([omega - k, omega + k, [omega - 100_000, omega + 100_000]])
     got = rule.exp_moments(mu, 0.0, T)
@@ -123,7 +117,7 @@ def test_exp_moments_rounding_at_scale():
 
 def test_exp_moments_reject_unresolved_frequencies():
     # |mu| h = 80.1 * 4.75 / 140 = 2.72 on 70 panels over [0.25, 5]
-    rule = GaussLegendre(panels=70, order=8)
+    rule = GaussLegendre(panels=70)
     rule.exp_moments(np.array([-73.0, 73.0]), 0.25, 5.0)  # 2.48: inside
     with pytest.raises(ValueError, match="raise panels"):
         rule.exp_moments(np.array([0.0, 80.1]), 0.25, 5.0)
@@ -134,7 +128,7 @@ def test_exp_moments_reject_unresolved_frequencies():
 def test_exp_moments_memory_independent_of_the_panels():
     # the time rule of `solve --T 1e12 --omega 0.3 --N 3`: all panel edges would
     # take 6 TiB; the closed form reads no midpoint at all
-    rule = GaussLegendre(panels=825_000_000_000, order=8)
+    rule = GaussLegendre(panels=825_000_000_000)
     tracemalloc.start()
     try:
         value = rule.exp_moments(np.array([0.0]), 0.0, 1e12)[0]

@@ -82,7 +82,7 @@ class TestSolveNonlocalMode:
         clock = ProblemClock(1.0, 0.5)
         alpha, gamma = 1.0, 0.3 + 0.1j
         C, D = solve_mode(alpha, gamma, 1, clock)
-        rule = GaussLegendre(panels=128, order=8)
+        rule = GaussLegendre(panels=128)
         moment = integrate(
             rule,
             lambda t: np.exp(1j * clock.omega * t)
@@ -168,7 +168,7 @@ class TestSolveNonlocal:
         alpha = SpectralVector(rng.standard_normal(n))
         beta = SpectralVector(rng.standard_normal(n))
         reference = solve_cauchy(CauchyProblem(clock.T, alpha, beta))
-        rule = GaussLegendre(panels=max(64, int(n * clock.T)), order=8)
+        rule = GaussLegendre(panels=max(64, int(n * clock.T)))
         nodes, weights = rule.nodes_weights(0.0, clock.T)
         gamma = mode_values(reference, nodes) @ (weights * np.exp(1j * clock.omega * nodes))
         recovered = solve_nonlocal(
