@@ -470,12 +470,13 @@ class TestConfigPlumbing:
         assert capsys.readouterr().err == "error: config field 'quad_panels': must be >= 1\n"
         assert not (tmp_path / "out").exists()
 
-    def test_tol_flag_is_rejected(self, tmp_path, capsys):
-        # the gates' bounds are fixed (cli.INTEGRAL_TOL); no flag moves or loosens them
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1e-8"])
+    def test_tol_must_be_positive_and_finite(self, tmp_path, capsys, tol):
+        # the gates' bounds are fixed (cli.INTEGRAL_TOL): no --tol value, however bad, is taken
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--tol", "1e-3", "--N", "5", "--out", str(tmp_path / "out")])
+            main(["solve", f"--tol={tol}", "--N", "5", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+        assert f"unrecognized arguments: --tol={tol}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_config_values_are_converted_to_their_key_type(self):
