@@ -41,17 +41,16 @@ from .timeavg import (
 
 ENV_OUT = "SPECWAVE_OUT"
 
-# reference diagnostics: z(500) for the four (T, omega) cells, 2% tolerance
+# reference diagnostics: z(500) for the four (T, omega) cells, 0.5% tolerance
 REFERENCE_Z500 = (
     (5.0, 0.0, 3.66e-9),
     (5.0, 0.01, 0.1001),
     (10.0, 0.0, 3.68e-9),
     (10.0, 0.01, 0.1998),
 )
-REFERENCE_RTOL = 0.02
+REFERENCE_RTOL = 0.005
 
-# bound on solve's integral-condition residual, relative to 1 + ||g||_H0, and
-# on its real-system parts, absolute
+# bound on solve's integral-condition residual, relative to 1 + ||g||_H0
 INTEGRAL_TOL = 1e-8
 
 # uniform times in [0, T] of norms.csv and of the sup norms in sweep's c_obs
@@ -137,12 +136,9 @@ def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     manifest.files.append(write_json(out / "stability.json", asdict(report)))
 
     init_res = verification.initial_condition_relative(problem, solution)
-    integral = verification.integral_condition_residual(problem, solution)
-    g_scale = 1.0 + problem.gamma.sobolev_norm(0)
+    integral_rel = verification.integral_condition_residual(problem, solution)
     manifest.add_check("initial_condition_rel", init_res, 1e-14)
-    manifest.add_check("integral_condition_rel", integral.total / g_scale, INTEGRAL_TOL)
-    manifest.add_check("real_system_re", integral.re, INTEGRAL_TOL * g_scale)
-    manifest.add_check("real_system_im", integral.im, INTEGRAL_TOL * g_scale)
+    manifest.add_check("integral_condition_rel", integral_rel, INTEGRAL_TOL)
     manifest.files.append(write_json(out / "verification.json", manifest.checks))
 
 
@@ -193,7 +189,6 @@ def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
 
 
 def cmd_paper_table(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    t0 = time.perf_counter()
     print("     T   omega      measured      expected   rel.err  status")
     for T, omega, expected in REFERENCE_Z500:
         measured = z_diagnostic(500, ProblemClock(T, omega)).z
@@ -203,7 +198,6 @@ def cmd_paper_table(cfg: ExperimentConfig, args, out: Path, manifest: RunManifes
             f"  {T:4.1f}  {omega:6.3f}  {measured:12.4e}  {expected:12.4e}  "
             f"{100 * rel:6.2f}%  {'PASS' if ok else 'FAIL'}"
         )
-    print(f"table reproduced in {time.perf_counter() - t0:.3f} s")
 
 
 def cmd_project(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):

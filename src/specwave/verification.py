@@ -9,8 +9,6 @@ check is evidence rather than tautology.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .cauchy import CauchyProblem
@@ -31,30 +29,18 @@ def initial_condition_relative(problem, solution: SeriesSolution) -> float:
     return float(np.max(diff / scale))
 
 
-class IntegralResidual(NamedTuple):
-    """H^0 norms of (quadrature of int_0^T e^{i omega t} u dt) - g and of its parts."""
-
-    total: float
-    re: float
-    im: float
-
-
-def integral_condition_residual(problem: NonlocalProblem, solution: SeriesSolution) -> IntegralResidual:
-    """Residual of the time-average condition, whole and as the coupled real system.
+def integral_condition_residual(problem: NonlocalProblem, solution: SeriesSolution) -> float:
+    """||(quadrature of int_0^T e^{i omega t} u dt) - g||_H0 / (1 + ||g||_H0).
 
     Per mode, with y_k = C_k e^{-i theta_k t} + D_k e^{i theta_k t}, the moment
     int_0^T e^{i omega t} y_k dt is C_k S(omega - theta_k) + D_k S(omega + theta_k),
     where S(mu) is the Gauss-Legendre sum of e^{i mu t} over [0, T]; never phi,
     which built the solution. S is summed in closed form over the equal panels,
-    so this costs O(N) time and memory whatever the panel count. For
-    v = Re u, w = Im u the complex condition splits into two coupled real
-    integral conditions:
-        int_0^T [cos(wt) v - sin(wt) w] dt = Re g
-        int_0^T [sin(wt) v + cos(wt) w] dt = Im g
-    Since e^{i omega t} u = [cos(wt) v - sin(wt) w] + i [sin(wt) v + cos(wt) w],
-    they are algebraically the real and imaginary parts of the complex one, so
-    all three norms read one moment vector (the eigenfunctions are real, so
-    Re/Im pass through the expansion).
+    so this costs O(N) time and memory whatever the panel count. The paper's two
+    coupled real conditions on v = Re u and w = Im u are the real and imaginary
+    parts of this one (e^{i omega t} u = [cos(wt) v - sin(wt) w] + i [sin(wt) v +
+    cos(wt) w], and the eigenfunctions are real), so neither part's norm can
+    exceed this norm of the whole.
     """
     clock = problem.clock
     theta = solution.thetas
@@ -65,11 +51,7 @@ def integral_condition_residual(problem: NonlocalProblem, solution: SeriesSoluti
         clock.omega + np.stack([-theta, theta]), 0.0, clock.T
     )
     resid = solution.C * minus + solution.D * plus - problem.gamma.coefficients
-    return IntegralResidual(
-        float(np.sqrt(np.sum(np.abs(resid) ** 2))),
-        float(np.sqrt(np.sum(resid.real**2))),
-        float(np.sqrt(np.sum(resid.imag**2))),
-    )
+    return float(np.sqrt(np.sum(np.abs(resid) ** 2))) / (1.0 + problem.gamma.sobolev_norm(0))
 
 
 def mode_energy_data_relative(problem: CauchyProblem, solution: SeriesSolution) -> float:

@@ -207,11 +207,21 @@ class TestSolve:
         assert code == 0
         assert len(record) == 1
 
-    def test_manifest_holds_the_four_checks(self, tmp_path):
+    def test_manifest_holds_the_two_checks(self, tmp_path):
         assert main(["solve", "--N", "50", "--out", str(tmp_path)]) == 0
         assert [c["name"] for c in read_manifest(tmp_path)["checks"]] == [
-            "initial_condition_rel", "integral_condition_rel", "real_system_re", "real_system_im",
+            "initial_condition_rel", "integral_condition_rel",
         ]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3: at T = 1e12 the phases mu T rounded in phi and exp_moments leave "
+        "integral_condition_rel near 1.2e-5 against 1e-8 (the FOUND line on solve --T 1e12 "
+        "--omega 0.3 --N 3 in CHANGES.md)"
+    ))
+    def test_every_check_passes_at_t_1e12(self, tmp_path):
+        main(["solve", "--T", "1e12", "--omega", "0.3", "--N", "3", "--out", str(tmp_path)])
+        checks = read_manifest(tmp_path)["checks"]
+        assert checks and all(c["pass"] for c in checks)
 
     def test_field_grid_dimensions(self, tmp_path):
         main(["solve", "--T", "5", "--omega", "0.1", "--N", "10",
@@ -363,6 +373,8 @@ class TestPaperTable:
     def test_all_cells_pass(self, tmp_path, capsys):
         assert main(["paper-table", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
+        # the header and one row per cell, nothing that varies from run to run
+        assert len(out.splitlines()) == 5
         assert out.count("PASS") == 4
         assert "FAIL" not in out
         checks = read_manifest(tmp_path)["checks"]

@@ -4,7 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import eigenfunction_matrix, field, mode_derivatives, mode_energy_drift, mode_values, norm_trajectory
+from oracles import (
+    eigenfunction_matrix,
+    field,
+    integrate,
+    mode_derivatives,
+    mode_energy_drift,
+    mode_values,
+    norm_trajectory,
+)
 from specwave import (
     CauchyProblem,
     GaussLegendre,
@@ -20,7 +28,6 @@ from specwave import solution
 from specwave.basis import eigenfunction
 from specwave.phase import _uniform_phases
 from specwave.solution import _block_squares, _chirp_sums
-from specwave.verification import integral_condition_residual
 
 EPS = np.finfo(float).eps
 
@@ -476,15 +483,24 @@ class TestRealImaginaryParts:
             assert point(w, x, t) == pytest.approx(u.imag, abs=1e-14)
 
     def test_coupled_real_conditions_hold(self):
-        # with real a and g the split fields satisfy the two real
-        # integral conditions, Im g being zero
-        g = project(lambda x: x * (math.pi - x), 50)
-        a = SpectralVector(np.zeros(50))
-        problem = NonlocalProblem(ProblemClock(5.0, 0.01), a, g)
+        # the paper's real system for v = Re u and w = Im u, each mode
+        # integrated on a fine rule, never through exp_moments:
+        #   int_0^T [cos(wt) Re y_k - sin(wt) Im y_k] dt = Re gamma_k
+        #   int_0^T [sin(wt) Re y_k + cos(wt) Im y_k] dt = Im gamma_k
+        # with complex g, so that Im gamma != 0
+        T, omega = 5.0, 0.01
+        g = project(lambda x: x * (math.pi - x) * (1.0 + 0.5j * x), 50)
+        assert np.abs(g.coefficients.imag).max() > 0.1
+        problem = NonlocalProblem(ProblemClock(T, omega), SpectralVector(np.zeros(50)), g)
         sol = solve_nonlocal(problem)
-        residual = integral_condition_residual(problem, sol)
-        assert residual.re < 1e-8
-        assert residual.im < 1e-8
+        rule = GaussLegendre(panels=400)
+        for k, gamma_k in enumerate(g.coefficients):
+            def y(t, k=k):
+                return mode_values(sol, t)[k]
+            re = integrate(rule, lambda t: np.cos(omega * t) * y(t).real - np.sin(omega * t) * y(t).imag, 0.0, T)
+            im = integrate(rule, lambda t: np.sin(omega * t) * y(t).real + np.cos(omega * t) * y(t).imag, 0.0, T)
+            assert re == pytest.approx(gamma_k.real, abs=1e-12)
+            assert im == pytest.approx(gamma_k.imag, abs=1e-12)
 
 
 class TestModeAccess:
