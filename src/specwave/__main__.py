@@ -1,5 +1,8 @@
+import gc
 import sys
 
 from .cli import main
 
-sys.exit(main())
+code = main()
+gc.freeze()  # every file is closed: the exit collection skips NumPy's import-time heap
+sys.exit(code)

@@ -1,17 +1,19 @@
 """Command-line front end: experiment runs with CSV/JSON artifacts.
 
 Subcommands, each declared once in COMMANDS: denominators, solve, cauchy,
-sweep, paper-table, project. A handler only computes, writes its artifacts and
-adds manifest checks; `main` owns the run lifecycle: the output directory (flag
---out, else config, else $SPECWAVE_OUT, else the working directory), the
-manifest, its wall time and manifest.json, which every subcommand writes, also
-when the run fails after making its output directory (with `exit_code` and
-`error`). Exit code 0 iff every manifest check passed; 1 for a failed check, an
-ill-conditioned mode, an unwritable output or an allocation the machine
-refuses; 2 for a config error, an inadmissible omega, an overflowing phase,
-2*omega*T or (omega +/- theta_k)*T, or an evaluation phase beyond exact
-reduction (2**43; the norms' phases 2 theta_k t reach it where theta_N t
-passes about 2**42).
+sweep, paper-table, project. Each runs as `cmd_<name>(cfg, out, manifest)`,
+looked up on this module at call time (so a patched handler runs); it reads
+only the ExperimentConfig, so a manifest's `config` block reruns its run. A
+handler computes, writes its artifacts and adds manifest checks; `main` owns
+the run lifecycle: the output directory (flag --out, else config, else
+$SPECWAVE_OUT, else the working directory), the manifest, its wall time and
+manifest.json, which every subcommand writes, also when the run fails after
+making its output directory (with `exit_code` and `error`). Exit code 0 iff
+every manifest check passed; 1 for a failed check, an ill-conditioned mode, an
+unwritable output or an allocation the machine refuses; 2 for a config error,
+an inadmissible omega, an overflowing phase, 2*omega*T or (omega +/- theta_k)*T,
+or an evaluation phase beyond exact reduction (2**43; the norms' phases
+2 theta_k t reach it where theta_N t passes about 2**42).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,7 +94,7 @@ def _outdir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def cmd_denominators(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
+def cmd_denominators(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
     report = z_diagnostic(cfg.N, cfg.clock())
     d = report.values
     manifest.files.append(write_csv(
@@ -127,7 +129,7 @@ def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, soluti
     return norms
 
 
-def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
+def cmd_solve(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
     problem = NonlocalProblem(cfg.clock(), *cfg.data(cfg.a, cfg.g))
     solution = solve_nonlocal(problem)
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
@@ -142,7 +144,7 @@ def cmd_solve(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     manifest.files.append(write_json(out / "verification.json", manifest.checks))
 
 
-def cmd_cauchy(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
+def cmd_cauchy(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
     problem = CauchyProblem(cfg.T, *cfg.data(cfg.a, cfg.b))
     solution = solve_cauchy(problem)
     norms = _write_solution_artifacts(out, manifest, cfg, solution)
@@ -163,7 +165,7 @@ def cmd_cauchy(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     manifest.files.append(write_json(out / "verification.json", manifest.checks))
 
 
-def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
+def cmd_sweep(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
     alpha, gamma = cfg.data(cfg.a, cfg.g)
     rows = []
     for omega in cfg.omega:
@@ -188,7 +190,7 @@ def cmd_sweep(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
     manifest.add_check("failed_rows", float(sum(row[-1] != b"ok" for row in rows)), 0.0)
 
 
-def cmd_paper_table(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
+def cmd_paper_table(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
     print("     T   omega      measured      expected   rel.err  status")
     for T, omega, expected in REFERENCE_Z500:
         measured = z_diagnostic(500, ProblemClock(T, omega)).z
@@ -200,15 +202,15 @@ def cmd_paper_table(cfg: ExperimentConfig, args, out: Path, manifest: RunManifes
         )
 
 
-def cmd_project(cfg: ExperimentConfig, args, out: Path, manifest: RunManifest):
-    (vec,) = cfg.data(args.f)
+def cmd_project(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
+    (vec,) = cfg.data(cfg.f)
     c = vec.coefficients
     manifest.files.append(write_csv(
         out / "coefficients.csv",
         "k,re_c,im_c,abs_c",
         [np.arange(1, len(c) + 1), c.real, c.imag, np.hypot(c.real, c.imag)],
     ))
-    print(f"projected {args.f!r} onto {cfg.N} modes; H0 norm = {vec.sobolev_norm(0):.6e}")
+    print(f"projected {cfg.f!r} onto {cfg.N} modes; H0 norm = {vec.sobolev_norm(0):.6e}")
 
 
 def _parse_omega(text: str) -> tuple[float, ...]:
@@ -230,37 +232,24 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 class Command(NamedTuple):
-    """One subcommand: help line, data flags, handler, and whether omega is a list."""
+    """One subcommand, run by `cmd_<name>`: help line, data flags, whether omega is a list."""
 
     help: str
     flags: tuple[str, ...]
-    run: Callable
     omega_list: bool = False
 
 
-# data flag -> (help, default)
-DATA_FLAGS = {
-    "a": ("position datum preset", None),
-    "b": ("velocity datum preset", None),
-    "g": ("time-average datum preset", None),
-    "f": ("function preset to project", "parabola"),
-}
+# data flag -> help; each is an ExperimentConfig key, with its default there
+DATA_FLAGS = {"a": "position datum preset", "b": "velocity datum preset",
+              "g": "time-average datum preset", "f": "function preset to project"}
 
-# the handlers name the module functions at call time, so a function patched
-# on this module (tests, profilers) is used
 COMMANDS = {
-    "denominators": Command("per-mode denominators and the z diagnostic", (),
-                            lambda *run: cmd_denominators(*run)),
-    "solve": Command("solve the time-averaged problem and verify", ("a", "g"),
-                     lambda *run: cmd_solve(*run)),
-    "cauchy": Command("solve the initial-value problem", ("a", "b"),
-                      lambda *run: cmd_cauchy(*run)),
-    "sweep": Command("z and stability across an omega list", ("a", "g"),
-                     lambda *run: cmd_sweep(*run), omega_list=True),
-    "paper-table": Command("reproduce the published z(500) table", (),
-                           lambda *run: cmd_paper_table(*run)),
-    "project": Command("project a preset onto the eigenbasis", ("f",),
-                       lambda *run: cmd_project(*run)),
+    "denominators": Command("per-mode denominators and the z diagnostic", ()),
+    "solve": Command("solve the time-averaged problem and verify", ("a", "g")),
+    "cauchy": Command("solve the initial-value problem", ("a", "b")),
+    "sweep": Command("z and stability across an omega list", ("a", "g"), omega_list=True),
+    "paper-table": Command("reproduce the published z(500) table", ()),
+    "project": Command("project a preset onto the eigenbasis", ("f",)),
 }
 
 
@@ -279,19 +268,19 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--omega", type=str, default=None, help="weight frequency (or comma list)")
         sp.add_argument("--grid", type=str, default=None, help="field grid as <nx>x<nt>")
         for flag in command.flags:
-            text, default = DATA_FLAGS[flag]
-            sp.add_argument(f"--{flag}", type=str, default=default, help=text)
+            sp.add_argument(f"--{flag}", type=str, default=None, help=DATA_FLAGS[flag])
     return parser
 
 
 def _config_from_args(args, command: Command) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {key: getattr(args, key, None) for key in ("out", "N", "T", "a", "b", "g")}
+    overrides = {key: getattr(args, key) for key in ("out", "N", "T", *command.flags)}
     if args.omega is not None:
         overrides["omega"] = _parse_omega(args.omega)
     if args.grid is not None:
         overrides["nx"], overrides["nt"] = _parse_grid(args.grid)
-    return cfg.merged(**overrides).validate(command.omega_list)
+    given = {key: value for key, value in overrides.items() if value is not None}  # flags set
+    return cfg.merged(**given).validate(command.omega_list)
 
 
 def main(argv=None) -> int:
@@ -303,7 +292,7 @@ def main(argv=None) -> int:
         out = _outdir(cfg)
         manifest = RunManifest(command=args.command, config=asdict(cfg), version=__version__)
         t0 = time.perf_counter()
-        command.run(cfg, args, out, manifest)
+        globals()["cmd_" + args.command.replace("-", "_")](cfg, out, manifest)
         code = 0 if manifest.all_passed else 1
     except IllConditionedModeError as exc:
         error, code = str(exc), 1
@@ -314,8 +303,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError among them
         error, code = str(exc), 2
     if manifest is not None:
-        # a run that got as far as its output directory explains itself there,
-        # failed or not
+        # a run that got as far as its output directory explains itself there, failed or not
         manifest.wall_seconds = time.perf_counter() - t0
         manifest.exit_code, manifest.error = code, error
         try:

@@ -67,6 +67,8 @@ _TYPES = {int: (Integral, "an integer"), float: (Real, "a real number"), str: (s
 def _typed(key: str, value, default):
     """`value` converted to its key's type, else a ConfigError naming the key.
     Bools are not numbers; omega may also be a list of numbers."""
+    if value is None and default is None:  # an unset `out`, as a manifest echoes it
+        return None
     kind = str if default is None else type(default)
     accepted, name = _TYPES[kind]
 
@@ -94,6 +96,7 @@ class ExperimentConfig:
     a: str = "zero"
     b: str = "zero"  # velocity datum, cauchy only
     g: str = "parabola"
+    f: str = "parabola"  # the function expanded, project only
     nx: int = 201
     nt: int = 201
     out: str | None = None  # then $SPECWAVE_OUT, then the working directory
@@ -142,15 +145,14 @@ class ExperimentConfig:
         return cls().merged(**raw)
 
     def merged(self, **overrides) -> "ExperimentConfig":
-        """New config with non-None overrides applied, each checked against its
-        key's type; unknown keys are errors."""
+        """New config with the overrides applied, each checked against its key's
+        type; unknown keys are errors, and so is None except for `out`."""
         defaults = {f.name: f.default for f in fields(self)}
         values = asdict(self)
         for key, val in overrides.items():
             if key not in defaults:
                 raise ConfigError(key, "unknown configuration key")
-            if val is not None:
-                values[key] = _typed(key, val, defaults[key])
+            values[key] = _typed(key, val, defaults[key])
         return ExperimentConfig(**values)
 
 

@@ -411,6 +411,20 @@ class TestProject:
         assert code == 2
         assert "preset" in capsys.readouterr().err
 
+    def test_f_flag_beats_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"N": 4, "f": "eigenmode:2"}))
+
+        def unit_mode(*flags):
+            out = tmp_path / "-".join(("out", *flags))
+            assert main(["project", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+            rows = (out / "coefficients.csv").read_text().splitlines()[1:]
+            return [row.split(",")[0] for row in rows if float(row.split(",")[3]) == 1.0]
+
+        assert unit_mode() == ["2"]
+        assert unit_mode("--f", "eigenmode:3") == ["3"]
+        assert "projected 'eigenmode:3' onto 4 modes" in capsys.readouterr().out
+
 
 class TestConfigPlumbing:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
@@ -490,6 +504,27 @@ class TestConfigPlumbing:
         assert exc.value.code == 2
         assert f"unrecognized arguments: --tol={tol}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,name", [
+        ("N", "an integer"), ("T", "a real number"), ("omega", "a real number"),
+        ("nx", "an integer"), ("quad_panels", "an integer"), ("a", "a string"), ("f", "a string"),
+    ])
+    def test_null_config_value_is_config_error(self, tmp_path, capsys, key, name):
+        # null is no "default": a file that names a key gives it a value
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: None}))
+        code = main(["project", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config field '{key}': expected {name}, got None\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_null_out_is_unset(self, tmp_path, monkeypatch):
+        # a manifest echoes an unset out as null, and its config must rerun
+        monkeypatch.setenv("SPECWAVE_OUT", str(tmp_path / "envout"))
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"N": 4, "out": None}))
+        assert main(["project", "--config", str(cfg)]) == 0
+        assert read_manifest(tmp_path / "envout")["config"]["out"] is None
 
     def test_config_values_are_converted_to_their_key_type(self):
         cfg = ExperimentConfig().merged(T=5, omega=[1, 0.5], N=np.int64(7), nx=np.int32(9))
@@ -585,6 +620,35 @@ class TestRunLifecycle:
         assert manifest["wall_seconds"] > 0
         assert manifest["exit_code"] == 0 and manifest["error"] is None
         assert all(c["pass"] for c in manifest["checks"])
+
+    RERUN_ARGV = {
+        "denominators": ["--N", "20", "--omega", "0.137"],
+        "solve": ["--N", "10", "--grid", "11x7", "--a", "eigenmode:2"],
+        "cauchy": ["--N", "10", "--grid", "5x5", "--a", "parabola", "--b", "eigenmode:3"],
+        "sweep": ["--N", "10", "--omega", "0.3,0.1", "--T", "7"],
+        "paper-table": [],
+        "project": ["--N", "8", "--f", "eigenmode:3"],
+    }
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_manifest_config_reruns_the_run(self, command, tmp_path, capsys):
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main([command, *self.RERUN_ARGV[command], "--out", str(first)]) == 0
+        stdout = capsys.readouterr().out
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(read_manifest(first)["config"]))
+        assert main([command, "--config", str(cfg), "--out", str(again)]) == 0
+        assert capsys.readouterr().out == stdout
+        files = sorted(read_manifest(first)["files"])
+        assert sorted(read_manifest(again)["files"]) == files
+        for name in files:
+            if name != "manifest.json":
+                assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_every_command_has_its_handler(self):
+        handlers = {name for name, value in vars(cli).items() if name.startswith("cmd_")}
+        assert handlers == {"cmd_" + name.replace("-", "_") for name in cli.COMMANDS}
+        assert all(callable(getattr(cli, name)) for name in handlers)
 
     def test_handler_error_still_writes_manifest(self, tmp_path, capsys):
         code = main(["project", "--f", "whatever", "--out", str(tmp_path)])
