@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import GaussLegendre, _reference_rule
+from .quadrature import _NODES, GaussLegendre
 
 DOMAIN = (0.0, math.pi)
 
@@ -100,11 +100,10 @@ def _sine_sums(weighted: np.ndarray, rule: GaussLegendre, n_modes: int) -> np.nd
     a, b = DOMAIN
     period = 2 * rule.panels
     half = 0.5 * (b - a) / rule.panels
-    x, _ = _reference_rule()
     ks = np.arange(1, n_modes + 1)
     panel_sums = np.fft.ifft(weighted.reshape(rule.panels, rule.order), n=period, axis=0)
     rows = panel_sums[ks % period] * period
-    local = np.exp(1j * np.multiply.outer(ks, half * x))
+    local = np.exp(1j * np.multiply.outer(ks, half * _NODES))
     sums = np.exp(1j * ks * (a + half)) * np.einsum("kj,kj->k", rows, local)
     return math.sqrt(2.0 / math.pi) * sums.imag
 

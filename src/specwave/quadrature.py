@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
-
-@lru_cache(maxsize=1)
-def _reference_rule():
-    return np.polynomial.legendre.leggauss(GaussLegendre.order)
+# The 8-node Gauss-Legendre rule on [-1, 1], equal to the last bit to
+# numpy.polynomial.legendre.leggauss(8) and exactly symmetric. Written out, a
+# run neither imports numpy.polynomial nor solves leggauss's eigenproblem.
+_NODES = np.array([float.fromhex(v) for v in (
+    "-0x1.ebab1cb0acc66p-1", "-0x1.97e4ab249f41ep-1", "-0x1.0d129583284b4p-1", "-0x1.77ac94f3c7344p-3",
+    "0x1.77ac94f3c7344p-3", "0x1.0d129583284b4p-1", "0x1.97e4ab249f41ep-1", "0x1.ebab1cb0acc66p-1")])
+_WEIGHTS = np.array([float.fromhex(v) for v in (
+    "0x1.9ea1d04ca03aep-4", "0x1.c76fb531d2b94p-3", "0x1.413c50a25560ep-2", "0x1.736360b19933dp-2",
+    "0x1.736360b19933dp-2", "0x1.413c50a25560ep-2", "0x1.c76fb531d2b94p-3", "0x1.9ea1d04ca03aep-4")])
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,10 @@ class GaussLegendre:
         half-width h = (b - a) / (2 panels) and midpoint a + h(2p + 1), so the
         weights repeat exactly from panel to panel, as `basis._sine_sums` (one
         FFT down the panels) and `exp_moments` (a closed form over them) assume."""
-        x, w = _reference_rule()
         half = 0.5 * (b - a) / self.panels
         mid = a + half * (2 * np.arange(self.panels) + 1)
-        nodes = (mid[:, None] + half * x).ravel()
-        return nodes, np.tile(half * w, self.panels)
+        nodes = (mid[:, None] + half * _NODES).ravel()
+        return nodes, np.tile(half * _WEIGHTS, self.panels)
 
     def exp_moments(self, mu, a: float, b: float) -> np.ndarray:
         """sum_j w_j exp(i mu t_j) over this rule's nodes on [a, b], for each mu.
@@ -58,12 +61,11 @@ class GaussLegendre:
         mu h = m pi. Frequencies outside it raise ValueError.
         """
         mu = np.asarray(mu, dtype=float)
-        x, w = _reference_rule()
         half = 0.5 * (b - a) / self.panels
         reach = float(np.abs(mu).max(initial=0.0)) * half
         if reach > 2.5:
             raise ValueError(f"|mu| h = {reach:.3g} exceeds 2.5: raise panels to resolve these frequencies")
         panel_sums = (np.exp(0.5j * (a + b) * mu) * self.panels
                       * np.sinc(mu * (0.5 * (b - a) / np.pi)) / np.sinc(mu * (half / np.pi)))
-        local = np.multiply.outer(mu, half * x)
-        return panel_sums * (np.cos(local, out=local) @ (half * w))
+        local = np.multiply.outer(mu, half * _NODES)
+        return panel_sums * (np.cos(local, out=local) @ (half * _WEIGHTS))

@@ -6,6 +6,7 @@ import pytest
 
 from oracles import integrate
 from specwave import GaussLegendre, project
+from specwave.quadrature import _NODES, _WEIGHTS
 
 
 def test_polynomials_integrated_exactly():
@@ -14,6 +15,18 @@ def test_polynomials_integrated_exactly():
     for p in range(16):
         value = integrate(rule, lambda x: x**p, 0.0, 2.0)
         assert value == pytest.approx(2.0 ** (p + 1) / (p + 1), rel=1e-13)
+
+
+def test_reference_rule_is_leggauss_written_out():
+    x, w = _NODES, _WEIGHTS
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    # exact on [-1, 1] for every monomial through degree 15, to the rounding of
+    # leggauss's weights: up to 58 ulps off the true rule's, they leave 1.2e-15 on x^4
+    for p in range(16):
+        assert abs(w @ x**p - (2.0 / (p + 1) if p % 2 == 0 else 0.0)) <= 6 * np.finfo(float).eps
+    want_x, want_w = np.polynomial.legendre.leggauss(8)
+    assert np.all(np.abs(x - want_x) <= np.spacing(np.abs(want_x)))
+    assert np.all(np.abs(w - want_w) <= np.spacing(want_w))
 
 
 def test_sine_closed_form():
