@@ -113,8 +113,8 @@ def cmd_denominators(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
 
 
 def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, solution):
-    """Field CSVs and norms.csv; returns the norm trajectories for the reports.
-    The norms' phases pass EXACT_PHASE_LIMIT first, so they run before any write."""
+    """Field CSVs and norms.csv; returns the norm trajectories for the reports. Both run before
+    any write; on the default grid the norms' phases pass EXACT_PHASE_LIMIT first."""
     norms = solution.norm_trajectories(NORM_TIMES)
     xs = np.linspace(*DOMAIN, cfg.nx)
     ts = np.arange(cfg.nt) * _time_step(cfg.T, cfg.nt)

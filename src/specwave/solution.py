@@ -1,9 +1,6 @@
 """Truncated eigenfunction-expansion solutions u(t) = sum_k y_k(t) v_k, and their evaluation.
 
-The frequencies are theta_k = k (`basis.frequencies`), so the field and norms
-on uniform times are chirp-z sums (`_chirp_sums`), at every horizon: where a
-chirp phase would reach EXACT_PHASE_LIMIT a chirp sum runs against factored
-exact-phase tables instead.
+theta_k = k (`basis.frequencies`), so field and norms are tiled chirp-z sums (`_chirp_sums`).
 """
 
 from __future__ import annotations
@@ -15,10 +12,11 @@ from functools import cached_property
 import numpy as np
 
 from .basis import DOMAIN, frequencies
-from .phase import EXACT_PHASE_LIMIT, _exact_phase, _time_step, _uniform_phases
+from .phase import _exact_phase, _time_step, _uniform_phases
 
 # complex phases a blocked evaluation holds at once: 2**16 x 16 B = 1 MiB
 _BLOCK_ELEMENTS = 1 << 16
+_TILE_ELEMENTS = 1 << 18  # per array of a group of chirp tiles: 4 MiB
 
 # bound on the relative error of a squared norm that the chirp expansion may
 # keep: 2**-45 (2.8e-14), so a norm stays within about 1.4e-14 of its value
@@ -37,46 +35,53 @@ def _block_squares(lam: np.ndarray, back: np.ndarray, ahead: np.ndarray) -> np.n
     return np.stack([y2.sum(axis=0), np.einsum("k,kj->j", lam, y2), np.einsum("k,kj->j", lam, dy2)])
 
 
-def _chirp_fits(dt: float, factor: int, n: int, count: int) -> bool:
-    """Whether `_chirp_sums` of this size keeps every phase inside `phase._exact_phase`'s domain."""
-    return dt * factor * max(n, count) ** 2 / 2 < EXACT_PHASE_LIMIT
-
-
 def _chirp_sums(weights: np.ndarray, dt: float, factor: int, count: int) -> np.ndarray:
     """sum_k weights[..., k] e^{i factor k j dt} for j < count; shape weights.shape[:-1] + (count,).
 
-    Bluestein's chirp-z: with kj = (k^2 + j^2 - (j - k)^2) / 2 the sum is
-    c_j times the convolution of weights_k c_k with conj(c_m), c_m = e^{i b m^2},
-    b = factor dt / 2: one FFT convolution of power-of-two length at least
-    n + count - 1 for every row, O((n + count) log(n + count)). Fewer than
-    log2(length) terms are summed directly against their count x n phases.
-    Where a chirp phase would reach EXACT_PHASE_LIMIT (`_chirp_fits`), the
-    weights are summed against `phase._uniform_phases` tables of the
-    frequencies factor k, in blocks of about _BLOCK_ELEMENTS entries: O(n count),
-    phases up to factor (n - 1) qG dt (qG < count, a multiple of isqrt(count)).
-    Every phase is exact (`phase._exact_phase` of dt and an integer), so the
-    error is the summation's, about eps sum_k |weights_k| times a small
-    multiple of log2 of the length.
+    Bluestein's chirp-z on tiles: with kj = (k^2 + j^2 - (j - k)^2) / 2 a tile's sum is c_j
+    times the FFT convolution of weights_k c_k with conj(c_m), c_m = e^{i factor dt m^2 / 2}.
+    Tiles span the short side of n x count and equal spans of the long one, so short that no
+    c_m passes the largest phase of the exact table of factor k (`phase._uniform_phases`).
+    Mode tiles k = s + m are turned by e^{i factor s j dt}, time tiles j = s + r (n < count)
+    turn the weights by e^{i factor k s dt}: entries of that table. So every horizon runs at
+    which the table, or one untiled chirp, would, and only n and count choose the route:
+    O((n + count) log(n + count)), in groups of about _TILE_ELEMENTS entries per array. A short
+    side below log2(n + count) meets the table directly. The error, the summation's, is about
+    eps sum_k |weights_k| log2(n + count).
     """
     n = weights.shape[-1]
-    if not _chirp_fits(dt, factor, n, count):
-        sums = np.zeros(weights.shape[:-1] + (count,), dtype=complex)
-        freqs, step = factor * np.arange(n), max(1, _BLOCK_ELEMENTS // count)
-        for start in range(0, n, step):
-            table = _uniform_phases(dt, freqs[start:start + step], count)
-            sums += np.einsum("...k,kj->...j", weights[..., start:start + step], table)
-        return sums
-    size = 1 << (n + count - 2).bit_length()
-    if n < size.bit_length():
-        table = np.exp(1j * _exact_phase(dt, factor * np.multiply.outer(np.arange(n), np.arange(count))))
-        return np.einsum("...k,kj->...j", weights, table)
-    m = np.arange(max(n, count), dtype=float)
-    chirp = np.exp(1j * _exact_phase(dt, 0.5 * factor * m * m))
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:count] = chirp[:count].conj()
-    kernel[size - n + 1:] = chirp[n - 1:0:-1].conj()
-    convolved = np.fft.ifft(np.fft.fft(weights * chirp[:n], size) * np.fft.fft(kernel))
-    return convolved[..., :count] * chirp[:count]
+    short, long = sorted((n, count))
+    if short < (n + count).bit_length():
+        return np.einsum("...k,kj->...j", weights, _uniform_phases(dt, factor * np.arange(n), count))
+    # c_m's phase m^2/2 stays below the table's (n - 1) qG >= (n - 1) (count - isqrt(count))
+    reach = math.isqrt(2 * (n - 1) * (count - math.isqrt(count))) + 1
+    tiles = -(-long // reach)
+    width = -(-long // tiles)  # equal tiles: the last start, and so its turn, stays small
+    modes, times = (width, count) if n >= count else (n, width)
+    chirp = np.exp(1j * _exact_phase(dt, 0.5 * factor * np.arange(max(modes, times), dtype=float) ** 2))
+    size = 1 << (modes + times - 2).bit_length()
+    kernel = np.fft.fft(np.r_[chirp[:times], np.zeros(size - modes - times + 1), chirp[modes - 1:0:-1]].conj())
+    rows = weights.shape[:-1]
+    sums = np.empty(rows + (tiles, times), dtype=complex)
+    step = max(1, _TILE_ELEMENTS // (size * math.prod(rows)))
+    for first in range(0, tiles, step):
+        starts = np.arange(first, min(first + step, tiles)) * width
+        if n >= count:
+            block = np.zeros(rows + (starts.size, width), dtype=complex)
+            block.reshape(rows + (-1,))[..., :n - starts[0]] = weights[..., starts[0]:starts[-1] + width]
+            block *= chirp[:width]
+            turn = _uniform_phases(dt, factor * starts, count) * chirp[:count]
+        else:
+            low, freqs = starts % math.isqrt(count), factor * np.arange(n)
+            block = np.exp(1j * _exact_phase(dt, np.multiply.outer(starts - low, freqs)))
+            block *= np.exp(1j * _exact_phase(dt, np.multiply.outer(low, freqs))) * chirp[:n]
+            block = np.multiply(weights[..., None, :], block, order="C")
+            turn = chirp[:width]
+        block = np.fft.fft(block, size)
+        block *= kernel
+        np.multiply(np.fft.ifft(block)[..., :times], turn, out=sums[..., first:first + starts.size, :])
+    # time tiles abut; mode tiles add up by numpy's pairwise sum along a contiguous axis
+    return sums.reshape(rows + (-1,))[..., :count] if n < count else sums.swapaxes(-1, -2).copy().sum(-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +98,9 @@ class NormTrajectories:
 class SeriesSolution:
     """u(x, t) = sum_{k=1..N} (C_k e^{-i theta_k t} + D_k e^{i theta_k t}) v_k(x).
 
-    Immutable after assembly and safe to evaluate concurrently. `field` and
-    `norm_trajectories` evaluate it on uniform times in [0, T] by chirp-z sums
-    over the integer frequencies; the norms' first block of modes is summed
-    term by term over `phase._uniform_phases` tables.
+    Immutable after assembly and safe to evaluate concurrently. `field` and `norm_trajectories`
+    evaluate it on uniform times in [0, T] by tiled chirp-z sums over the integer frequencies;
+    the norms' first block of modes is summed term by term over a `phase._uniform_phases` table.
     """
 
     T: float
@@ -135,14 +139,11 @@ class SeriesSolution:
         (re, im) columns. With k = r + lM,
             R_r(t_j) = conj(e^{i r t_j} S_r(conj C)) + e^{i r t_j} S_r(D),
             S_r(w)(t_j) = sum_l w_{r + lM} e^{i lM t_j},
-        2M chirp sums over l. The last row sits at x = fl(pi), where
-        sin(k fl(pi)) is about k 1.2e-16, not 0: it is sum_k sin(k fl(pi)) y_k,
-        one more chirp sum over k. Costs O(N log N + M time_points log) and no
-        matrix product. A chirp sum whose phases would reach EXACT_PHASE_LIMIT
-        (on the default 201 x 201 grid, past T ~ 2e8) sums against factored
-        exact-phase tables instead, O(N time_points). Every frequency of the
-        three sums (M l, r and k) is at most N, so every horizon is accepted
-        whose mode phases, up to theta_N qG dt, stay in the domain.
+        2M chirp sums over l. The last row sits at x = fl(pi), where sin(k fl(pi)) is about
+        k 1.2e-16, not 0: it is sum_k sin(k fl(pi)) y_k, one more chirp sum over k. Costs
+        O((N + M time_points) log) and no matrix product. Every frequency of the three sums
+        (M l, r and k) is at most N, so every horizon runs whose mode phases theta_N qG dt
+        stay below 2**43 (T < 9.0e9 at N = 1000 on the default grid; the tiles run on to 1.12e10).
         """
         if nx < 2:
             raise ValueError(f"the field grid needs nx >= 2 points, got {nx}")
@@ -154,9 +155,8 @@ class SeriesSolution:
         weights = np.zeros((2, depth * period), dtype=complex)  # mode k at column k
         weights[0, 1:n_modes + 1] = self.C.conj()
         weights[1, 1:n_modes + 1] = self.D
-        back, ahead = _chirp_sums(
-            weights.reshape(2, depth, period)[:, :, :residues].transpose(0, 2, 1), dt, period, time_points
-        )
+        by_residue = weights.reshape(2, depth, period)[:, :, :residues].transpose(0, 2, 1)
+        back, ahead = _chirp_sums(by_residue, dt, period, time_points)
         turn = _uniform_phases(dt, np.arange(residues), time_points)
         # turn first in both products, so a real solution (C = conj D) folds to
         # exactly real sums; in place, since fresh pages cost more than the flops
@@ -178,21 +178,18 @@ class SeriesSolution:
         """||u||_H0^2, ||u||_H1^2 and ||u'||_H0^2 on `time_points` uniform times in
         [0, T]; shape (3, time_points).
 
-        The first H = _BLOCK_ELEMENTS // time_points modes term by term over
-        their `phase._uniform_phases` table, the rest by one chirp sum.
-        |C e^{-ikt} + D e^{ikt}|^2 = |C|^2 + |D|^2 + 2 Re conj(C) D e^{2ikt},
-        and |y'|^2 is k^2 times the same with the last sign flipped. So over
-        modes k > H, with s_q = sum_k k^{2q} (|C_k|^2 + |D_k|^2) and W_q(t) the
-        chirp sum of w_k = k^{2q} conj(C_k) D_k at frequency 2k, the squares are
-        s_0 + 2 Re W_0, s_1 + 2 Re W_1 and s_1 - 2 Re W_1: O((N + time_points)
-        log) for all times. The first H modes are summed term by term, so
-        decaying data leave little to cancel. The rest errs by at most
-        about eps (s_q + 2 log2(length) sum_k |w_k|); every time where that
-        bound exceeds _NORM_REL of a square is summed again from all modes.
-        Past the chirp domain (at 1001 times, T ~ 9e9 for N = 1000 and
-        T ~ 9e5 for N = 100000) the chirp sum runs against exact-phase tables,
-        whose e^{2ikt} phases reach 2 N qG dt, below EXACT_PHASE_LIMIT = 2**43
-        exactly where the mode phases theta_N qG dt stay below 2**42.
+        |C e^{-ikt} + D e^{ikt}|^2 = |C|^2 + |D|^2 + 2 Re conj(C) D e^{2ikt}, and |y'|^2 is
+        k^2 times the same with the last sign flipped. So over modes k > H, with
+        s_q = sum_k k^{2q} (|C_k|^2 + |D_k|^2) and W_q(t) the chirp sum of
+        w_k = k^{2q} conj(C_k) D_k at frequency 2k, the squares are s_0 + 2 Re W_0,
+        s_1 + 2 Re W_1 and s_1 - 2 Re W_1: O((N + time_points) log) for all times. The first
+        H = _BLOCK_ELEMENTS // time_points modes are summed term by term over their
+        `phase._uniform_phases` table, so decaying data leave little to cancel. The rest errs
+        by about eps (s_q + 2 log2(length) sum_k |w_k|), length = N + time_points, as the tiled
+        chirp sum rounds about log2(length) times per weight; every time where that exceeds
+        _NORM_REL of a square is summed again from all modes. The norms run wherever
+        theta_N qG dt < 2**42 (T < 4.4e9 at N = 1000 and 1001 times); the tiles run on, to
+        8.8e9 at N = 1001.
         """
         dt = _time_step(self.T, time_points)
         n_modes = len(self)

@@ -702,6 +702,21 @@ class TestRunLifecycle:
         assert read_manifest(tmp_path)["files"] == ["manifest.json"]
         assert "error: phase beyond exact reduction" in capsys.readouterr().err
 
+    def test_norms_refuse_before_the_field_at_n_1001(self, tmp_path, capsys):
+        # at N = 1001 the norms' largest phase is their tail chirp's m^2 dt,
+        # m <= 1001: 2**43 at T = 8.778e9. The field's phases reach it only
+        # at T = 1.12e10, so at T = 8.81e9 the field alone would run, and
+        # the norms refuse before any field is written
+        code = main(["cauchy", "--T", "8.81e9", "--N", "1001", "--a", "parabola", "--out", str(tmp_path)])
+        assert code == 2
+        assert read_manifest(tmp_path)["files"] == ["manifest.json"]
+        assert "error: phase beyond exact reduction" in capsys.readouterr().err
+        coefficients = np.ones(1001) / np.arange(1, 1002)
+        solution = SeriesSolution(8.81e9, coefficients, coefficients)
+        assert np.isfinite(solution.field(201, 201)).all()
+        with pytest.raises(ValueError, match="2\\*\\*43"):
+            solution.norm_trajectories(cli.NORM_TIMES)
+
     def test_out_of_memory_exits_1_and_still_writes_manifest(self, tmp_path, monkeypatch, capsys):
         def oversized(*run):
             raise MemoryError("Unable to allocate 6.00 TiB")

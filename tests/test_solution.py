@@ -24,15 +24,33 @@ from specwave import (
     solve_cauchy,
     solve_nonlocal,
 )
-from specwave import solution
+from specwave import phase, solution
 from specwave.basis import eigenfunction
-from specwave.phase import _uniform_phases
-from specwave.solution import _block_squares, _chirp_sums
+from specwave.phase import _exact_phase, _uniform_phases
+from specwave.solution import _chirp_sums
 
 EPS = np.finfo(float).eps
 
-# bit length of the chirp-z convolution length for 1000 frequencies at 201 times
-LOG_LENGTH_1000_201 = (1 << (1000 + 201 - 2).bit_length()).bit_length()
+
+def log_length(n, count) -> int:
+    """Bit length of the one chirp-z convolution length for n frequencies at count times."""
+    return (1 << (n + count - 2).bit_length()).bit_length()
+
+
+def largest_phase(monkeypatch, evaluate) -> float:
+    """The largest product a*b that `evaluate()` hands to `phase._exact_phase`."""
+    largest = 0.0
+
+    def recording(a, b):
+        nonlocal largest
+        largest = max(largest, float(np.abs(np.multiply(a, b, dtype=float)).max(initial=0.0)))
+        return _exact_phase(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(phase, "_exact_phase", recording)
+        patch.setattr(solution, "_exact_phase", recording)
+        evaluate()
+    return largest
 
 
 def mp_mode_terms(C, D, k, dt, j):
@@ -157,11 +175,14 @@ class TestEvaluate:
     @pytest.mark.parametrize("T,n_modes", [
         pytest.param(1e10, 100, id="T1e10-N100"),
         pytest.param(1e12, 3, id="T1e12-N3"),
+        pytest.param(2.2438e10, 401, id="T2.2438e10-N401"),
     ])
     def test_field_past_the_chirp_domain_matches_dense_reference(self, rng, T, n_modes):
-        # chirp phases would pass 2**42 here, so the sums run against factored
-        # exact-phase tables. The times j T/200 and every k t_j are exact
-        # floats, so the dense reference's phases are exact too
+        # one chirp over all modes would pass 2**43 here; the tiles' phases
+        # stay below. At N = 401, T = 2.2438e10 lies past 2.2383e10, where the
+        # exact table of every mode, 401 qG dt, reaches 2**43: the residue
+        # sums reach it only at 2.2439e10. The times j T/200 and every k t_j
+        # are exact floats, so the dense reference's phases are exact too
         ks = np.arange(1, n_modes + 1)
         C = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / ks
         D = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / ks
@@ -171,14 +192,18 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n_modes", [1, 3, 100, 401])
     @pytest.mark.parametrize("nx,nt", [(201, 201), (20, 20)])
-    def test_field_horizons_end_where_the_phases_reach_2_43(self, n_modes, nx, nt):
-        # the last phase theta_N qG_max dt, qG_max the largest multiple of
-        # isqrt(nt) below nt, reaches 2**43 at T*. Real data (C = conj D) give
-        # an exactly real field on every route
-        group = math.isqrt(nt)
-        last = (nt - 1) // group * group
-        horizon = 2.0**43 * (nt - 1) / (n_modes * last)
+    def test_field_horizons_end_where_the_phases_reach_2_43(self, monkeypatch, n_modes, nx, nt):
+        # every phase is dt times an integer, so the field runs until the
+        # largest one it forms reaches 2**43, at T*. That edge lies at or past
+        # the exact table's of every mode, theta_N qG_max dt, qG_max the
+        # largest multiple of isqrt(nt) below nt. Real data (C = conj D) give
+        # an exactly real field
         coefficients = np.ones(n_modes) / np.arange(1, n_modes + 1)
+        group = math.isqrt(nt)
+        table_horizon = 2.0**43 * (nt - 1) / (n_modes * ((nt - 1) // group * group))
+        formed = largest_phase(monkeypatch, lambda: SeriesSolution(1.0, coefficients, coefficients).field(nx, nt))
+        horizon = 2.0**43 / formed
+        assert horizon >= 0.9999 * table_horizon
         grid = SeriesSolution(0.999 * horizon, coefficients, coefficients).field(nx, nt)
         assert np.isfinite(grid).all() and np.all(grid.imag == 0)
         with pytest.raises(ValueError, match="2\\*\\*43"):
@@ -233,27 +258,53 @@ class TestChirpSums:
                     bound = 2 * length.bit_length() * EPS * np.abs(weights[row]).sum()
                     assert abs(got[row, j] - complex(want)) <= bound
 
-    def test_tables_past_the_chirp_domain_match_one_table(self, rng, monkeypatch):
-        # n = 1000 frequencies at 201 times: four blocks of 2**16 // 201 = 326
-        weights = rng.standard_normal((2, 3, 1000)) + 1j * rng.standard_normal((2, 3, 1000))
-        dt, factor = 1e7, 2  # chirp phases reach 1e13, table phases 3.9e12
-        assert not solution._chirp_fits(dt, factor, 1000, 201)
-        tables = []
-        monkeypatch.setattr(solution, "_uniform_phases", lambda *a: tables.append(_uniform_phases(*a)) or tables[-1])
-        got = _chirp_sums(weights, dt, factor, 201)
-        assert len(tables) == 4
-        want = np.einsum("...k,kj->...j", weights, _uniform_phases(dt, factor * np.arange(1000), 201))
-        bound = 2 * LOG_LENGTH_1000_201 * EPS * np.abs(weights).sum(axis=-1, keepdims=True)
+    @pytest.mark.parametrize("dt", [5.0 / 1000, 1e7 / 1000, 1e10 / 1000])
+    @pytest.mark.parametrize("n,count", [
+        (37, 1001), (40, 1001),  # n < count: time tiles, the last cut short or not
+        (601, 601), (150, 101), (2500, 101), (3001, 101),  # n = count, just past it, n >> count
+        (3, 201), (5000, 7), (1000, 1), (1, 1),  # a short side below log2(n + count): the table itself
+    ])
+    def test_matches_the_exact_table(self, rng, n, count, dt):
+        # the exact table's phases 2 (n - 1) qG dt stay below 2**43 at dt = 1e7
+        weights = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+        got = _chirp_sums(weights, dt, 2, count)
+        want = np.einsum("...k,kj->...j", weights, _uniform_phases(dt, 2 * np.arange(n), count))
+        bound = 2 * log_length(n, count) * EPS * np.abs(weights).sum(axis=-1, keepdims=True)
         assert np.all(np.abs(got - want) <= bound)
 
-    def test_tables_match_the_fft_where_both_run(self, rng, monkeypatch):
-        weights = rng.standard_normal((2, 1000)) + 1j * rng.standard_normal((2, 1000))
-        dt, factor = 5.0 / 200, 1
-        fft = _chirp_sums(weights, dt, factor, 201)
-        monkeypatch.setattr(solution, "_chirp_fits", lambda *a: False)
-        tables = _chirp_sums(weights, dt, factor, 201)
-        bound = 2 * LOG_LENGTH_1000_201 * EPS * np.abs(weights).sum(axis=-1, keepdims=True)
-        assert np.all(np.abs(tables - fft) <= bound)
+    @pytest.mark.parametrize("n,count", [
+        (10, 25), (7, 55), (101, 1001),  # time tiles
+        (1001, 1001), (1002, 1001), (3001, 1001), (20001, 201),  # one tile, then mode tiles
+    ])
+    def test_forms_no_phase_past_the_exact_table_or_one_chirp(self, monkeypatch, n, count):
+        # so every horizon runs at which the exact table of the frequencies k, or one chirp
+        # over all max(n, count) modes and times (phases below dt max(n, count)^2 / 2), would
+        group = math.isqrt(count)
+        table = (n - 1) * ((count - 1) // group * group)
+        formed = largest_phase(monkeypatch, lambda: _chirp_sums(np.ones((1, n), dtype=complex), 1.0, 1, count))
+        assert formed <= min(table, max(n, count) ** 2 / 2)
+
+    def test_tiles_in_two_groups_match_the_exact_table(self, rng):
+        # 49 tiles of 1225 modes, in three groups of about _TILE_ELEMENTS entries
+        weights = rng.standard_normal((2, 3, 60001)) + 1j * rng.standard_normal((2, 3, 60001))
+        got = _chirp_sums(weights, 5.0 / 1000, 2, 17)
+        want = np.einsum("...k,kj->...j", weights, _uniform_phases(5.0 / 1000, 2 * np.arange(60001), 17))
+        bound = 2 * log_length(60001, 17) * EPS * np.abs(weights).sum(axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_memory_bounded_at_a_million_modes(self, rng):
+        # one convolution over all 10**6 + 1 modes would hold 119 MiB here
+        weights = rng.standard_normal((2, 10**6 + 1)) + 1j * rng.standard_normal((2, 10**6 + 1))
+        tracemalloc.start()
+        try:
+            sums = _chirp_sums(weights, 5.0 / 1000, 2, 1001)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
+        # at t = 0 every phase is 0
+        bound = 2 * log_length(10**6 + 1, 1001) * EPS * np.abs(weights).sum(axis=-1)
+        assert np.all(np.abs(sums[:, 0] - weights.sum(axis=-1)) <= bound)
 
 
 class TestTimeDerivative:
@@ -335,29 +386,20 @@ class TestNormTrajectory:
         assert np.abs(norms.u_h0 - norm_trajectory(sol, 0, ts)).max() < 1e-14
         assert np.abs(norms.dudt_h0 - norm_trajectory(sol, 0, ts, derivative=True)).max() < 1e-14
 
-    def test_block_route_norms_match_the_chirp_one(self, rng, monkeypatch):
-        # the table tail that runs past the chirp domain, forced here at a
-        # horizon where term-by-term blocks run too: it covers modes 66..300
-        ks = np.arange(1, 301)
-        sol = SeriesSolution(5.0, rng.standard_normal(300) / ks, 1j * rng.standard_normal(300) / ks)
-        monkeypatch.setattr(solution, "_chirp_fits", lambda *a: False)
-        tables = sol._norm_squares(1001)
-        dt, blocks = 5.0 / 1000, 0.0
-        for start in range(0, 300, 65):
-            modes = slice(start, start + 65)
-            ph = _uniform_phases(dt, sol.thetas[modes], 1001)
-            back, ahead = sol.C[modes, None] * ph.conj(), sol.D[modes, None] * ph
-            blocks = blocks + _block_squares(sol.eigenvalues[modes], back, ahead)
-        assert np.all(np.abs(tables - blocks) <= 1e-14 * blocks)
-
     @pytest.mark.parametrize("n_modes", [3, 100, 3000])
-    def test_norm_horizons_end_where_the_doubled_phases_reach_2_43(self, n_modes):
-        # past the chirp domain the tail's e^{2ikt} phases 2 N qG_max dt reach
-        # 2**43 at T* = 2**42 1000 / (N qG_max), qG_max = 992 at 1001 times, as
-        # the field's theta_N qG_max dt reach 2**42. Near N = 1000 the chirp
-        # still fits at T*, so those N are left out
-        horizon = 2.0**42 * 1000 / (n_modes * 992)
+    def test_norm_horizons_end_where_the_doubled_phases_reach_2_43(self, monkeypatch, n_modes):
+        # the norms run until the largest phase they form reaches 2**43, at T*:
+        # at or past where the exact table of e^{2ikt}, 2 N qG_max dt
+        # (qG_max = 992 at 1001 times), reaches it, T = 2**42 1000 / (992 N).
+        # The tiles form smaller phases: T* = 1.52 times that at N = 100 and
+        # 2.0 times at N = 3000
         coefficients = np.ones(n_modes) / np.arange(1, n_modes + 1) ** 2
+        table_horizon = 2.0**42 * 1000 / (n_modes * 992)
+        formed = largest_phase(
+            monkeypatch, lambda: SeriesSolution(table_horizon, coefficients, coefficients).norm_trajectories(1001)
+        )
+        horizon = table_horizon * 2.0**43 / formed
+        assert horizon >= 0.9999 * table_horizon
         norms = SeriesSolution(0.999 * horizon, coefficients, coefficients).norm_trajectories(1001)
         assert norms.u_h0[0] == pytest.approx(2 * np.linalg.norm(coefficients), rel=1e-14)
         assert np.isfinite(norms.u_h1).all() and np.isfinite(norms.dudt_h0).all()
@@ -373,17 +415,19 @@ class TestNormTrajectory:
 
     def test_grid_norms_vanish_where_a_high_cosine_does(self):
         # mode 700 lies past the first block, in the chirp sum, which cancels
-        # near the zeros of cos(700 t): those times are summed again mode by mode
+        # near the zeros of cos(700 t): those times are summed again mode by
+        # mode. Mode 5000 of 5000 lies in the last of three tiles, and
+        # cos(5000 t_j) nears 0 at every odd j when T = 1.1 pi
         mpmath = pytest.importorskip("mpmath")
-        C = np.zeros(700)
-        C[-1] = 0.5
-        sol = SeriesSolution(math.pi, C, C)
-        norms = sol.norm_trajectories(1001)
-        dt = math.pi / 1000
-        with mpmath.workdps(30):
-            want = np.array([float(abs(mpmath.cos(700 * j * mpmath.mpf(dt)))) for j in range(1001)])
-        assert np.abs(norms.u_h0 - want).max() < 1e-15
-        assert norms.dudt_h0[0] == 0.0
+        for mode, T in ((700, math.pi), (5000, 1.1 * math.pi)):
+            C = np.zeros(mode)
+            C[-1] = 0.5
+            norms = SeriesSolution(T, C, C).norm_trajectories(1001)
+            dt = T / 1000
+            with mpmath.workdps(30):
+                want = np.array([float(abs(mpmath.cos(mode * j * mpmath.mpf(dt)))) for j in range(1001)])
+            assert np.abs(norms.u_h0 - want).max() < 1e-15
+            assert norms.dudt_h0[0] == 0.0
 
     def test_grid_norms_match_mpmath_at_n_2000(self, rng):
         # the CLI's kind of data: H^2 coefficients solved at omega = 0.07. The
@@ -398,10 +442,10 @@ class TestNormTrajectory:
         assert mp_norm_error(sol, norms, T / 1000, (0, 1, 437, 1000, *rng.integers(2, 1000, 3).tolist())) <= 4e-15
 
     def test_grid_norms_match_mpmath_past_the_chirp_domain(self, rng):
-        # at T = 1.2e9 a chirp phase would reach 1.1e13, so the tail sums
-        # against exact-phase tables with phases up to 7.1e12; t_j = j dt
-        # exactly, dt = fl(T / 1000), which is no integer here, so rounding
-        # k t_j first would cost about 1e-3 of phase
+        # at T = 1.2e9 one chirp over all 3001 modes would reach phases of
+        # 1.1e13; the tiles' stay below 3.6e12. t_j = j dt exactly,
+        # dt = fl(T / 1000), which is no integer here, so rounding k t_j first
+        # would cost about 1e-3 of phase
         pytest.importorskip("mpmath")
         n_modes, T = 3000, 1.2e9 + 0.5
         ks = np.arange(1, n_modes + 1)
@@ -409,7 +453,6 @@ class TestNormTrajectory:
         D = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / ks**2
         sol = SeriesSolution(T, C, D)
         dt = T / 1000
-        assert not solution._chirp_fits(dt, 2, n_modes + 1, 1001)
         norms = sol.norm_trajectories(1001)
         assert mp_norm_error(sol, norms, dt, (0, 1, 1000, *rng.integers(2, 1000, 3).tolist())) <= 4e-15
 
