@@ -20,27 +20,12 @@ from .quadrature import _NODES, GaussLegendre
 
 DOMAIN = (0.0, math.pi)
 
-SOBOLEV_ORDERS = (-1, 0, 1, 2)
+SOBOLEV_ORDERS = (0, 1, 2)
 
 
 def frequencies(n_modes: int) -> np.ndarray:
     """theta_k = k for the modes k = 1..n_modes; lambda_k = theta_k^2."""
     return np.arange(1, n_modes + 1).astype(float)
-
-
-def eigenfunction(k, x):
-    """v_k(x) = sqrt(2/pi) sin(kx) at points x; for a 1-d array of modes, one row per mode.
-
-    k is an int or an integer array of 1-based modes; anything else raises
-    IndexError. The sqrt(2/pi) factor makes the eigenfunctions orthonormal in
-    L2(0, pi).
-    """
-    k = np.asarray(k)
-    if not np.issubdtype(k.dtype, np.integer):
-        raise IndexError(f"mode index must be an integer, got dtype {k.dtype}")
-    if k.size and int(k.min()) < 1:
-        raise IndexError("mode indices start at 1")
-    return math.sqrt(2.0 / math.pi) * np.sin(np.multiply.outer(k, np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,7 +46,7 @@ class SpectralVector:
         return self.coefficients.size
 
     def sobolev_norm(self, q: int) -> float:
-        """(sum_k lambda_k^q |c_k|^2)^(1/2) for q in {-1, 0, 1, 2}."""
+        """(sum_k lambda_k^q |c_k|^2)^(1/2) for q in {0, 1, 2}, the orders specwave reads."""
         if q not in SOBOLEV_ORDERS:
             raise ValueError(f"unsupported Sobolev order q={q}; expected one of {SOBOLEV_ORDERS}")
         lam = frequencies(len(self)) ** 2

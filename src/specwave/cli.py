@@ -137,9 +137,7 @@ def cmd_solve(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
     report = stability_report(problem, solution, norms)
     manifest.files.append(write_json(out / "stability.json", asdict(report)))
 
-    init_res = verification.initial_condition_relative(problem, solution)
     integral_rel = verification.integral_condition_residual(problem, solution)
-    manifest.add_check("initial_condition_rel", init_res, 1e-14)
     manifest.add_check("integral_condition_rel", integral_rel, INTEGRAL_TOL)
     manifest.files.append(write_json(out / "verification.json", manifest.checks))
 

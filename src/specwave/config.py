@@ -23,14 +23,19 @@ class ConfigError(ValueError):
         super().__init__(f"config field '{field_name}': {message}")
 
 
+# largest `coeffs:` modulus: the condition floor keeps 1/|d_k| <= 1e12 (1 + theta_k), so |C_k|, |D_k| <=
+# 2e112 (1 + theta_k), whose squares times theta_k^4 sum below 1e308 at any N; 1e200's squares overflow.
+COEFF_LIMIT = 1e100
+
+
 def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
     """Turn a data specification string into a coefficient vector on modes 1..n_modes.
 
-    An explicit list 'coeffs:1,0,0.5-0.5j' is padded with zeros up to the
-    truncation order. 'zero' is exact zeros, and 'eigenmode:j' the exact unit
-    vector e_j: v_j is orthonormal to each kept mode, so it is zeros for j past
-    n_modes (a rule sized to n_modes would alias it). Only 'parabola' is
-    projected by quadrature, under `rule`.
+    An explicit list 'coeffs:1,0,0.5-0.5j', moduli at most COEFF_LIMIT, is padded with
+    zeros up to the truncation order. 'zero' is exact zeros, and 'eigenmode:j' the exact
+    unit vector e_j: v_j is orthonormal to each kept mode, so it is zeros for j past
+    n_modes (a rule sized to n_modes would alias it). Only 'parabola' is projected by
+    quadrature, under `rule`.
     """
     if spec_text == "parabola":
         # x(pi - x) on DOMAIN: smooth, vanishes at both ends, coefficients decay ~ k^-3
@@ -45,6 +50,8 @@ def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None
             raise ConfigError("data", f"unparseable coefficient list {body!r}") from None
         if len(given) > n_modes:
             raise ConfigError("data", f"{len(given)} coefficients given but truncation is {n_modes}")
+        if any(abs(c) > COEFF_LIMIT for c in given):
+            raise ConfigError("data", f"coefficient moduli above {COEFF_LIMIT:g} would overflow the norms")
         coeffs[: len(given)] = given
     elif spec_text.startswith("eigenmode:"):
         try:

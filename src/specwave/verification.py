@@ -1,10 +1,10 @@
 """Checks of assembled solutions: residuals and conservation.
 
-The checks the CLI runs: the initial condition in coefficients, the
-time-average condition by Gauss-Legendre time quadrature (never phi), each
-mode's energy against the Cauchy data and the energy estimate. Each goes
-through a route different from the one that produced the solution, so a green
-check is evidence rather than tautology.
+The checks the CLI runs: the time-average condition by Gauss-Legendre time
+quadrature (never phi), each mode's energy against the Cauchy data and the
+energy estimate. Each goes through a route different from the one that
+produced the solution, so a green check is evidence rather than tautology;
+u(0) = a has none, since `solve_nonlocal` builds it in as C_k = alpha_k - D_k.
 """
 
 from __future__ import annotations
@@ -15,18 +15,6 @@ from .cauchy import CauchyProblem
 from .quadrature import GaussLegendre
 from .solution import NormTrajectories, SeriesSolution
 from .timeavg import NonlocalProblem
-
-
-def initial_condition_relative(problem, solution: SeriesSolution) -> float:
-    """max_k |(C_k + D_k) - alpha_k| / (1 + |C_k| + |D_k|).
-
-    Scaled per mode: when |D_k| dwarfs |alpha_k| the best any binary64 solve
-    can promise is agreement at the coefficient scale (~eps |D_k|), not at the
-    scale of alpha itself.
-    """
-    diff = np.abs(solution.C + solution.D - problem.alpha.coefficients)
-    scale = 1.0 + np.abs(solution.C) + np.abs(solution.D)
-    return float(np.max(diff / scale))
 
 
 def integral_condition_residual(problem: NonlocalProblem, solution: SeriesSolution) -> float:

@@ -3,6 +3,8 @@
 - `integrate(rule, f, a, b)`: a Gauss-Legendre rule applied to a callable, from
   the rule's own nodes and weights. Used by `test_quadrature`, `test_basis`,
   `test_phase`, `test_timeavg` and `test_cauchy`.
+- `eigenfunction(k, x)`: v_k(x) = sqrt(2/pi) sin(kx), one row per mode.
+  Used by `test_basis` and `test_solution`.
 - `eigenfunction_matrix(n_modes, x)`: the dense mode x point basis
   v_k(x_j), the reference for the FFT projection (`test_basis`) and for
   `field` below.
@@ -26,6 +28,10 @@
   2 pi in four 13-bit pieces, exact for products below 2^42; the frozen
   reference that `phase._exact_phase` must match bit for bit there. Used by
   `test_phase`.
+- `initial_condition_relative(problem, solution)`: u(0) = a in coefficients,
+  per mode at the coefficient scale. `solve_nonlocal` builds C = alpha - D,
+  so this restates the solve; no subcommand gates it. Used by
+  `test_verification` and acceptance criterion 4.
 - `derivative_coefficients(solution)`: the coefficients of du/dt(0), the
   velocity datum of the Cauchy problem that a solution of the averaged problem
   also solves. Used by `test_cauchy`, `test_verification` and acceptance
@@ -36,9 +42,11 @@
   `test_verification` and acceptance criterion 5.
 """
 
+import math
+
 import numpy as np
 
-from specwave.basis import SOBOLEV_ORDERS, SpectralVector, eigenfunction
+from specwave.basis import SOBOLEV_ORDERS, SpectralVector
 
 # denominator_via_f degenerates within this distance of theta = +/- omega
 F_FORM_MIN_GAP = 1e-3
@@ -49,6 +57,21 @@ def integrate(rule, f, a: float, b: float):
     constant broadcasts); shares no code with `basis.project`."""
     nodes, weights = rule.nodes_weights(a, b)
     return weights @ np.broadcast_to(f(nodes), nodes.shape)
+
+
+def eigenfunction(k, x):
+    """v_k(x) = sqrt(2/pi) sin(kx) at points x; for a 1-d array of modes, one row per mode.
+
+    k is an int or an integer array of 1-based modes; anything else raises
+    IndexError. The sqrt(2/pi) factor makes the eigenfunctions orthonormal in
+    L2(0, pi).
+    """
+    k = np.asarray(k)
+    if not np.issubdtype(k.dtype, np.integer):
+        raise IndexError(f"mode index must be an integer, got dtype {k.dtype}")
+    if k.size and int(k.min()) < 1:
+        raise IndexError("mode indices start at 1")
+    return math.sqrt(2.0 / math.pi) * np.sin(np.multiply.outer(k, np.asarray(x, dtype=float)))
 
 
 def eigenfunction_matrix(n_modes: int, x) -> np.ndarray:
@@ -151,6 +174,18 @@ def norm_trajectory(solution, q: int, ts, derivative: bool = False) -> np.ndarra
     ts = np.asarray(ts, dtype=float)
     y = mode_derivatives(solution, ts) if derivative else mode_values(solution, ts)
     return np.sqrt(solution.eigenvalues**q @ np.abs(y) ** 2)
+
+
+def initial_condition_relative(problem, solution) -> float:
+    """max_k |(C_k + D_k) - alpha_k| / (1 + |C_k| + |D_k|).
+
+    Scaled per mode: when |D_k| dwarfs |alpha_k| the best any binary64 solve
+    can promise is agreement at the coefficient scale (~eps |D_k|), not at the
+    scale of alpha itself.
+    """
+    diff = np.abs(solution.C + solution.D - problem.alpha.coefficients)
+    scale = 1.0 + np.abs(solution.C) + np.abs(solution.D)
+    return float(np.max(diff / scale))
 
 
 def derivative_coefficients(solution) -> SpectralVector:

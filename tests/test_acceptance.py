@@ -10,7 +10,13 @@ from functools import partial
 import numpy as np
 import pytest
 
-from oracles import denominator_via_f, derivative_coefficients, mode_values, weak_identity_residual
+from oracles import (
+    denominator_via_f,
+    derivative_coefficients,
+    initial_condition_relative,
+    mode_values,
+    weak_identity_residual,
+)
 from specwave import (
     CauchyProblem,
     GaussLegendre,
@@ -104,7 +110,7 @@ def test_criterion_4_condition_residuals(random_instances):
         for problem, solution in random_instances:
             assert ver.integral_condition_residual(problem, solution) < 1e-8
             # coefficientwise at the mode scale: eps |D_k| is the binary64 floor
-            assert ver.initial_condition_relative(problem, solution) <= 1e-14
+            assert initial_condition_relative(problem, solution) <= 1e-14
 
 
 def test_criterion_5_mode_correctness():

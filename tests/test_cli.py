@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ from specwave.solution import SeriesSolution
 from specwave.cli import main
 from specwave.config import ConfigError, ExperimentConfig
 from specwave.phase import ProblemClock, z_diagnostic
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_manifest(out):
@@ -207,11 +214,12 @@ class TestSolve:
         assert code == 0
         assert len(record) == 1
 
-    def test_manifest_holds_the_two_checks(self, tmp_path):
+    def test_manifest_holds_the_integral_check(self, tmp_path):
+        # u(0) = a holds by construction (C = alpha - D), so the one gate is the integral condition
         assert main(["solve", "--N", "50", "--out", str(tmp_path)]) == 0
-        assert [c["name"] for c in read_manifest(tmp_path)["checks"]] == [
-            "initial_condition_rel", "integral_condition_rel",
-        ]
+        checks = read_manifest(tmp_path)["checks"]
+        assert [c["name"] for c in checks] == ["integral_condition_rel"]
+        assert json.loads((tmp_path / "verification.json").read_text()) == checks
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 3: at T = 1e12 the phases mu T rounded in phi and exp_moments leave "
@@ -471,6 +479,32 @@ class TestConfigPlumbing:
         assert code == 2
         assert capsys.readouterr().err == f"error: config field '{key}': unknown configuration key\n"
         assert not (tmp_path / "out").exists()
+
+    def test_coefficient_moduli_above_the_limit_rejected(self):
+        assert config.resolve_data("coeffs:1e100,-1e100j", 3).coefficients[1] == -1e100j
+        for spec in ("coeffs:0,1.0000001e100", "coeffs:8e99+8e99j", "coeffs:1e200"):
+            with pytest.raises(ConfigError, match="above 1e\\+100"):
+                config.resolve_data(spec, 3)
+
+    @pytest.mark.parametrize("value,code", [("1e200", 2), ("1e100", 0)])
+    def test_huge_coefficients_keep_the_manifest_contract(self, tmp_path, value, code):
+        # with RuntimeWarnings as errors, as CI runs it: squares of 1e200 overflow the norms,
+        # so such data is a config error with a manifest, never a traceback or an inf cell
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONWARNINGS": "error::RuntimeWarning"}
+        argv = ["solve", "--N", "5", "--a", f"coeffs:{value}", "--g", f"coeffs:{value}"]
+        done = subprocess.run([sys.executable, "-m", "specwave", *argv, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        manifest = read_manifest(tmp_path)
+        assert manifest["exit_code"] == code
+        if code:
+            assert "above 1e+100" in manifest["error"]
+            assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        else:
+            assert manifest["checks"] and all(c["pass"] for c in manifest["checks"])
+            for path in tmp_path.iterdir():
+                assert not re.search(r"\b(inf|nan|Infinity|NaN)\b", path.read_text()), path.name
 
     @pytest.mark.parametrize("key,value", [
         ("N", "10"), ("T", "5"), ("nx", 3.5), ("N", True), ("T", [5.0]), ("omega", "0.1"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    eigenfunction,
     eigenfunction_matrix,
     field,
     integrate,
@@ -25,7 +26,6 @@ from specwave import (
     solve_nonlocal,
 )
 from specwave import phase, solution
-from specwave.basis import eigenfunction
 from specwave.phase import _exact_phase, _uniform_phases
 from specwave.solution import _chirp_sums
 
