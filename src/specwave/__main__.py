@@ -1,8 +1,5 @@
-import gc
 import sys
 
-from .cli import main
+from .cli import run
 
-code = main()
-gc.freeze()  # every file is closed: the exit collection skips NumPy's import-time heap
-sys.exit(code)
+sys.exit(run())

@@ -26,9 +26,6 @@ GUARD = 2e13 * np.finfo(float).eps
 # bytes of a float cell: '-d.d', 8 digits, 'ddde', '-XXX', and the separator
 FLOAT_WIDTH = 21
 
-# integer columns in [0, INT_LIMIT) are formatted in NumPy, any other by str()
-INT_LIMIT = 10**15
-
 # offsets into _text_table, after the 4-digit groups
 _LEAD, _TAIL, _EXPONENT, _NUL = 10**4, 10**4 + 200, 10**4 + 1200, 10**4 + 1200 + E_MAX - E_MIN + 1
 
@@ -99,12 +96,10 @@ def float_cells(x: np.ndarray) -> np.ndarray:
 
 
 def int_cells(v: np.ndarray) -> np.ndarray:
-    """str(k) of each integer k, NUL padded: uint8 of shape (len(v), width), last byte free.
-
-    A column of integers in [0, INT_LIMIT) is formatted in NumPy, any other by str().
-    """
-    if v.min() < 0 or v.max() >= INT_LIMIT:
-        return text_cells(v)
+    """str(k) of each row number k in [0, 10**15), NUL padded: uint8 of shape (len(v), width),
+    last byte free. Any other integer is a ValueError: the CLI prints no other."""
+    if v.min() < 0 or v.max() >= 10**15:
+        raise ValueError("integer cells are row numbers in [0, 1e15)")
     index = np.full((len(v), 5), _NUL, np.intp)
     high, low = _split(v.astype(float), 1e8)
     index[:, 0], index[:, 1] = _split(high, 1e4)
@@ -116,15 +111,14 @@ def int_cells(v: np.ndarray) -> np.ndarray:
 
 
 def text_cells(c: np.ndarray) -> np.ndarray:
-    """str(k) of each integer k, or each bytes label as it is, NUL padded: uint8
-    of shape (len(c), width), last byte free."""
+    """Each label as its bytes, NUL padded: uint8 of shape (len(c), width), last byte free."""
     b = c.astype("S")
     return b.astype(f"S{b.dtype.itemsize + 1}").view(np.uint8).reshape(len(b), -1)
 
 
 def lines(columns) -> bytes:
     """The CSV lines of equal-length NumPy columns: float arrays as '%.12e',
-    integer arrays as str() and bytes arrays as their text; every float column
+    integer arrays (row numbers) as str() and labels as their text; every float column
     is formatted in one pass."""
     cells = [None] * len(columns)
     floats = [j for j, c in enumerate(columns) if c.dtype.kind == "f"]

@@ -19,6 +19,7 @@ or an evaluation phase beyond exact reduction (2**43; the norms' phases
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -66,7 +67,7 @@ _BLOCK_ROWS = 4096
 def write_csv(path: Path, header: str, columns) -> str:
     """Write a CSV of equal-length NumPy columns under `header`; returns the file name.
 
-    Float arrays are written as %.12e, integer arrays as str() and bytes arrays
+    Float arrays are written as %.12e, integer arrays (row numbers) as str() and bytes arrays
     (the labels) as their text, byte for byte as Python formats each cell. The
     rows are formatted in NumPy (`_csv.lines`) and written in blocks of _BLOCK_ROWS.
     """
@@ -314,5 +315,12 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """main() for a process that exits next: the `specwave` script and both `-m` entry points."""
+    code = main()
+    gc.freeze()  # every file is closed: the exit collection skips NumPy's import-time heap
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

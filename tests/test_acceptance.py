@@ -219,3 +219,43 @@ def test_criterion_10_uniqueness_margin():
         assert far.z == near.z and far.argmin_mode == 27
         assert far.z == pytest.approx(0.082319, abs=1e-6)
         assert far.z < 2.0 * abs(math.sin(0.62 * 5.0))
+
+
+def test_criterion_11_stability_against_one_over_z():
+    with criterion(11, "c_obs z(N) <= 3 at w = 0.3, 0.01, 0.001; c_obs grows more slowly than 1/z"):
+        # a = 0, g = parabola, T = 5: at N = 1000, c_obs z reads 2.868, 0.785 and 0.369, and
+        # from w = 0.01 to 0.001 c_obs grows x4.70 (about w^-0.67) where 1/z grows x10.0
+        for n in (100, 1000):
+            alpha, gamma = SpectralVector(np.zeros(n, complex)), project(lambda x: x * (math.pi - x), n)
+            c_obs, z = {}, {}
+            for omega in (0.3, 0.01, 0.001):
+                clock = ProblemClock(5.0, omega)
+                problem = NonlocalProblem(clock, alpha, gamma)
+                solution = solve_nonlocal(problem)
+                c_obs[omega] = stability_report(problem, solution, solution.norm_trajectories(1001)).c_obs
+                z[omega] = z_diagnostic(n, clock).z
+                assert c_obs[omega] * z[omega] <= 3.0
+            assert math.log10(c_obs[0.001] / c_obs[0.01]) <= 0.7
+            assert math.log10(z[0.01] / z[0.001]) >= 0.98
+
+
+def test_criterion_12_regularity_threshold():
+    with criterion(12, "sup_t ||u||_H1 bounded in N iff g in H2: gamma_k = k^-p, threshold p = 2.5"):
+        # a = 0: u_k ~ k gamma_k, since |d_k| ~ 1/k, so ||u||_H1^2 ~ sum k^(4 - 2p), which grows
+        # as N^(5 - 2p) below p = 2.5 and has a tail of order N^(5 - 2p) above it
+        clock = ProblemClock(5.0, 0.3)
+        for p in (2.0, 2.25, 2.75, 3.0):
+            sup = []
+            for n in (10**3, 10**4, 10**5):
+                k = np.arange(1, n + 1, dtype=float)
+                problem = NonlocalProblem(clock, SpectralVector(np.zeros(n, complex)), SpectralVector(k**-p + 0j))
+                sup.append(float(solve_nonlocal(problem).norm_trajectories(1001).u_h1.max()))
+            if p < 2.5:
+                # grows by 10^(2.5 - p) per decade: p = 2 read 3.1620 and 3.1622
+                for low, high in zip(sup, sup[1:]):
+                    assert abs(high / low / 10 ** (2.5 - p) - 1.0) <= 0.02
+            else:
+                # settles: the increments shrink by about 10^(2p - 5) per decade, so the sum of
+                # them converges; p = 3 read 0.805202, 0.805423 and 0.805446
+                steps = np.diff(sup)
+                assert np.all(steps > 0.0) and steps[1] <= steps[0] / (0.5 * 10 ** (2 * p - 5))

@@ -40,7 +40,7 @@ class TestWriteCsv:
         floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.5e-310,
                            np.finfo(float).tiny, 1e300, -1e300, 1.0 / 3.0, -2.0])
         python_floats = [float(v) for v in floats[::-1]]
-        ints = np.arange(-3, floats.size - 3)
+        ints = np.arange(1, floats.size + 1)  # integer columns are row numbers
         labels = np.array([b"label%d" % i if i % 3 else b"generic" for i in range(floats.size)])
         header = "f,pf,i,label"
         columns = [floats, np.array(python_floats), ints, labels]
@@ -48,6 +48,9 @@ class TestWriteCsv:
         assert name == "cells.csv"
         want = rowwise_csv(header, zip(floats, python_floats, ints, labels))
         assert (tmp_path / "cells.csv").read_text() == want
+        # a negative integer is no row number, and the writer refuses it
+        with pytest.raises(ValueError, match="row numbers"):
+            cli.write_csv(tmp_path / "negative.csv", header, [*columns[:2], np.arange(-3, floats.size - 3), labels])
 
     def test_rows_beyond_one_block(self, tmp_path, rng):
         n = 2 * cli._BLOCK_ROWS + 3
@@ -228,6 +231,17 @@ class TestSolve:
     ))
     def test_every_check_passes_at_t_1e12(self, tmp_path):
         main(["solve", "--T", "1e12", "--omega", "0.3", "--N", "3", "--out", str(tmp_path)])
+        checks = read_manifest(tmp_path)["checks"]
+        assert checks and all(c["pass"] for c in checks)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 7: integral_condition_rel divides by 1 + ||g||_H0 while its rounding "
+        "scales with sum(|C_k| + |D_k|), so initial data of modulus 1e8 read 1.4e-8 against "
+        "1e-8, though D is within 2.3e-16 of a 40-digit mpmath solve (the FOUND line on "
+        "--a coeffs:1e8,1e8 in CHANGES.md)"
+    ))
+    def test_every_check_passes_with_large_initial_data(self, tmp_path):
+        main(["solve", "--N", "5", "--omega", "0.3", "--a", "coeffs:1e8,1e8", "--out", str(tmp_path)])
         checks = read_manifest(tmp_path)["checks"]
         assert checks and all(c["pass"] for c in checks)
 

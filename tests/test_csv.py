@@ -88,32 +88,45 @@ class TestFloatCells:
 
 
 class TestIntCells:
+    # every integer column the CLI prints is a row number, np.arange(1, N + 1)
     @pytest.mark.parametrize("width", range(1, 20))
     def test_every_width_and_sign(self, width, rng):
         low, high = 10 ** (width - 1), min(10**width, 2**63)
         values = [low, high - 1, *rng.integers(low, high, 50).tolist()]
-        for column in (values, [0, *values], [-v for v in values]):
-            assert int_texts(column) == [str(v).encode() for v in column]
+        for column in (values, [0, *values]):
+            if width <= 15:
+                assert int_texts(column) == [str(v).encode() for v in column]
+            else:
+                with pytest.raises(ValueError, match="row numbers"):
+                    int_texts(column)
+        with pytest.raises(ValueError, match="row numbers"):
+            int_texts([-v for v in values])
 
     @settings(max_examples=200, deadline=None)
     @given(values=st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=64))
     def test_any_int64(self, values):
-        assert int_texts(values) == [str(v).encode() for v in values]
+        if min(values) < 0 or max(values) >= 10**15:
+            with pytest.raises(ValueError, match="row numbers"):
+                int_texts(values)
+        else:
+            assert int_texts(values) == [str(v).encode() for v in values]
 
     @settings(max_examples=200, deadline=None)
-    @given(values=st.lists(st.integers(0, _csv.INT_LIMIT - 1), min_size=1, max_size=64))
+    @given(values=st.lists(st.integers(0, 10**15 - 1), min_size=1, max_size=64))
     def test_any_below_the_limit(self, values):
-        # the columns formatted in NumPy rather than by str()
         assert int_texts(values) == [str(v).encode() for v in values]
 
     def test_zero_extremes_and_unsigned(self):
-        values = [0, -1, 2**63 - 1, -2**63]
-        assert int_texts(values) == [str(v).encode() for v in values]
-        unsigned = [0, 7, 2**64 - 1]
+        for values, dtype in (([0, -1], np.int64), ([0, 2**63 - 1], np.int64), ([-2**63, 0], np.int64),
+                              ([0, 10**15], np.int64), ([0, 2**64 - 1], np.uint64), ([-5, 3], np.int8)):
+            with pytest.raises(ValueError, match="row numbers"):
+                int_texts(values, dtype)
+        assert int_texts([0, 1, 10**15 - 1]) == [b"0", b"1", b"999999999999999"]
+        unsigned = [0, 7, 10**15 - 1]
         assert int_texts(unsigned, np.uint64) == [str(v).encode() for v in unsigned]
-        assert int_texts([-5, 3], np.int8) == [b"-5", b"3"]
+        assert int_texts([5, 3], np.int8) == [b"5", b"3"]
 
 
 def test_lines_join_cells_with_commas_and_newlines():
-    columns = [np.array([1, -20]), np.array([0.5, -np.inf]), np.array([b"generic", b"x"]), np.array(["a", "bc"])]
-    assert _csv.lines(columns) == b"1,5.000000000000e-01,generic,a\n-20,-inf,x,bc\n"
+    columns = [np.array([1, 20]), np.array([0.5, -np.inf]), np.array([b"generic", b"x"]), np.array(["a", "bc"])]
+    assert _csv.lines(columns) == b"1,5.000000000000e-01,generic,a\n20,-inf,x,bc\n"

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import specwave
+from specwave import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -48,3 +50,35 @@ def test_a_run_imports_no_numpy_polynomial(tmp_path):
             f"code = cli.main(['solve', '--N', '50', '--out', {str(tmp_path)!r}])\n"
             "print(code, 'numpy.polynomial' in sys.modules)")
     assert _fresh_process(code, "1") == ["0", "False"]
+
+
+def test_run_freezes_the_heap_after_main(monkeypatch):
+    # main(argv) stays pure for in-process callers; run() is main() for a process that exits next
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.run() == 3
+    assert calls == ["main", "freeze"]
+
+
+def test_console_script_targets_run():
+    # read as text: Python 3.10 has no tomllib
+    text = (SRC.parent / "pyproject.toml").read_text()
+    assert '[project.scripts]\nspecwave = "specwave.cli:run"\n\n' in text
+
+
+def test_both_module_entry_points_print_the_same_and_freeze(tmp_path):
+    # a sitecustomize ahead of the package reports, at interpreter exit, whether the heap was frozen
+    hook = tmp_path / "hook"
+    hook.mkdir()
+    (hook / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count() > 0}\\n'))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(hook), str(SRC)])}
+    done = [subprocess.run([sys.executable, "-m", module, "paper-table", "--out", str(tmp_path / module)],
+                           env=env, capture_output=True, timeout=60)
+            for module in ("specwave", "specwave.cli")]
+    for proc in done:
+        assert proc.stderr.splitlines()[-1:] == [b"frozen True"], proc.stderr
+    assert done[0].returncode == done[1].returncode == 0
+    assert done[0].stdout == done[1].stdout and done[0].stdout
