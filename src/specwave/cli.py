@@ -5,10 +5,10 @@ sweep, paper-table, project. Each runs as `cmd_<name>(cfg, out, manifest)`,
 looked up on this module at call time (so a patched handler runs); it reads
 only the ExperimentConfig, so a manifest's `config` block reruns its run. A
 handler computes, writes its artifacts and adds manifest checks; `main` owns
-the run lifecycle: the output directory (flag --out, else config, else
-$SPECWAVE_OUT, else the working directory), the manifest, its wall time and
-manifest.json, which every subcommand writes, also when the run fails after
-making its output directory (with `exit_code` and `error`). Exit code 0 iff
+the run lifecycle: the output directory (flag --out, else the working
+directory), the manifest, its wall time and manifest.json, which every
+subcommand writes, also when the run fails after making its output directory
+(with `exit_code` and `error`). Exit code 0 iff
 every manifest check passed; 1 for a failed check, an ill-conditioned mode, an
 unwritable output or an allocation the machine refuses; 2 for a config error,
 an inadmissible omega, an overflowing phase, 2*omega*T or (omega +/- theta_k)*T,
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -41,8 +40,6 @@ from .timeavg import (
     solve_nonlocal,
     stability_report,
 )
-
-ENV_OUT = "SPECWAVE_OUT"
 
 # reference diagnostics: z(500) for the four (T, omega) cells, 0.5% tolerance
 REFERENCE_Z500 = (
@@ -87,12 +84,6 @@ def write_json(path: Path, obj) -> str:
     """Write `obj` as indented JSON; returns the file name."""
     path.write_text(json.dumps(obj, indent=2) + "\n")
     return path.name
-
-
-def _outdir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out if cfg.out is not None else os.environ.get(ENV_OUT, "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def cmd_denominators(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
@@ -261,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in COMMANDS.items():
         sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
-        sp.add_argument("--out", type=str, default=None, help="output directory")
+        sp.add_argument("--out", type=str, default=None, help="output directory (default: the working directory)")
         sp.add_argument("--N", type=int, default=None, help="truncation order")
         sp.add_argument("--T", type=float, default=None, help="time horizon")
         sp.add_argument("--omega", type=str, default=None, help="weight frequency (or comma list)")
@@ -273,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args, command: Command) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {key: getattr(args, key) for key in ("out", "N", "T", *command.flags)}
+    overrides = {key: getattr(args, key) for key in ("N", "T", *command.flags)}
     if args.omega is not None:
         overrides["omega"] = _parse_omega(args.omega)
     if args.grid is not None:
@@ -288,7 +279,8 @@ def main(argv=None) -> int:
     manifest = error = None
     try:
         cfg = _config_from_args(args, command)
-        out = _outdir(cfg)
+        out = Path(args.out or ".")
+        out.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest(command=args.command, config=asdict(cfg), version=__version__)
         t0 = time.perf_counter()
         globals()["cmd_" + args.command.replace("-", "_")](cfg, out, manifest)

@@ -67,16 +67,14 @@ def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None
     return SpectralVector(coeffs)
 
 
-# a key's type is its default's; `out` is unset (None) by default, a string when given
+# a key's type is its default's; None is no value of any of them
 _TYPES = {int: (Integral, "an integer"), float: (Real, "a real number"), str: (str, "a string")}
 
 
 def _typed(key: str, value, default):
     """`value` converted to its key's type, else a ConfigError naming the key.
     Bools are not numbers; omega may also be a list of numbers."""
-    if value is None and default is None:  # an unset `out`, as a manifest echoes it
-        return None
-    kind = str if default is None else type(default)
+    kind = type(default)
     accepted, name = _TYPES[kind]
 
     def one(item):
@@ -95,7 +93,7 @@ def _typed(key: str, value, default):
 @dataclass
 class ExperimentConfig:
     """One experiment run: clock (omega a number, or a list for sweep), truncation,
-    data, grids, output."""
+    data, grids. The output directory is no part of it: `--out` alone sets that."""
 
     T: float = 5.0
     omega: float | tuple[float, ...] = 0.01
@@ -106,7 +104,6 @@ class ExperimentConfig:
     f: str = "parabola"  # the function expanded, project only
     nx: int = 201
     nt: int = 201
-    out: str | None = None  # then $SPECWAVE_OUT, then the working directory
     quad_panels: int = 64
 
     def validate(self, omega_list: bool = False) -> "ExperimentConfig":
@@ -153,7 +150,7 @@ class ExperimentConfig:
 
     def merged(self, **overrides) -> "ExperimentConfig":
         """New config with the overrides applied, each checked against its key's
-        type; unknown keys are errors, and so is None except for `out`."""
+        type; unknown keys are errors, and so is None for every key."""
         defaults = {f.name: f.default for f in fields(self)}
         values = asdict(self)
         for key, val in overrides.items():

@@ -236,12 +236,20 @@ class TestSolve:
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 7: integral_condition_rel divides by 1 + ||g||_H0 while its rounding "
-        "scales with sum(|C_k| + |D_k|), so initial data of modulus 1e8 read 1.4e-8 against "
-        "1e-8, though D is within 2.3e-16 of a 40-digit mpmath solve (the FOUND line on "
-        "--a coeffs:1e8,1e8 in CHANGES.md)"
+        "scales with sum(|C_k| + |D_k|): initial data of modulus 1e8 read 1.4e-8 against 1e-8, "
+        "though D is within 2.3e-16 of a 40-digit mpmath solve, and unit a and g on 100000 "
+        "modes beside an inadmissible clock (2 omega T 1.0e-4 from 2 pi) read 2.9e-8 (the "
+        "FOUND lines on --a coeffs:1e8,1e8 and on --omega 0.6283285 in CHANGES.md)"
     ))
-    def test_every_check_passes_with_large_initial_data(self, tmp_path):
-        main(["solve", "--N", "5", "--omega", "0.3", "--a", "coeffs:1e8,1e8", "--out", str(tmp_path)])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["--N", "5", "--omega", "0.3", "--a", "coeffs:1e8,1e8"], id="modulus-1e8"),
+        pytest.param(["--N", "100000", "--omega", "0.6283285", "--grid", "2x2",
+                      "--a", "coeffs:" + ",".join(["1"] * 100000),
+                      "--g", "coeffs:" + ",".join(["1"] * 100000)], id="unit-modes-near-inadmissible",
+                     marks=pytest.mark.filterwarnings("ignore:2\\*omega\\*T is within:UserWarning")),
+    ])
+    def test_every_check_passes_with_large_initial_data(self, tmp_path, argv):
+        main(["solve", *argv, "--out", str(tmp_path)])
         checks = read_manifest(tmp_path)["checks"]
         assert checks and all(c["pass"] for c in checks)
 
@@ -473,10 +481,13 @@ class TestConfigPlumbing:
         assert len(rows) == 3
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
+        # --out alone names the output directory: $SPECWAVE_OUT is read by nothing
         monkeypatch.setenv("SPECWAVE_OUT", str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
         code = main(["denominators", "--T", "5", "--omega", "0.1", "--N", "5"])
         assert code == 0
-        assert (tmp_path / "envout" / "z.csv").exists()
+        assert (tmp_path / "z.csv").exists()
+        assert not (tmp_path / "envout").exists()
 
     def test_omega_list_rejected_outside_sweep(self, tmp_path, capsys):
         code = main(["solve", "--omega", "0.1,0.2", "--out", str(tmp_path)])
@@ -485,7 +496,7 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("key,value", [("kind", "sweep"), ("omegas", [0.3, 0.1]),
                                            ("spectrum", "dirichlet-1d"), ("quad_order", 8),
-                                           ("time_points", 1001), ("tol", 1e-8)])
+                                           ("time_points", 1001), ("tol", 1e-8), ("out", 1)])
     def test_removed_config_keys_are_unknown(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: value}))
@@ -522,7 +533,7 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("key,value", [
         ("N", "10"), ("T", "5"), ("nx", 3.5), ("N", True), ("T", [5.0]), ("omega", "0.1"),
-        ("omega", [0.1, "0.2"]), ("omega", [[0.1]]), ("a", 3), ("out", 1), ("quad_panels", 64.0),
+        ("omega", [0.1, "0.2"]), ("omega", [[0.1]]), ("a", 3), ("quad_panels", 64.0),
         ("T", 10**400),
     ])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
@@ -566,13 +577,15 @@ class TestConfigPlumbing:
         assert capsys.readouterr().err == f"error: config field '{key}': expected {name}, got None\n"
         assert not (tmp_path / "out").exists()
 
-    def test_null_out_is_unset(self, tmp_path, monkeypatch):
-        # a manifest echoes an unset out as null, and its config must rerun
-        monkeypatch.setenv("SPECWAVE_OUT", str(tmp_path / "envout"))
+    @pytest.mark.parametrize("value", [None, "x"])
+    def test_out_key_is_unknown(self, tmp_path, monkeypatch, capsys, value):
+        # the output directory is no config key: null or a path, `out` is refused before any directory
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"N": 4, "out": None}))
-        assert main(["project", "--config", str(cfg)]) == 0
-        assert read_manifest(tmp_path / "envout")["config"]["out"] is None
+        cfg.write_text(json.dumps({"N": 4, "out": value}))
+        assert main(["project", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config field 'out': unknown configuration key\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
     def test_config_values_are_converted_to_their_key_type(self):
         cfg = ExperimentConfig().merged(T=5, omega=[1, 0.5], N=np.int64(7), nx=np.int32(9))
@@ -618,9 +631,20 @@ class TestConfigPlumbing:
         assert main(["denominators", "--N", "5", "--out", "."]) == 0
         assert (tmp_path / "z.csv").exists()
         assert not (tmp_path / "envout").exists()
-        assert read_manifest(tmp_path)["config"]["out"] == "."
-        assert main(["denominators", "--N", "5"]) == 0
-        assert read_manifest(tmp_path / "envout")["config"]["out"] is None
+        # the config block describes the experiment alone: it names no directory
+        assert "out" not in read_manifest(tmp_path)["config"]
+
+    def test_manifest_config_reruns_in_the_working_directory(self, tmp_path, monkeypatch):
+        # the config block names no directory, so a rerun without --out leaves the original alone
+        orig = tmp_path / "orig"
+        assert main(["project", "--f", "eigenmode:3", "--N", "8", "--out", str(orig)]) == 0
+        cfg = tmp_path / "rerun.json"
+        cfg.write_text(json.dumps(read_manifest(orig)["config"]))
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in orig.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        assert main(["project", "--config", str(cfg)]) == 0
+        assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in orig.iterdir()} == before
+        assert (tmp_path / "coefficients.csv").read_bytes() == before["coefficients.csv"][0]
 
     def test_omega_with_overflowing_phase_exits_2(self, tmp_path, capsys):
         code = main(["denominators", "--omega", "1e308", "--out", str(tmp_path)])
