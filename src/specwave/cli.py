@@ -1,15 +1,16 @@
 """Command-line front end: experiment runs with CSV/JSON artifacts.
 
 Subcommands, each declared once in COMMANDS: denominators, solve, cauchy,
-sweep, paper-table, project. Each runs as `cmd_<name>(cfg, out, manifest)`,
-looked up on this module at call time (so a patched handler runs); it reads
-only the ExperimentConfig, so a manifest's `config` block reruns its run. A
-handler computes, writes its artifacts and adds manifest checks; `main` owns
-the run lifecycle: the output directory (flag --out, else the working
-directory), the manifest, its wall time and manifest.json, which every
-subcommand writes, also when the run fails after making its output directory
-(with `exit_code` and `error`). Exit code 0 iff
-every manifest check passed; 1 for a failed check, an ill-conditioned mode, an
+sweep, paper-table, project. Each runs as `cmd_<name>(cfg, manifest)`, looked
+up on this module at call time (so a patched handler runs); it reads only the
+ExperimentConfig, so a manifest's `config` block reruns its run. A handler
+computes, adds manifest checks and returns its artifacts by file name (a .csv's
+`(header, columns)`, a .json's object). `main` owns the run lifecycle: the
+output directory (flag --out, else the working directory), the manifest, and
+one loop that writes and lists the artifacts, then manifest.json, also when the
+run fails after making its output directory (with `exit_code` and `error`); a
+run whose computation fails writes no other file. Exit code 0 iff every
+manifest check passed; 1 for a failed check, an ill-conditioned mode, an
 unwritable output or an allocation the machine refuses; 2 for a config error,
 an inadmissible omega, an overflowing phase, 2*omega*T or (omega +/- theta_k)*T,
 or an evaluation phase beyond exact reduction (2**43; the norms' phases
@@ -75,73 +76,59 @@ def write_csv(path: Path, header: str, columns) -> str:
     return path.name
 
 
-def write_field_csv(path: Path, xs, ts, grid) -> str:
-    header = "x," + ",".join("t=%.12e" % t for t in ts)
-    return write_csv(path, header, [xs, *grid.T])
-
-
 def write_json(path: Path, obj) -> str:
     """Write `obj` as indented JSON; returns the file name."""
     path.write_text(json.dumps(obj, indent=2) + "\n")
     return path.name
 
 
-def cmd_denominators(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
+def cmd_denominators(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
     report = z_diagnostic(cfg.N, cfg.clock())
-    d = report.values
-    manifest.files.append(write_csv(
-        out / "denominators.csv",
-        "k,theta,re_d,im_d,abs_d,scaled,class",
-        [
-            np.arange(1, cfg.N + 1), report.thetas, d.real, d.imag,
-            # hypot, as the scalar abs() of each element; np.abs differs in the last bit
-            np.hypot(d.real, d.imag), report.scaled, np.array(LABELS, dtype="S")[report.codes],
-        ],
-    ))
-    manifest.files.append(write_csv(
-        out / "z.csv", "m,z", [np.arange(1, cfg.N + 1), report.running_min()]
-    ))
+    d, k, labels = report.values, np.arange(1, cfg.N + 1), np.array(LABELS, dtype="S")[report.codes]
+    # hypot, as the scalar abs() of each element; np.abs differs in the last bit
+    columns = [k, report.thetas, d.real, d.imag, np.hypot(d.real, d.imag), report.scaled, labels]
     print(f"z({cfg.N}) = {report.z:.3e}")
+    return {"denominators.csv": ("k,theta,re_d,im_d,abs_d,scaled,class", columns),
+            "z.csv": ("m,z", [k, report.running_min()])}
 
 
-def _write_solution_artifacts(out: Path, manifest, cfg: ExperimentConfig, solution):
-    """Field CSVs and norms.csv; returns the norm trajectories for the reports. Both run before
-    any write; on the default grid the norms' phases pass EXACT_PHASE_LIMIT first."""
+def _field_header(ts) -> str:
+    return "x," + ",".join("t=%.12e" % t for t in ts)
+
+
+def _solution_files(cfg: ExperimentConfig, solution):
+    """field_re.csv, field_im.csv and norms.csv of `solution`, and its norm trajectories for
+    the reports. On the default grid the norms' phases pass EXACT_PHASE_LIMIT first."""
     norms = solution.norm_trajectories(NORM_TIMES)
     xs = np.linspace(*DOMAIN, cfg.nx)
-    ts = np.arange(cfg.nt) * _time_step(cfg.T, cfg.nt)
+    header = _field_header(np.arange(cfg.nt) * _time_step(cfg.T, cfg.nt))
     grid = solution.field(cfg.nx, cfg.nt)
-    manifest.files.append(write_field_csv(out / "field_re.csv", xs, ts, grid.real))
-    manifest.files.append(write_field_csv(out / "field_im.csv", xs, ts, grid.imag))
-    manifest.files.append(write_csv(
-        out / "norms.csv",
-        "t,u_h0,u_h1,dudt_h0",
-        [norms.ts, norms.u_h0, norms.u_h1, norms.dudt_h0],
-    ))
-    return norms
+    return {
+        "field_re.csv": (header, [xs, *grid.real.T]),
+        "field_im.csv": (header, [xs, *grid.imag.T]),
+        "norms.csv": ("t,u_h0,u_h1,dudt_h0", [norms.ts, norms.u_h0, norms.u_h1, norms.dudt_h0]),
+    }, norms
 
 
-def cmd_solve(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
+def cmd_solve(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
     problem = NonlocalProblem(cfg.clock(), *cfg.data(cfg.a, cfg.g))
     solution = solve_nonlocal(problem)
-    norms = _write_solution_artifacts(out, manifest, cfg, solution)
-
-    report = stability_report(problem, solution, norms)
-    manifest.files.append(write_json(out / "stability.json", asdict(report)))
+    files, norms = _solution_files(cfg, solution)
+    files["stability.json"] = asdict(stability_report(problem, solution, norms))
 
     integral_rel = verification.integral_condition_residual(problem, solution)
     manifest.add_check("integral_condition_rel", integral_rel, INTEGRAL_TOL)
-    manifest.files.append(write_json(out / "verification.json", manifest.checks))
+    return {**files, "verification.json": manifest.checks}
 
 
-def cmd_cauchy(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
+def cmd_cauchy(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
     problem = CauchyProblem(cfg.T, *cfg.data(cfg.a, cfg.b))
     solution = solve_cauchy(problem)
-    norms = _write_solution_artifacts(out, manifest, cfg, solution)
+    files, norms = _solution_files(cfg, solution)
 
     energy_rel = verification.mode_energy_data_relative(problem, solution)
     margin = verification.energy_estimate_margin(problem, norms)
-    energy = {
+    files["energy.json"] = {
         "norm_a_h1": problem.alpha.sobolev_norm(1),
         "norm_b_h0": problem.beta.sobolev_norm(0),
         "sup_u_h1": float(norms.u_h1.max()),
@@ -149,13 +136,12 @@ def cmd_cauchy(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
         "estimate_margin": margin,
         "mode_energy_data_rel": energy_rel,
     }
-    manifest.files.append(write_json(out / "energy.json", energy))
     manifest.add_check("mode_energy_data_rel", energy_rel, 1e-12)
     manifest.add_check("energy_estimate_violation", max(0.0, -margin), 0.0)
-    manifest.files.append(write_json(out / "verification.json", manifest.checks))
+    return {**files, "verification.json": manifest.checks}
 
 
-def cmd_sweep(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
+def cmd_sweep(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
     alpha, gamma = cfg.data(cfg.a, cfg.g)
     rows = []
     for omega in cfg.omega:
@@ -174,13 +160,11 @@ def cmd_sweep(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
         report = stability_report(problem, solution, solution.norm_trajectories(NORM_TIMES))
         max_coeff = float((np.abs(solution.C) + np.abs(solution.D)).max())
         rows.append([omega, z_n, report.c_obs, max_coeff, b"ok"])
-    manifest.files.append(write_csv(
-        out / "sweep.csv", "omega,z_N,c_obs,max_mode_coeff,status", [np.array(column) for column in zip(*rows)]
-    ))
     manifest.add_check("failed_rows", float(sum(row[-1] != b"ok" for row in rows)), 0.0)
+    return {"sweep.csv": ("omega,z_N,c_obs,max_mode_coeff,status", [np.array(c) for c in zip(*rows)])}
 
 
-def cmd_paper_table(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
+def cmd_paper_table(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
     print("     T   omega      measured      expected   rel.err  status")
     for T, omega, expected in REFERENCE_Z500:
         measured = z_diagnostic(500, ProblemClock(T, omega)).z
@@ -190,17 +174,15 @@ def cmd_paper_table(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
             f"  {T:4.1f}  {omega:6.3f}  {measured:12.4e}  {expected:12.4e}  "
             f"{100 * rel:6.2f}%  {'PASS' if ok else 'FAIL'}"
         )
+    return {}
 
 
-def cmd_project(cfg: ExperimentConfig, out: Path, manifest: RunManifest):
+def cmd_project(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
     (vec,) = cfg.data(cfg.f)
     c = vec.coefficients
-    manifest.files.append(write_csv(
-        out / "coefficients.csv",
-        "k,re_c,im_c,abs_c",
-        [np.arange(1, len(c) + 1), c.real, c.imag, np.hypot(c.real, c.imag)],
-    ))
     print(f"projected {cfg.f!r} onto {cfg.N} modes; H0 norm = {vec.sobolev_norm(0):.6e}")
+    columns = [np.arange(1, len(c) + 1), c.real, c.imag, np.hypot(c.real, c.imag)]
+    return {"coefficients.csv": ("k,re_c,im_c,abs_c", columns)}
 
 
 def _parse_omega(text: str) -> tuple[float, ...]:
@@ -283,7 +265,10 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest(command=args.command, config=asdict(cfg), version=__version__)
         t0 = time.perf_counter()
-        globals()["cmd_" + args.command.replace("-", "_")](cfg, out, manifest)
+        files = globals()["cmd_" + args.command.replace("-", "_")](cfg, manifest)
+        for name, payload in files.items():  # the one place artifacts are written and listed
+            csv = name.endswith(".csv")
+            manifest.files.append(write_csv(out / name, *payload) if csv else write_json(out / name, payload))
         code = 0 if manifest.all_passed else 1
     except IllConditionedModeError as exc:
         error, code = str(exc), 1
@@ -297,8 +282,9 @@ def main(argv=None) -> int:
         # a run that got as far as its output directory explains itself there, failed or not
         manifest.wall_seconds = time.perf_counter() - t0
         manifest.exit_code, manifest.error = code, error
+        manifest.files.append("manifest.json")
         try:
-            manifest.write(out / "manifest.json")
+            write_json(out / "manifest.json", asdict(manifest))
         except OSError as exc:
             if error is None:
                 error, code = f"cannot write artifacts: {exc}", 1

@@ -73,7 +73,7 @@ _TYPES = {int: (Integral, "an integer"), float: (Real, "a real number"), str: (s
 
 def _typed(key: str, value, default):
     """`value` converted to its key's type, else a ConfigError naming the key.
-    Bools are not numbers; omega may also be a list of numbers."""
+    Bools are not numbers, reals must be finite; omega may also be a list of numbers."""
     kind = type(default)
     accepted, name = _TYPES[kind]
 
@@ -81,9 +81,12 @@ def _typed(key: str, value, default):
         if isinstance(item, bool) or not isinstance(item, accepted):
             raise ConfigError(key, f"expected {name}, got {item!r}")
         try:
-            return kind(item)
+            converted = kind(item)
         except OverflowError:
             raise ConfigError(key, f"{item!r} is out of range") from None
+        if kind is float and not np.isfinite(converted):  # no JSON number: the manifest could not echo it
+            raise ConfigError(key, f"expected a finite real number, got {item!r}")
+        return converted
 
     if key == "omega" and isinstance(value, (list, tuple)):
         return tuple(map(one, value))
@@ -185,8 +188,3 @@ class RunManifest:
     @property
     def all_passed(self) -> bool:
         return all(c["pass"] for c in self.checks)
-
-    def write(self, path: Path):
-        if str(path.name) not in self.files:
-            self.files.append(str(path.name))
-        path.write_text(json.dumps(asdict(self), indent=2) + "\n")

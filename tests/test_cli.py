@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specwave import cli, config, phase
+from specwave import cli, config, phase, verification
 from specwave.solution import SeriesSolution
 from specwave.cli import main
 from specwave.config import ConfigError, ExperimentConfig
@@ -65,12 +65,17 @@ class TestWriteCsv:
         assert (tmp_path / "empty.csv").read_text() == "a,b\n"
 
     def test_field_csv_matches_rowwise_formatting(self, tmp_path, rng):
-        xs, ts = np.linspace(0.0, math.pi, 7), np.linspace(0.0, 5.0, 4)
-        grid = rng.standard_normal((7, 4))
-        cli.write_field_csv(tmp_path / "field.csv", xs, ts, grid)
+        cfg = ExperimentConfig(T=5.0, nx=7, nt=4)
+        C, D = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
+        solution = SeriesSolution(cfg.T, C, D)
+        files, _ = cli._solution_files(cfg, solution)
+        xs, ts = np.linspace(0.0, math.pi, 7), np.arange(4) * (5.0 / 3)
         header = "x," + ",".join(f"t={t:.12e}" for t in ts)
-        want = rowwise_csv(header, ([x, *grid[i]] for i, x in enumerate(xs)))
-        assert (tmp_path / "field.csv").read_text() == want
+        grid = solution.field(7, 4)
+        for name, part in [("field_re.csv", grid.real), ("field_im.csv", grid.imag)]:
+            cli.write_csv(tmp_path / name, *files[name])
+            want = rowwise_csv(header, ([x, *part[i]] for i, x in enumerate(xs)))
+            assert (tmp_path / name).read_text() == want, name
 
     @staticmethod
     def written_columns(monkeypatch, tmp_path, argv):
@@ -302,17 +307,17 @@ class TestCauchy:
         # header and norms.csv print those times: at T = 0.9 the last is 200 dt,
         # an ulp past T, where np.linspace would give T itself
         written = {}
-        write_field_csv, write_csv = cli.write_field_csv, cli.write_csv
+        field_header, write_csv = cli._field_header, cli.write_csv
 
-        def field_csv(path, xs, ts, grid):
+        def header(ts):
             written["field"] = ts
-            return write_field_csv(path, xs, ts, grid)
+            return field_header(ts)
 
         def csv(path, header, columns):
             written[path.name] = columns[0]
             return write_csv(path, header, columns)
 
-        monkeypatch.setattr(cli, "write_field_csv", field_csv)
+        monkeypatch.setattr(cli, "_field_header", header)
         monkeypatch.setattr(cli, "write_csv", csv)
         code = main(["cauchy", "--T", "0.9", "--N", "4", "--a", "eigenmode:1", "--grid", "3x201",
                      "--out", str(tmp_path)])
@@ -534,7 +539,7 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize("key,value", [
         ("N", "10"), ("T", "5"), ("nx", 3.5), ("N", True), ("T", [5.0]), ("omega", "0.1"),
         ("omega", [0.1, "0.2"]), ("omega", [[0.1]]), ("a", 3), ("quad_panels", 64.0),
-        ("T", 10**400),
+        ("T", 10**400), ("T", float("inf")), ("omega", [0.3, float("nan")]),
     ])
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.json"
@@ -664,6 +669,13 @@ class TestConfigPlumbing:
         assert not (tmp_path / "denominators.csv").exists()
         assert read_manifest(tmp_path)["exit_code"] == 2
 
+    def test_non_finite_flag_is_config_error(self, tmp_path, capsys):
+        # inf and nan are no JSON numbers: the manifest could not echo them, so no run starts
+        code = main(["project", "--T", "inf", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: config field 'T': expected a finite real number, got inf\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unwritable_output_dir(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where a directory must go\n")
@@ -752,6 +764,28 @@ class TestRunLifecycle:
         assert manifest["exit_code"] == 1
         assert manifest["error"] == "cannot write artifacts: denominators.csv: disk full"
         assert "error: cannot write artifacts" in capsys.readouterr().err
+
+    def test_failed_computation_writes_only_the_manifest(self, tmp_path, monkeypatch, capsys):
+        # the field, norms and stability report are computed, but main writes nothing until the
+        # handler returns: a run that fails in its last check leaves no partial artifacts
+        def oversized(problem, solution):
+            raise MemoryError("Unable to allocate 6.00 TiB")
+
+        monkeypatch.setattr(verification, "integral_condition_residual", oversized)
+        assert main(["solve", "--N", "5", "--out", str(tmp_path)]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+        manifest = read_manifest(tmp_path)
+        assert manifest["files"] == ["manifest.json"]
+        assert manifest["error"] == "out of memory: Unable to allocate 6.00 TiB"
+
+    def test_handler_returns_its_artifacts_and_writes_none(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        manifest = config.RunManifest(command="denominators", config={}, version="")
+        files = cli.cmd_denominators(ExperimentConfig(N=20), manifest)
+        assert list(files) == ["denominators.csv", "z.csv"]
+        assert [header for header, _ in files.values()] == ["k,theta,re_d,im_d,abs_d,scaled,class", "m,z"]
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().out.startswith("z(20) = ")
 
     def test_huge_horizon_solve_runs_in_bounded_memory(self, tmp_path, capsys):
         # the verification time rule has 8.25e11 panels here; its quadrature
