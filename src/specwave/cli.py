@@ -1,20 +1,19 @@
 """Command-line front end: experiment runs with CSV/JSON artifacts.
 
-Subcommands, each declared once in COMMANDS: denominators, solve, cauchy,
-sweep, paper-table, project. Each runs as `cmd_<name>(cfg, manifest)`, looked
-up on this module at call time (so a patched handler runs); it reads only the
-ExperimentConfig, so a manifest's `config` block reruns its run. A handler
-computes, adds manifest checks and returns its artifacts by file name (a .csv's
-`(header, columns)`, a .json's object). `main` owns the run lifecycle: the
-output directory (flag --out, else the working directory), the manifest, and
-one loop that writes and lists the artifacts, then manifest.json, also when the
-run fails after making its output directory (with `exit_code` and `error`); a
-run whose computation fails writes no other file. Exit code 0 iff every
-manifest check passed; 1 for a failed check, an ill-conditioned mode, an
-unwritable output or an allocation the machine refuses; 2 for a config error,
-an inadmissible omega, an overflowing phase, 2*omega*T or (omega +/- theta_k)*T,
-or an evaluation phase beyond exact reduction (2**43; the norms' phases
-2 theta_k t reach it where theta_N t passes about 2**42).
+Subcommands, each declared once in COMMANDS: denominators, solve, cauchy, sweep,
+paper-table, project. Each takes --config, --out and the flags of FLAGS its handler reads,
+and runs as `cmd_<name>(cfg, manifest)`, looked up on this module at call time (so a
+patched handler runs); it reads only the ExperimentConfig, so a manifest's `config` block
+reruns its run. A handler computes, adds manifest checks and returns its artifacts by file
+name (a .csv's `(header, columns)`, a .json's object). `main` owns the run lifecycle: the
+output directory (flag --out, else the working directory), the manifest, and one loop that
+writes and lists the artifacts, then manifest.json, also when the run fails after making
+its output directory (with `exit_code` and `error`); a run whose computation fails writes
+no other file. Exit code 0 iff every manifest check passed; 1 for a failed check, an
+ill-conditioned mode, an unwritable output or an allocation the machine refuses; 2 for a
+config error, an inadmissible omega, an overflowing phase, 2*omega*T or
+(omega +/- theta_k)*T, or an evaluation phase beyond exact reduction (2**43; the norms'
+phases 2 theta_k t reach it where theta_N t passes about 2**42).
 """
 
 from __future__ import annotations
@@ -204,24 +203,26 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 class Command(NamedTuple):
-    """One subcommand, run by `cmd_<name>`: help line, data flags, whether omega is a list."""
+    """One subcommand, run by `cmd_<name>`: help line, every flag its handler reads, whether omega is a list."""
 
     help: str
     flags: tuple[str, ...]
     omega_list: bool = False
 
 
-# data flag -> help; each is an ExperimentConfig key, with its default there
-DATA_FLAGS = {"a": "position datum preset", "b": "velocity datum preset",
-              "g": "time-average datum preset", "f": "function preset to project"}
+# flag -> (argparse type, help); each sets its config key, --omega by _parse_omega, --grid nx, nt by _parse_grid
+FLAGS = {"N": (int, "truncation order"), "T": (float, "time horizon"),
+         "omega": (str, "weight frequency (or comma list)"), "grid": (str, "field grid as <nx>x<nt>"),
+         "a": (str, "position datum preset"), "b": (str, "velocity datum preset"),
+         "g": (str, "time-average datum preset"), "f": (str, "function preset to project")}
 
 COMMANDS = {
-    "denominators": Command("per-mode denominators and the z diagnostic", ()),
-    "solve": Command("solve the time-averaged problem and verify", ("a", "g")),
-    "cauchy": Command("solve the initial-value problem", ("a", "b")),
-    "sweep": Command("z and stability across an omega list", ("a", "g"), omega_list=True),
+    "denominators": Command("per-mode denominators and the z diagnostic", ("N", "T", "omega")),
+    "solve": Command("solve the time-averaged problem and verify", ("N", "T", "omega", "grid", "a", "g")),
+    "cauchy": Command("solve the initial-value problem", ("N", "T", "grid", "a", "b")),
+    "sweep": Command("z and stability across an omega list", ("N", "T", "omega", "a", "g"), omega_list=True),
     "paper-table": Command("reproduce the published z(500) table", ()),
-    "project": Command("project a preset onto the eigenbasis", ("f",)),
+    "project": Command("project a preset onto the eigenbasis", ("N", "f")),
 }
 
 
@@ -235,23 +236,19 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
         sp.add_argument("--out", type=str, default=None, help="output directory (default: the working directory)")
-        sp.add_argument("--N", type=int, default=None, help="truncation order")
-        sp.add_argument("--T", type=float, default=None, help="time horizon")
-        sp.add_argument("--omega", type=str, default=None, help="weight frequency (or comma list)")
-        sp.add_argument("--grid", type=str, default=None, help="field grid as <nx>x<nt>")
         for flag in command.flags:
-            sp.add_argument(f"--{flag}", type=str, default=None, help=DATA_FLAGS[flag])
+            kind, text = FLAGS[flag]
+            sp.add_argument(f"--{flag}", type=kind, default=None, help=text)
     return parser
 
 
 def _config_from_args(args, command: Command) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    overrides = {key: getattr(args, key) for key in ("N", "T", *command.flags)}
-    if args.omega is not None:
-        overrides["omega"] = _parse_omega(args.omega)
-    if args.grid is not None:
-        overrides["nx"], overrides["nt"] = _parse_grid(args.grid)
-    given = {key: value for key, value in overrides.items() if value is not None}  # flags set
+    given = {flag: getattr(args, flag) for flag in command.flags if getattr(args, flag) is not None}
+    if "omega" in given:
+        given["omega"] = _parse_omega(given["omega"])
+    if "grid" in given:
+        given["nx"], given["nt"] = _parse_grid(given.pop("grid"))
     return cfg.merged(**given).validate(command.omega_list)
 
 

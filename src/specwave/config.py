@@ -31,8 +31,9 @@ COEFF_LIMIT = 1e100
 def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
     """Turn a data specification string into a coefficient vector on modes 1..n_modes.
 
-    An explicit list 'coeffs:1,0,0.5-0.5j', moduli at most COEFF_LIMIT, is padded with
-    zeros up to the truncation order. 'zero' is exact zeros, and 'eigenmode:j' the exact
+    An explicit list 'coeffs:1,0,0.5-0.5j', finite with moduli at most COEFF_LIMIT, is padded
+    with zeros up to the truncation order ('i' reads as 'j', so 'inf' is unparseable and 'nan'
+    non-finite: errors of field 'data'). 'zero' is exact zeros, and 'eigenmode:j' the exact
     unit vector e_j: v_j is orthonormal to each kept mode, so it is zeros for j past
     n_modes (a rule sized to n_modes would alias it). Only 'parabola' is projected by
     quadrature, under `rule`.
@@ -50,6 +51,8 @@ def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None
             raise ConfigError("data", f"unparseable coefficient list {body!r}") from None
         if len(given) > n_modes:
             raise ConfigError("data", f"{len(given)} coefficients given but truncation is {n_modes}")
+        if not np.isfinite(given).all():  # nan passes the modulus check: no comparison holds
+            raise ConfigError("data", "coefficients must be finite")
         if any(abs(c) > COEFF_LIMIT for c in given):
             raise ConfigError("data", f"coefficient moduli above {COEFF_LIMIT:g} would overflow the norms")
         coeffs[: len(given)] = given

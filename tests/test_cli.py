@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -516,6 +517,20 @@ class TestConfigPlumbing:
             with pytest.raises(ConfigError, match="above 1e\\+100"):
                 config.resolve_data(spec, 3)
 
+    @pytest.mark.parametrize("argv", [["solve", "--N", "3", "--a", "coeffs:nan"],
+                                      ["solve", "--N", "3", "--g", "coeffs:1,nan+1j"],
+                                      ["project", "--f", "coeffs:nanj"]])
+    def test_nan_coefficient_is_a_data_error(self, tmp_path, capsys, argv):
+        # nan passes the modulus check, since no comparison with nan holds
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: config field 'data': coefficients must be finite\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+    def test_inf_coefficient_is_unparseable(self):
+        # 'i' reads as 'j', so inf never parses as a number
+        with pytest.raises(ConfigError, match="'data': unparseable coefficient list 'inf'"):
+            config.resolve_data("coeffs:inf", 3)
+
     @pytest.mark.parametrize("value,code", [("1e200", 2), ("1e100", 0)])
     def test_huge_coefficients_keep_the_manifest_contract(self, tmp_path, value, code):
         # with RuntimeWarnings as errors, as CI runs it: squares of 1e200 overflow the norms,
@@ -671,7 +686,7 @@ class TestConfigPlumbing:
 
     def test_non_finite_flag_is_config_error(self, tmp_path, capsys):
         # inf and nan are no JSON numbers: the manifest could not echo them, so no run starts
-        code = main(["project", "--T", "inf", "--out", str(tmp_path / "out")])
+        code = main(["denominators", "--T", "inf", "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == "error: config field 'T': expected a finite real number, got inf\n"
         assert not (tmp_path / "out").exists()
@@ -728,6 +743,36 @@ class TestRunLifecycle:
         for name in files:
             if name != "manifest.json":
                 assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    # every flag each handler reads, besides --config and --out
+    FLAGS = {
+        "denominators": {"--N", "--T", "--omega"},
+        "solve": {"--N", "--T", "--omega", "--grid", "--a", "--g"},
+        "cauchy": {"--N", "--T", "--grid", "--a", "--b"},
+        "sweep": {"--N", "--T", "--omega", "--a", "--g"},
+        "paper-table": set(),
+        "project": {"--N", "--f"},
+    }
+
+    def test_each_command_takes_exactly_the_flags_it_reads(self):
+        (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        taken = {name: {option for action in sub._actions for option in action.option_strings} - {"-h", "--help"}
+                 for name, sub in subparsers.choices.items()}
+        assert taken == {name: {"--config", "--out", *flags} for name, flags in self.FLAGS.items()}
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("paper-table", "--N", "7"), ("paper-table", "--T", "5"), ("paper-table", "--omega", "0.3"),
+        ("paper-table", "--grid", "5x5"), ("project", "--T", "5"), ("project", "--omega", "0.3"),
+        ("project", "--grid", "5x5"), ("cauchy", "--omega", "0.3"), ("denominators", "--grid", "5x5"),
+        ("sweep", "--grid", "5x5"),
+    ])
+    def test_flag_no_handler_reads_is_unrecognized(self, tmp_path, capsys, command, flag, value):
+        # a flag the run would ignore is refused, as argparse refuses any unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_every_command_has_its_handler(self):
         handlers = {name for name, value in vars(cli).items() if name.startswith("cmd_")}
