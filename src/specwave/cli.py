@@ -1,19 +1,19 @@
 """Command-line front end: experiment runs with CSV/JSON artifacts.
 
-Subcommands, each declared once in COMMANDS: denominators, solve, cauchy, sweep,
-paper-table, project. Each takes --config, --out and the flags of FLAGS its handler reads,
-and runs as `cmd_<name>(cfg, manifest)`, looked up on this module at call time (so a
-patched handler runs); it reads only the ExperimentConfig, so a manifest's `config` block
-reruns its run. A handler computes, adds manifest checks and returns its artifacts by file
-name (a .csv's `(header, columns)`, a .json's object). `main` owns the run lifecycle: the
-output directory (flag --out, else the working directory), the manifest, and one loop that
-writes and lists the artifacts, then manifest.json, also when the run fails after making
-its output directory (with `exit_code` and `error`); a run whose computation fails writes
-no other file. Exit code 0 iff every manifest check passed; 1 for a failed check, an
-ill-conditioned mode, an unwritable output or an allocation the machine refuses; 2 for a
-config error, an inadmissible omega, an overflowing phase, 2*omega*T or
-(omega +/- theta_k)*T, or an evaluation phase beyond exact reduction (2**43; the norms'
-phases 2 theta_k t reach it where theta_N t passes about 2**42).
+Subcommands, each declared once in COMMANDS with the config keys its handler reads:
+denominators, solve, cauchy, sweep, paper-table, project. Each takes --config, --out and each
+FLAGS entry whose every key it reads, refuses a config file key it never reads, and runs as
+`cmd_<name>(cfg, manifest)`, looked up on this module at call time (so a patched handler
+runs). Its manifest's `config` block echoes just its keys, so it reruns the run. A handler
+computes, adds manifest checks and returns its artifacts by file name (a .csv's
+`(header, columns)`, a .json's object). `main` owns the run lifecycle: the output directory
+(flag --out, else the working directory), the manifest, and one loop that writes and lists the
+artifacts, then manifest.json, also when the run fails after making its output directory (with
+`exit_code` and `error`); a run whose computation fails writes no other file. Exit code 0 iff
+every manifest check passed; 1 for a failed check, an ill-conditioned mode, an unwritable
+output or an allocation the machine refuses; 2 for a config error, an inadmissible omega, an
+overflowing phase, 2*omega*T or (omega +/- theta_k)*T, or an evaluation phase beyond exact
+reduction (2**43; the norms' phases 2 theta_k t reach it where theta_N t passes about 2**42).
 """
 
 from __future__ import annotations
@@ -203,10 +203,10 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 class Command(NamedTuple):
-    """One subcommand, run by `cmd_<name>`: help line, every flag its handler reads, whether omega is a list."""
+    """One subcommand, run by `cmd_<name>`: help line, every config key its handler reads, whether omega is a list."""
 
     help: str
-    flags: tuple[str, ...]
+    keys: tuple[str, ...]
     omega_list: bool = False
 
 
@@ -218,11 +218,13 @@ FLAGS = {"N": (int, "truncation order"), "T": (float, "time horizon"),
 
 COMMANDS = {
     "denominators": Command("per-mode denominators and the z diagnostic", ("N", "T", "omega")),
-    "solve": Command("solve the time-averaged problem and verify", ("N", "T", "omega", "grid", "a", "g")),
-    "cauchy": Command("solve the initial-value problem", ("N", "T", "grid", "a", "b")),
-    "sweep": Command("z and stability across an omega list", ("N", "T", "omega", "a", "g"), omega_list=True),
+    "solve": Command("solve the time-averaged problem and verify",
+                     ("N", "T", "omega", "nx", "nt", "a", "g", "quad_panels")),
+    "cauchy": Command("solve the initial-value problem", ("N", "T", "nx", "nt", "a", "b", "quad_panels")),
+    "sweep": Command("z and stability across an omega list", ("N", "T", "omega", "a", "g", "quad_panels"),
+                     omega_list=True),
     "paper-table": Command("reproduce the published z(500) table", ()),
-    "project": Command("project a preset onto the eigenbasis", ("N", "f")),
+    "project": Command("project a preset onto the eigenbasis", ("N", "f", "quad_panels")),
 }
 
 
@@ -236,15 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--config", type=str, default=None, help="JSON config file")
         sp.add_argument("--out", type=str, default=None, help="output directory (default: the working directory)")
-        for flag in command.flags:
-            kind, text = FLAGS[flag]
-            sp.add_argument(f"--{flag}", type=kind, default=None, help=text)
+        for flag, (kind, text) in FLAGS.items():
+            if {"grid": {"nx", "nt"}}.get(flag, {flag}) <= set(command.keys):  # a flag whose every key it reads
+                sp.add_argument(f"--{flag}", type=kind, default=None, help=text)
     return parser
 
 
 def _config_from_args(args, command: Command) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
-    given = {flag: getattr(args, flag) for flag in command.flags if getattr(args, flag) is not None}
+    cfg = ExperimentConfig.from_file(args.config, args.command, command.keys) if args.config else ExperimentConfig()
+    given = {flag: value for flag, value in vars(args).items() if flag in FLAGS and value is not None}
     if "omega" in given:
         given["omega"] = _parse_omega(given["omega"])
     if "grid" in given:
@@ -260,7 +262,8 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args, command)
         out = Path(args.out or ".")
         out.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest(command=args.command, config=asdict(cfg), version=__version__)
+        echo = {key: value for key, value in asdict(cfg).items() if key in command.keys}
+        manifest = RunManifest(command=args.command, config=echo, version=__version__)
         t0 = time.perf_counter()
         files = globals()["cmd_" + args.command.replace("-", "_")](cfg, manifest)
         for name, payload in files.items():  # the one place artifacts are written and listed

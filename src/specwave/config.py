@@ -98,8 +98,8 @@ def _typed(key: str, value, default):
 
 @dataclass
 class ExperimentConfig:
-    """One experiment run: clock (omega a number, or a list for sweep), truncation,
-    data, grids. The output directory is no part of it: `--out` alone sets that."""
+    """One experiment run: clock (omega a number, or a list for sweep), truncation, data, grids.
+    A subcommand reads only its `cli.COMMANDS` keys. `--out` alone sets the output directory."""
 
     T: float = 5.0
     omega: float | tuple[float, ...] = 0.01
@@ -145,13 +145,16 @@ class ExperimentConfig:
         return ProblemClock(self.T, self.omega)
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, command: str, keys) -> "ExperimentConfig":
         try:
             raw = json.loads(Path(path).read_text())
         except (OSError, ValueError) as exc:  # unreadable, or not JSON
             raise ConfigError("<file>", f"{path}: not a readable JSON file ({exc})") from None
         if not isinstance(raw, dict):
             raise ConfigError("<file>", f"{path}: expected a JSON object")
+        for key in raw:  # a key `command` never reads, before any type check; `merged` refuses one of no subcommand
+            if key in cls.__dataclass_fields__ and key not in keys:
+                raise ConfigError(key, f"the {command} subcommand never reads it")
         return cls().merged(**raw)
 
     def merged(self, **overrides) -> "ExperimentConfig":

@@ -465,7 +465,7 @@ class TestProject:
 class TestConfigPlumbing:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"T": 5.0, "omega": 0.01, "N": 300, "g": "parabola"}))
+        cfg.write_text(json.dumps({"T": 5.0, "omega": 0.01, "N": 300}))
         code = main(["denominators", "--config", str(cfg), "--N", "40",
                      "--out", str(tmp_path)])
         assert code == 0
@@ -509,6 +509,21 @@ class TestConfigPlumbing:
         code = main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"error: config field '{key}': unknown configuration key\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("denominators", "nx", 1), ("denominators", "a", "parabola"), ("solve", "b", "eigenmode:2"),
+        ("solve", "f", "zero"), ("cauchy", "omega", 0.3), ("cauchy", "omega", [0.3, 0.1]),
+        ("cauchy", "g", "zero"), ("sweep", "nx", 5), ("sweep", "b", None), ("paper-table", "N", 7),
+        ("paper-table", "quad_panels", 64), ("project", "T", 5.0), ("project", "omega", "x"),
+    ])
+    def test_key_the_run_never_reads_is_refused(self, tmp_path, capsys, command, key, value):
+        # a sibling subcommand's key is refused before its type check and before any directory
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: config field '{key}': the {command} subcommand never reads it\n"
         assert not (tmp_path / "out").exists()
 
     def test_coefficient_moduli_above_the_limit_rejected(self):
@@ -559,7 +574,8 @@ class TestConfigPlumbing:
     def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, key, value):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: value}))
-        code = main(["sweep", "--config", str(cfg), "--omega", "0.3", "--out", str(tmp_path / "out")])
+        command = "sweep" if key in cli.COMMANDS["sweep"].keys else "solve"  # each reads the key it types
+        code = main([command, "--config", str(cfg), "--omega", "0.3", "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: config field '{key}': ")
         assert not (tmp_path / "out").exists()
@@ -592,7 +608,8 @@ class TestConfigPlumbing:
         # null is no "default": a file that names a key gives it a value
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({key: None}))
-        code = main(["project", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        command = "project" if key in cli.COMMANDS["project"].keys else "solve"  # each reads the key it types
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err == f"error: config field '{key}': expected {name}, got None\n"
         assert not (tmp_path / "out").exists()
@@ -743,6 +760,29 @@ class TestRunLifecycle:
         for name in files:
             if name != "manifest.json":
                 assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_manifest_config_echoes_exactly_the_keys_the_run_reads(self, command, tmp_path, capsys):
+        assert main([command, *self.RERUN_ARGV[command], "--out", str(tmp_path)]) == 0
+        # paper-table's block is {}: it reads no key
+        assert set(read_manifest(tmp_path)["config"]) == set(cli.COMMANDS[command].keys)
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_each_handler_reads_exactly_its_keys(self, command, tmp_path, monkeypatch, capsys):
+        # COMMANDS' key table is what each run reads, not a list kept beside it
+        read, keys = set(), set(ExperimentConfig.__dataclass_fields__)
+
+        class Recording(ExperimentConfig):
+            def __getattribute__(self, name):
+                if name in keys:
+                    read.add(name)
+                return super().__getattribute__(name)
+
+        name = "cmd_" + command.replace("-", "_")
+        handler = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda cfg, manifest: handler(Recording(**vars(cfg)), manifest))
+        assert main([command, *self.RERUN_ARGV[command], "--out", str(tmp_path)]) == 0
+        assert read == set(cli.COMMANDS[command].keys)
 
     # every flag each handler reads, besides --config and --out
     FLAGS = {
