@@ -42,7 +42,6 @@ from .solution import SeriesSolution
 from .timeavg import (
     IllConditionedModeError,
     NonlocalProblem,
-    StabilityReport,
     solve_nonlocal,
     stability_report,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "ProblemClock",
     "SeriesSolution",
     "SpectralVector",
-    "StabilityReport",
     "phi",
     "project",
     "solve_cauchy",

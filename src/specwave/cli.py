@@ -105,7 +105,7 @@ def _solution_files(cfg: ExperimentConfig, solution):
     return {
         "field_re.csv": (header, [xs, *grid.real.T]),
         "field_im.csv": (header, [xs, *grid.imag.T]),
-        "norms.csv": ("t,u_h0,u_h1,dudt_h0", [norms.ts, norms.u_h0, norms.u_h1, norms.dudt_h0]),
+        "norms.csv": (",".join(norms), list(norms.values())),
     }, norms
 
 
@@ -113,7 +113,7 @@ def cmd_solve(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
     problem = NonlocalProblem(cfg.clock(), *cfg.data(cfg.a, cfg.g))
     solution = solve_nonlocal(problem)
     files, norms = _solution_files(cfg, solution)
-    files["stability.json"] = asdict(stability_report(problem, solution, norms))
+    files["stability.json"] = stability_report(problem, solution, norms)
 
     integral_rel = verification.integral_condition_residual(problem, solution)
     manifest.add_check("integral_condition_rel", integral_rel, INTEGRAL_TOL)
@@ -130,8 +130,8 @@ def cmd_cauchy(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
     files["energy.json"] = {
         "norm_a_h1": problem.alpha.sobolev_norm(1),
         "norm_b_h0": problem.beta.sobolev_norm(0),
-        "sup_u_h1": float(norms.u_h1.max()),
-        "sup_dudt_h0": float(norms.dudt_h0.max()),
+        "sup_u_h1": float(norms["u_h1"].max()),
+        "sup_dudt_h0": float(norms["dudt_h0"].max()),
         "estimate_margin": margin,
         "mode_energy_data_rel": energy_rel,
     }
@@ -158,7 +158,7 @@ def cmd_sweep(cfg: ExperimentConfig, manifest: RunManifest) -> dict:
             continue
         report = stability_report(problem, solution, solution.norm_trajectories(NORM_TIMES))
         max_coeff = float((np.abs(solution.C) + np.abs(solution.D)).max())
-        rows.append([omega, z_n, report.c_obs, max_coeff, b"ok"])
+        rows.append([omega, z_n, report["c_obs"], max_coeff, b"ok"])
     manifest.add_check("failed_rows", float(sum(row[-1] != b"ok" for row in rows)), 0.0)
     return {"sweep.csv": ("omega,z_N,c_obs,max_mode_coeff,status", [np.array(c) for c in zip(*rows)])}
 

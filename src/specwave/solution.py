@@ -85,16 +85,6 @@ def _chirp_sums(weights: np.ndarray, dt: float, factor: int, count: int) -> np.n
 
 
 @dataclass(frozen=True, eq=False)
-class NormTrajectories:
-    """Norms of a solution on one time grid: the columns of norms.csv."""
-
-    ts: np.ndarray
-    u_h0: np.ndarray
-    u_h1: np.ndarray
-    dudt_h0: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SeriesSolution:
     """u(x, t) = sum_{k=1..N} (C_k e^{-i theta_k t} + D_k e^{i theta_k t}) v_k(x).
 
@@ -216,9 +206,10 @@ class SeriesSolution:
             squares[:, rows] = _block_squares(self.eigenvalues, self.C[:, None] * ph.conj(), self.D[:, None] * ph)
         return squares
 
-    def norm_trajectories(self, time_points: int) -> NormTrajectories:
-        """||u||_H0, ||u||_H1 and ||du/dt||_H0 on `time_points` uniform times
-        t_j = j dt in [0, T], the times they are evaluated at (`phase._time_step`)."""
+    def norm_trajectories(self, time_points: int) -> dict:
+        """The columns of norms.csv by header name: "t", the `time_points` uniform times
+        t_j = j dt in [0, T] (`phase._time_step`), and "u_h0", "u_h1" and "dudt_h0", the
+        norms ||u||_H0, ||u||_H1 and ||du/dt||_H0 at those times."""
         u_h0, u_h1, dudt_h0 = np.sqrt(self._norm_squares(time_points))
         ts = np.arange(time_points) * _time_step(self.T, time_points)
-        return NormTrajectories(ts, u_h0, u_h1, dudt_h0)
+        return {"t": ts, "u_h0": u_h0, "u_h1": u_h1, "dudt_h0": dudt_h0}

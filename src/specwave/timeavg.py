@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import SpectralVector
 from .phase import LABELS, DenominatorReport, ProblemClock, z_diagnostic
-from .solution import NormTrajectories, SeriesSolution
+from .solution import SeriesSolution
 
 # modes with |d_k| (1 + theta_k) below this floor amplify data noise past ~1e12
 CONDITION_FLOOR_SCALE = 1e-12
@@ -94,53 +94,36 @@ def solve_nonlocal(problem: NonlocalProblem) -> SeriesSolution:
     return SeriesSolution(problem.clock.T, alpha - D, D)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Observed size of the solution against the size of the data, and the
-    per-mode coefficient bound |C| + |D| <= c (|alpha| + (1 + theta) |gamma|)
-    with c = 4 / z (`bound_constant`): its least margin rhs - lhs and whether
-    every mode keeps it."""
-
-    norm_a_h1: float
-    norm_g_h2: float
-    sup_u_h1: float
-    sup_dudt_h0: float
-    c_obs: float
-    n_modes: int
-    bound_constant: float
-    bound_min_margin: float
-    bound_all_ok: bool
-
-
-def stability_report(
-    problem: NonlocalProblem, solution: SeriesSolution, norms: NormTrajectories
-) -> StabilityReport:
-    """Norm quadruple and observed stability ratio on the time grid of `norms`.
+def stability_report(problem: NonlocalProblem, solution: SeriesSolution, norms: dict) -> dict:
+    """The object stability.json prints: the observed size of the solution against the size
+    of the data, and the per-mode coefficient bound, on the time grid of `norms`.
 
     c_obs = (sup_t ||u||_H1 + sup_t ||du/dt||_H0) / (||a||_H1 + ||g||_H2),
     reported as 0 for zero data. A well-posed configuration keeps c_obs
     bounded independently of the truncation order. The sup norms are the
-    maxima of `norms`, the solution's trajectories (`norm_trajectories`).
-    The coefficient bound takes z, the least |d_k| (1 + theta_k) over the
-    solved modes: with a healthy z every margin is nonnegative, while
-    omega ~ 0 drives near-resonant modes far past the bound.
+    maxima of the "u_h1" and "dudt_h0" columns of `norms` (`norm_trajectories`).
+    The bound is |C_k| + |D_k| <= c (|alpha_k| + (1 + theta_k) |gamma_k|) with
+    c = 4 / z (bound_constant), z the least |d_k| (1 + theta_k) over the solved
+    modes; bound_min_margin is its least margin rhs - lhs and bound_all_ok
+    whether every mode keeps it. With a healthy z every margin is nonnegative,
+    while omega ~ 0 drives near-resonant modes far past the bound.
     """
-    sup_u = float(norms.u_h1.max())
-    sup_du = float(norms.dudt_h0.max())
+    sup_u = float(norms["u_h1"].max())
+    sup_du = float(norms["dudt_h0"].max())
     na = problem.alpha.sobolev_norm(1)
     ng = problem.gamma.sobolev_norm(2)
     data = na + ng
     c = 4.0 / problem.mode_denominators.z
     rhs = c * (np.abs(problem.alpha.coefficients) + (1.0 + solution.thetas) * np.abs(problem.gamma.coefficients))
     margin = rhs - (np.abs(solution.C) + np.abs(solution.D))
-    return StabilityReport(
-        norm_a_h1=na,
-        norm_g_h2=ng,
-        sup_u_h1=sup_u,
-        sup_dudt_h0=sup_du,
-        c_obs=(sup_u + sup_du) / data if data > 0 else 0.0,
-        n_modes=len(solution),
-        bound_constant=c,
-        bound_min_margin=float(margin.min()),
-        bound_all_ok=bool((margin >= 0.0).all()),
-    )
+    return {
+        "norm_a_h1": na,
+        "norm_g_h2": ng,
+        "sup_u_h1": sup_u,
+        "sup_dudt_h0": sup_du,
+        "c_obs": (sup_u + sup_du) / data if data > 0 else 0.0,
+        "n_modes": len(solution),
+        "bound_constant": c,
+        "bound_min_margin": float(margin.min()),
+        "bound_all_ok": bool((margin >= 0.0).all()),
+    }

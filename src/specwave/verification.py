@@ -13,7 +13,7 @@ import numpy as np
 
 from .cauchy import CauchyProblem
 from .quadrature import GaussLegendre
-from .solution import NormTrajectories, SeriesSolution
+from .solution import SeriesSolution
 from .timeavg import NonlocalProblem
 
 
@@ -57,12 +57,12 @@ def mode_energy_data_relative(problem: CauchyProblem, solution: SeriesSolution) 
     return float(np.max(np.abs(data - modes) / np.where(data > 0, data, 1.0)))
 
 
-def energy_estimate_margin(problem: CauchyProblem, norms: NormTrajectories) -> float:
+def energy_estimate_margin(problem: CauchyProblem, norms: dict) -> float:
     """Margin of sup_t ||u||_H1 + sup_t ||u'||_H0 <= 4 (||a||_H1 + ||b||_H0).
 
-    The sups are the maxima of `norms`, the solution's trajectories
-    (`norm_trajectories`).
+    The sups are the maxima of the "u_h1" and "dudt_h0" columns of `norms`,
+    the solution's trajectories (`norm_trajectories`).
     """
-    lhs = float(norms.u_h1.max()) + float(norms.dudt_h0.max())
+    lhs = float(norms["u_h1"].max()) + float(norms["dudt_h0"].max())
     rhs = 4.0 * (problem.alpha.sobolev_norm(1) + problem.beta.sobolev_norm(0))
     return rhs - lhs

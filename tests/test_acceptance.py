@@ -142,7 +142,7 @@ def test_criterion_6_coefficient_bound(random_instances):
     with criterion(6, "|C|+|D| <= (4/z(N)) (|alpha| + (1+theta)|gamma|) everywhere"):
         for problem, solution in random_instances:
             report = stability_report(problem, solution, solution.norm_trajectories(1001))
-            assert report.bound_all_ok and report.bound_min_margin >= 0.0
+            assert report["bound_all_ok"] and report["bound_min_margin"] >= 0.0
 
 
 def test_criterion_7_stability_flat_in_truncation():
@@ -157,7 +157,7 @@ def test_criterion_7_stability_flat_in_truncation():
             g = project(data, n)
             problem = NonlocalProblem(clock, a, g)
             solution = solve_nonlocal(problem)
-            ratios.append(stability_report(problem, solution, solution.norm_trajectories(1001)).c_obs)
+            ratios.append(stability_report(problem, solution, solution.norm_trajectories(1001))["c_obs"])
         assert max(ratios) < 2.0 * min(ratios)
 
 
@@ -232,7 +232,7 @@ def test_criterion_11_stability_against_one_over_z():
                 clock = ProblemClock(5.0, omega)
                 problem = NonlocalProblem(clock, alpha, gamma)
                 solution = solve_nonlocal(problem)
-                c_obs[omega] = stability_report(problem, solution, solution.norm_trajectories(1001)).c_obs
+                c_obs[omega] = stability_report(problem, solution, solution.norm_trajectories(1001))["c_obs"]
                 z[omega] = z_diagnostic(n, clock).z
                 assert c_obs[omega] * z[omega] <= 3.0
             assert math.log10(c_obs[0.001] / c_obs[0.01]) <= 0.7
@@ -249,7 +249,7 @@ def test_criterion_12_regularity_threshold():
             for n in (10**3, 10**4, 10**5):
                 k = np.arange(1, n + 1, dtype=float)
                 problem = NonlocalProblem(clock, SpectralVector(np.zeros(n, complex)), SpectralVector(k**-p + 0j))
-                sup.append(float(solve_nonlocal(problem).norm_trajectories(1001).u_h1.max()))
+                sup.append(float(solve_nonlocal(problem).norm_trajectories(1001)["u_h1"].max()))
             if p < 2.5:
                 # grows by 10^(2.5 - p) per decade: p = 2 read 3.1620 and 3.1622
                 for low, high in zip(sup, sup[1:]):

@@ -72,8 +72,8 @@ class TestSolveCauchy:
     def test_zero_data_gives_zero_solution(self):
         sol = solve_cauchy(make_problem(np.zeros(4), np.zeros(4)))
         norms = sol.norm_trajectories(1001)
-        assert norms.u_h1.max() == 0.0
-        assert norms.dudt_h0.max() == 0.0
+        assert norms["u_h1"].max() == 0.0
+        assert norms["dudt_h0"].max() == 0.0
 
     def test_single_mode_is_separated_cosine(self):
         # u(x, t) = cos(t) v_1(x): separation of variables
@@ -100,7 +100,7 @@ class TestSolveCauchy:
             problem = make_problem(alpha, beta)
             sol = solve_cauchy(problem)
             norms = sol.norm_trajectories(1001)
-            lhs = norms.u_h1.max() + norms.dudt_h0.max()
+            lhs = norms["u_h1"].max() + norms["dudt_h0"].max()
             rhs = 4.0 * (problem.alpha.sobolev_norm(1) + problem.beta.sobolev_norm(0))
             assert lhs <= rhs
 

@@ -11,7 +11,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specwave import cli, config, phase, verification
+from specwave import (
+    CauchyProblem,
+    NonlocalProblem,
+    cli,
+    config,
+    phase,
+    project,
+    solve_cauchy,
+    solve_nonlocal,
+    stability_report,
+    verification,
+)
 from specwave.solution import SeriesSolution
 from specwave.cli import main
 from specwave.config import ConfigError, ExperimentConfig
@@ -287,6 +298,33 @@ class TestSolve:
         # the CSV keeps 13 significant digits, the JSON the full double
         assert float(f"{values['sup_u_h1']:.12e}") == columns[:, 2].max()
         assert float(f"{values['sup_dudt_h0']:.12e}") == columns[:, 3].max()
+
+    @pytest.mark.parametrize("command", ["solve", "cauchy"])
+    def test_printed_records_keep_their_schema(self, tmp_path, command):
+        # stability.json prints stability_report's dict and norms.csv's header is
+        # norm_trajectories' keys, each in order; energy.json is cmd_cauchy's own dict
+        argv = [command, "--T", "5", "--N", "30", "--a", "parabola", "--out", str(tmp_path)]
+        assert main(argv + (["--omega", "0.3"] if command == "solve" else ["--b", "parabola"])) == 0
+        data = project(lambda x: x * (math.pi - x), 30)
+        if command == "solve":
+            problem = NonlocalProblem(ProblemClock(5.0, 0.3), data, data)
+            solution = solve_nonlocal(problem)
+        else:
+            solution = solve_cauchy(CauchyProblem(5.0, data, data))
+        norms = solution.norm_trajectories(cli.NORM_TIMES)
+        header = (tmp_path / "norms.csv").read_text().split("\n", 1)[0]
+        assert header == ",".join(norms) == "t,u_h0,u_h1,dudt_h0"
+        if command == "solve":
+            keys = list(json.loads((tmp_path / "stability.json").read_text()))
+            assert keys == list(stability_report(problem, solution, norms)) == [
+                "norm_a_h1", "norm_g_h2", "sup_u_h1", "sup_dudt_h0", "c_obs",
+                "n_modes", "bound_constant", "bound_min_margin", "bound_all_ok",
+            ]
+        else:
+            assert list(json.loads((tmp_path / "energy.json").read_text())) == [
+                "norm_a_h1", "norm_b_h0", "sup_u_h1", "sup_dudt_h0",
+                "estimate_margin", "mode_energy_data_rel",
+            ]
 
 
 class TestCauchy:

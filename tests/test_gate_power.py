@@ -1,11 +1,13 @@
 """Gate power: a relative fault planted in one layer must fail a run gate.
 
 Each case multiplies one layer's output by 1 + eps (eps = 1e-6 or 1e-9), runs `solve` or
-`cauchy` in process at N = 1000 and asserts which gates of the manifest fail. A case that no
+`cauchy` in process at N = 1000 and asserts which gates of the manifest fail. The layers are
+`phi`, each command's per-mode solve, `exp_moments`, the projection (`_sine_sums`), the field
+and the norms (`_chirp_sums`) and the float cells that `cli.write_csv` prints. A case that no
 gate catches today is a strict xfail naming the ROADMAP item meant to cover it: item 10 for
-the field and the norms (`_chirp_sums`), item 19 for the projection (`_sine_sums`), item 7
-for a 1e-9 fault. Once a gate catches one, its XPASS fails the suite until the mark goes.
-No gate or tolerance is changed here.
+the field, the norms and the printed cells, item 19 for the projection, item 7 for a 1e-9
+fault. Once a gate catches one, its XPASS fails the suite until the mark goes. No gate or
+tolerance is changed here.
 """
 
 import json
@@ -22,6 +24,9 @@ ARGV = {
     "cauchy": ["cauchy", "--N", "1000", "--a", "parabola", "--b", "parabola", "--grid", "5x5"],
 }
 
+# command -> the solve it runs, looked up on cli at call time
+SOLVES = {"solve": "solve_nonlocal", "cauchy": "solve_cauchy"}
+
 # layer -> the attribute whose results the fault scales
 SCALED = {
     "phi": (phase, "phi"),
@@ -31,18 +36,28 @@ SCALED = {
 }
 
 
-def plant(monkeypatch, layer: str, eps: float) -> list:
-    """Fault `layer` by a relative eps; returns the list that each faulted call appends to."""
+def plant(monkeypatch, command: str, layer: str, eps: float) -> list:
+    """Fault `layer` of `command` by a relative eps; returns the list that each faulted call appends to."""
     calls = []
-    if layer == "D":  # the solve's D times 1 + eps, C = alpha - D as the solve forms it
-        solve = cli.solve_nonlocal
+    if layer == "D":  # the solve's D times 1 + eps and C - eps D, so C + D keeps its value
+        name = SOLVES[command]
+        solve = getattr(cli, name)
 
         def faulted(problem):
             calls.append(layer)
             sol = solve(problem)
             return SeriesSolution(sol.T, sol.C - eps * sol.D, (1.0 + eps) * sol.D)
 
-        monkeypatch.setattr(cli, "solve_nonlocal", faulted)
+        monkeypatch.setattr(cli, name, faulted)
+        return calls
+    if layer == "csv_cells":  # every float column as written, after every gate has run
+        write_csv = cli.write_csv
+
+        def written(path, header, columns):
+            calls.append(layer)
+            return write_csv(path, header, [c * (1.0 + eps) if c.dtype.kind == "f" else c for c in columns])
+
+        monkeypatch.setattr(cli, "write_csv", written)
         return calls
     owner, name = SCALED[layer]
     original = getattr(owner, name)
@@ -66,8 +81,8 @@ def uncovered(item: str):
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=f"no gate fails: {item}")
 
 
-FIELD, PROJECTION, FINE = ("item 10 (field and norms)", "item 19 (the projection)",
-                           "item 7 (gates from an error model)")
+FIELD, CELLS, PROJECTION, FINE = ("item 10 (field and norms)", "item 10 (the printed cells)",
+                                  "item 19 (the projection)", "item 7 (gates from an error model)")
 
 CASES = [
     ("solve", "phi", 1e-6, {"integral_condition_rel"}),
@@ -80,10 +95,16 @@ CASES = [
     pytest.param("solve", "sine_sums", 1e-9, None, marks=uncovered(f"{PROJECTION}, {FINE}")),
     pytest.param("solve", "chirp_sums", 1e-6, None, marks=uncovered(FIELD)),
     pytest.param("solve", "chirp_sums", 1e-9, None, marks=uncovered(f"{FIELD}, {FINE}")),
+    pytest.param("solve", "csv_cells", 1e-6, None, marks=uncovered(CELLS)),
+    pytest.param("solve", "csv_cells", 1e-9, None, marks=uncovered(CELLS)),
+    ("cauchy", "D", 1e-6, {"mode_energy_data_rel"}),
+    ("cauchy", "D", 1e-9, {"mode_energy_data_rel"}),
     pytest.param("cauchy", "sine_sums", 1e-6, None, marks=uncovered(PROJECTION)),
     pytest.param("cauchy", "sine_sums", 1e-9, None, marks=uncovered(f"{PROJECTION}, {FINE}")),
     pytest.param("cauchy", "chirp_sums", 1e-6, None, marks=uncovered(FIELD)),
     pytest.param("cauchy", "chirp_sums", 1e-9, None, marks=uncovered(f"{FIELD}, {FINE}")),
+    pytest.param("cauchy", "csv_cells", 1e-6, None, marks=uncovered(CELLS)),
+    pytest.param("cauchy", "csv_cells", 1e-9, None, marks=uncovered(CELLS)),
 ]
 
 
@@ -94,7 +115,7 @@ def test_every_gate_passes_without_a_fault(tmp_path, command):
 
 @pytest.mark.parametrize("command,layer,eps,gates", CASES)
 def test_planted_fault_fails_a_gate(tmp_path, monkeypatch, command, layer, eps, gates):
-    calls = plant(monkeypatch, layer, eps)
+    calls = plant(monkeypatch, command, layer, eps)
     code, failed = run(tmp_path, command)
     # pytest.fail, not assert: these are no expected failure of an xfail case
     if not calls:
