@@ -37,7 +37,6 @@ from .phase import (
     phi,
     z_diagnostic,
 )
-from .quadrature import GaussLegendre
 from .solution import SeriesSolution
 from .timeavg import (
     IllConditionedModeError,
@@ -51,7 +50,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CauchyProblem",
     "DenominatorReport",
-    "GaussLegendre",
     "IllConditionedModeError",
     "NonlocalProblem",
     "ProblemClock",

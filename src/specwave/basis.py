@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import _NODES, GaussLegendre
+from .quadrature import _NODES, _half_width, nodes_weights
 
 DOMAIN = (0.0, math.pi)
 
@@ -57,19 +57,19 @@ class SpectralVector:
             raise ValueError("spectral vectors must share the truncation order")
 
 
-def projection_rule(n_modes: int, panels: int = 64) -> GaussLegendre:
-    """Projection rule for modes 1..n_modes: at least ceil(5 n_modes / 8) panels of 8 nodes.
+def projection_panels(n_modes: int, least: int = 64) -> int:
+    """Panels of 8 nodes that project modes 1..n_modes: `least`, and at least ceil(5 n_modes / 8).
 
     With 8 nodes a panel that puts ten nodes in each period of sin(n_modes x)
     on (0, pi); a fixed panel count aliases the high modes (64 panels return
     the parabola's coefficients wrong by up to 2.3 at n_modes = 1000).
     """
-    return GaussLegendre(panels=max(panels, -(-5 * n_modes // 8)))
+    return max(least, -(-5 * n_modes // 8))
 
 
-def _sine_sums(weighted: np.ndarray, rule: GaussLegendre, n_modes: int) -> np.ndarray:
-    """sum_j v_k(x_j) weighted_j for k = 1..n_modes over `rule`'s nodes on DOMAIN,
-    by one inverse FFT over the panels.
+def _sine_sums(weighted: np.ndarray, panels: int, n_modes: int) -> np.ndarray:
+    """sum_j v_k(x_j) weighted_j for k = 1..n_modes over the nodes x_j of
+    `nodes_weights(panels, *DOMAIN)`, by one inverse FFT over the panels.
 
     A node is x = m_0 + 2hp + h r_j (first panel midpoint m_0 = a + h,
     half-width h = pi / (2P), reference node r_j), so with W[p, j] the
@@ -78,33 +78,34 @@ def _sine_sums(weighted: np.ndarray, rule: GaussLegendre, n_modes: int) -> np.nd
     and the inner sum is row k mod 2P of an inverse FFT of length 2P down
     the panels. The coefficient is sqrt(2/pi) times the imaginary part.
     Reading row k mod 2P aliases exactly as the dense sum over the nodes
-    does on a rule with too few panels. Costs O(P log P + n_modes * order).
+    does on a rule with too few panels. Costs O(P log P + 8 n_modes).
     """
     if np.iscomplexobj(weighted):
-        return _sine_sums(weighted.real, rule, n_modes) + 1j * _sine_sums(weighted.imag, rule, n_modes)
-    a, b = DOMAIN
-    period = 2 * rule.panels
-    half = 0.5 * (b - a) / rule.panels
+        return _sine_sums(weighted.real, panels, n_modes) + 1j * _sine_sums(weighted.imag, panels, n_modes)
+    a = DOMAIN[0]
+    period = 2 * panels
+    half = _half_width(panels, *DOMAIN)
     ks = np.arange(1, n_modes + 1)
-    panel_sums = np.fft.ifft(weighted.reshape(rule.panels, rule.order), n=period, axis=0)
+    panel_sums = np.fft.ifft(weighted.reshape(panels, _NODES.size), n=period, axis=0)
     rows = panel_sums[ks % period] * period
     local = np.exp(1j * np.multiply.outer(ks, half * _NODES))
     sums = np.exp(1j * ks * (a + half)) * np.einsum("kj,kj->k", rows, local)
     return math.sqrt(2.0 / math.pi) * sums.imag
 
 
-def project(f, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
-    """Coefficients (f, v_k) for k = 1..n_modes by quadrature over DOMAIN.
+def project(f, n_modes: int, panels: int | None = None) -> SpectralVector:
+    """Coefficients (f, v_k) for k = 1..n_modes by quadrature over DOMAIN on `panels` panels.
 
-    Without a rule, `projection_rule(n_modes)` sizes one to the modes. f is
+    Without a panel count, `projection_panels(n_modes)` sizes one to the modes. f is
     called once, on all the nodes (a constant broadcasts), and a non-finite
     sample is a ValueError; the sums over the nodes are `_sine_sums`, one FFT.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    rule = rule or projection_rule(n_modes)
-    nodes, weights = rule.nodes_weights(*DOMAIN)
+    if panels is None:
+        panels = projection_panels(n_modes)
+    nodes, weights = nodes_weights(panels, *DOMAIN)
     samples = f(nodes)
     if not np.all(np.isfinite(samples)):
         raise ValueError("integrand produced non-finite samples")
-    return SpectralVector(_sine_sums(weights * samples, rule, n_modes))
+    return SpectralVector(_sine_sums(weights * samples, panels, n_modes))

@@ -33,7 +33,7 @@ from . import __version__, _csv, verification
 from .basis import DOMAIN
 from .cauchy import CauchyProblem, solve_cauchy
 from .config import ConfigError, ExperimentConfig, RunManifest
-from .phase import LABELS, ProblemClock, _time_step, z_diagnostic
+from .phase import LABELS, ProblemClock, z_diagnostic
 from .timeavg import (
     IllConditionedModeError,
     NonlocalProblem,
@@ -100,7 +100,7 @@ def _solution_files(cfg: ExperimentConfig, solution):
     the reports. On the default grid the norms' phases pass EXACT_PHASE_LIMIT first."""
     norms = solution.norm_trajectories(NORM_TIMES)
     xs = np.linspace(*DOMAIN, cfg.nx)
-    header = _field_header(np.arange(cfg.nt) * _time_step(cfg.T, cfg.nt))
+    header = _field_header(solution.times(cfg.nt))
     grid = solution.field(cfg.nx, cfg.nt)
     return {
         "field_re.csv": (header, [xs, *grid.real.T]),

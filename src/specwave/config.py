@@ -10,9 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import DOMAIN, SpectralVector, project, projection_rule
+from .basis import DOMAIN, SpectralVector, project, projection_panels
 from .phase import ProblemClock
-from .quadrature import GaussLegendre
 
 
 class ConfigError(ValueError):
@@ -28,7 +27,7 @@ class ConfigError(ValueError):
 COEFF_LIMIT = 1e100
 
 
-def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None) -> SpectralVector:
+def resolve_data(spec_text: str, n_modes: int, panels: int | None = None) -> SpectralVector:
     """Turn a data specification string into a coefficient vector on modes 1..n_modes.
 
     An explicit list 'coeffs:1,0,0.5-0.5j', finite with moduli at most COEFF_LIMIT, is padded
@@ -36,12 +35,12 @@ def resolve_data(spec_text: str, n_modes: int, rule: GaussLegendre | None = None
     non-finite: errors of field 'data'). 'zero' is exact zeros, and 'eigenmode:j' the exact
     unit vector e_j: v_j is orthonormal to each kept mode, so it is zeros for j past
     n_modes (a rule sized to n_modes would alias it). Only 'parabola' is projected by
-    quadrature, under `rule`.
+    quadrature, on `panels` panels.
     """
     if spec_text == "parabola":
         # x(pi - x) on DOMAIN: smooth, vanishes at both ends, coefficients decay ~ k^-3
         a, b = DOMAIN
-        return project(lambda x: (x - a) * (b - x), n_modes, rule)
+        return project(lambda x: (x - a) * (b - x), n_modes, panels)
     coeffs = np.zeros(n_modes, dtype=complex)
     if spec_text.startswith("coeffs:"):
         body = spec_text[len("coeffs:"):].strip()
@@ -92,6 +91,8 @@ def _typed(key: str, value, default):
         return converted
 
     if key == "omega" and isinstance(value, (list, tuple)):
+        if not value:
+            raise ConfigError(key, "expected at least one number")
         return tuple(map(one, value))
     return one(value)
 
@@ -113,32 +114,33 @@ class ExperimentConfig:
     quad_panels: int = 64
 
     def validate(self, omega_list: bool = False) -> "ExperimentConfig":
-        """This config checked, a one-element omega list read as its number. With
-        `omega_list` (sweep) omega must be a nonempty list, else one number. The
+        """This config checked, omega read as a list with `omega_list` (sweep: a number
+        is a list of one), else as one number (a one-element list is its number). The
         clock is checked where it is built: `ProblemClock` rejects a non-finite
         2*omega*T, and `NonlocalProblem` an inadmissible clock."""
         if not self.T > 0:
             raise ConfigError("T", "must be positive")
         if self.N < 1:
             raise ConfigError("N", "must be >= 1")
-        if self.nx < 2 or self.nt < 2:
-            raise ConfigError("grid", "nx and nt must be >= 2")
+        for key in ("nx", "nt"):
+            if getattr(self, key) < 2:
+                raise ConfigError(key, "must be >= 2")
         if self.quad_panels < 1:
             raise ConfigError("quad_panels", "must be >= 1")
-        listed, cfg = isinstance(self.omega, tuple), self
-        if omega_list and not (listed and self.omega):
-            raise ConfigError("omega", "sweep needs a nonempty omega list")
+        listed = isinstance(self.omega, tuple)
+        if omega_list and not listed:
+            return replace(self, omega=(self.omega,))
         if listed and not omega_list:
             if len(self.omega) != 1:
                 raise ConfigError("omega", "a list is only meaningful for the sweep command")
-            cfg = replace(self, omega=self.omega[0])
-        return cfg
+            return replace(self, omega=self.omega[0])
+        return self
 
     def data(self, *specs: str) -> tuple[SpectralVector, ...]:
-        """`resolve_data` of each spec on N modes under one projection rule; a spec
+        """`resolve_data` of each spec on N modes, on one projection panel count; a spec
         given twice resolves (and projects) once. Errors come in the order given."""
-        rule = projection_rule(self.N, self.quad_panels)
-        resolved = {spec: resolve_data(spec, self.N, rule) for spec in dict.fromkeys(specs)}
+        panels = projection_panels(self.N, self.quad_panels)
+        resolved = {spec: resolve_data(spec, self.N, panels) for spec in dict.fromkeys(specs)}
         return tuple(resolved[spec] for spec in specs)
 
     def clock(self) -> ProblemClock:

@@ -206,10 +206,13 @@ class SeriesSolution:
             squares[:, rows] = _block_squares(self.eigenvalues, self.C[:, None] * ph.conj(), self.D[:, None] * ph)
         return squares
 
+    def times(self, count: int) -> np.ndarray:
+        """The `count` uniform times t_j = j dt in [0, T] (`phase._time_step`) at which
+        `field` and `norm_trajectories` evaluate."""
+        return np.arange(count) * _time_step(self.T, count)
+
     def norm_trajectories(self, time_points: int) -> dict:
-        """The columns of norms.csv by header name: "t", the `time_points` uniform times
-        t_j = j dt in [0, T] (`phase._time_step`), and "u_h0", "u_h1" and "dudt_h0", the
-        norms ||u||_H0, ||u||_H1 and ||du/dt||_H0 at those times."""
+        """The columns of norms.csv by header name: "t", the `times(time_points)`, and
+        "u_h0", "u_h1" and "dudt_h0", the norms ||u||_H0, ||u||_H1 and ||du/dt||_H0 there."""
         u_h0, u_h1, dudt_h0 = np.sqrt(self._norm_squares(time_points))
-        ts = np.arange(time_points) * _time_step(self.T, time_points)
-        return {"t": ts, "u_h0": u_h0, "u_h1": u_h1, "dudt_h0": dudt_h0}
+        return {"t": self.times(time_points), "u_h0": u_h0, "u_h1": u_h1, "dudt_h0": dudt_h0}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cauchy import CauchyProblem
-from .quadrature import GaussLegendre
+from .quadrature import exp_moments
 from .solution import SeriesSolution
 from .timeavg import NonlocalProblem
 
@@ -35,9 +35,7 @@ def integral_condition_residual(problem: NonlocalProblem, solution: SeriesSoluti
     # T/4 panels per unit of the fastest frequency |omega| + theta_N keep every
     # |mu| h <= 2, inside exp_moments' domain, and resolve each oscillation
     panels = max(64, int(np.ceil((float(theta[-1]) + abs(clock.omega)) * clock.T / 4.0)))
-    minus, plus = GaussLegendre(panels=panels).exp_moments(
-        clock.omega + np.stack([-theta, theta]), 0.0, clock.T
-    )
+    minus, plus = exp_moments(panels, clock.omega + np.stack([-theta, theta]), 0.0, clock.T)
     resid = solution.C * minus + solution.D * plus - problem.gamma.coefficients
     return float(np.sqrt(np.sum(np.abs(resid) ** 2))) / (1.0 + problem.gamma.sobolev_norm(0))
 

@@ -1,7 +1,7 @@
 """Reference computations the tests check specwave against; no subcommand runs them.
 
-- `integrate(rule, f, a, b)`: a Gauss-Legendre rule applied to a callable, from
-  the rule's own nodes and weights. Used by `test_quadrature`, `test_basis`,
+- `integrate(panels, f, a, b)`: the Gauss-Legendre rule of `panels` panels applied
+  to a callable, from the rule's own nodes and weights. Used by `test_quadrature`, `test_basis`,
   `test_phase`, `test_timeavg` and `test_cauchy`.
 - `eigenfunction(k, x)`: v_k(x) = sqrt(2/pi) sin(kx), one row per mode.
   Used by `test_basis` and `test_solution`.
@@ -47,15 +47,17 @@ import math
 import numpy as np
 
 from specwave.basis import SOBOLEV_ORDERS, SpectralVector
+from specwave.quadrature import nodes_weights
 
 # denominator_via_f degenerates within this distance of theta = +/- omega
 F_FORM_MIN_GAP = 1e-3
 
 
-def integrate(rule, f, a: float, b: float):
-    """int_a^b f by `rule`: its weights against f called once on its nodes (a
-    constant broadcasts); shares no code with `basis.project`."""
-    nodes, weights = rule.nodes_weights(a, b)
+def integrate(panels: int, f, a: float, b: float):
+    """int_a^b f by the composite Gauss-Legendre rule of `panels` panels: its weights
+    against f called once on its nodes (a constant broadcasts); shares no code with
+    `basis.project`."""
+    nodes, weights = nodes_weights(panels, a, b)
     return weights @ np.broadcast_to(f(nodes), nodes.shape)
 
 

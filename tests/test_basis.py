@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from oracles import eigenfunction, eigenfunction_matrix, integrate
 from specwave import (
     CauchyProblem,
-    GaussLegendre,
     NonlocalProblem,
     ProblemClock,
     SeriesSolution,
@@ -17,9 +16,10 @@ from specwave import (
     project,
     z_diagnostic,
 )
-from specwave.basis import DOMAIN, frequencies, projection_rule
+from specwave.basis import DOMAIN, frequencies, projection_panels
 from specwave import config
 from specwave.config import ExperimentConfig, resolve_data
+from specwave.quadrature import nodes_weights
 
 SQ2PI = math.sqrt(2.0 / math.pi)
 EPS = np.finfo(float).eps
@@ -77,15 +77,13 @@ class TestDirichletBasis:
             assert abs(eigenfunction(k, math.pi)) < 1e-12
 
     def test_unit_normalization(self):
-        rule = GaussLegendre(panels=256)
         for k in (1, 3, 10):
-            nsq = integrate(rule, lambda x, k=k: eigenfunction(k, x) ** 2, 0.0, math.pi)
+            nsq = integrate(256, lambda x, k=k: eigenfunction(k, x) ** 2, 0.0, math.pi)
             assert nsq == pytest.approx(1.0, abs=1e-12)
 
     def test_gram_matrix_is_identity(self):
         # 2048-point quadrature of the 10x10 Gram matrix
-        rule = GaussLegendre(panels=256)
-        nodes, weights = rule.nodes_weights(0.0, math.pi)
+        nodes, weights = nodes_weights(256, 0.0, math.pi)
         basis = eigenfunction_matrix(10, nodes)
         gram = (basis * weights) @ basis.T
         assert np.abs(gram - np.eye(10)).max() < 1e-10
@@ -116,7 +114,7 @@ class TestProject:
         vec = project(parabola, 5)
         assert np.abs(vec.coefficients - expected).max() < 1e-12
         # the closed form is quadrature-independent: a much finer rule agrees
-        fine = project(parabola, 5, GaussLegendre(panels=512))
+        fine = project(parabola, 5, 512)
         assert np.abs(fine.coefficients - expected).max() < 1e-12
 
     @pytest.mark.parametrize("n", [1000, 100_000])
@@ -134,7 +132,7 @@ class TestProject:
             raise AssertionError("the zero preset needs no projection")
 
         monkeypatch.setattr(config, "project", no_projection)
-        vec = resolve_data("zero", 3000, projection_rule(3000))
+        vec = resolve_data("zero", 3000, projection_panels(3000))
         assert vec.coefficients.dtype == complex
         assert np.array_equal(vec.coefficients, np.zeros(3000, dtype=complex))
         assert not np.signbit(vec.coefficients.view(float)).any()
@@ -143,32 +141,32 @@ class TestProject:
         # the eigenmodes are orthonormal, so eigenmode:j is e_j for j <= N and zeros for
         # j > N, with nothing to project: a rule sized to N would alias a higher mode
         # (eigenmode:5000 on 16 modes read up to 0.55), and one sized to j = 1e9 would not fit
-        rule = projection_rule(16)
+        panels = projection_panels(16)
         monkeypatch.setattr(config, "project", lambda *args: pytest.fail("nothing to project"))
         for j in (1, 16, 17, 5000, 10**9):
-            vec = resolve_data(f"eigenmode:{j}", 16, rule)
+            vec = resolve_data(f"eigenmode:{j}", 16, panels)
             assert vec.coefficients.dtype == complex
             assert np.array_equal(vec.coefficients, np.arange(1, 17) == j), j
             assert not np.signbit(vec.coefficients.view(float)).any()
 
     def test_rule_floor_leaves_small_and_explicit_rules(self, monkeypatch):
-        assert projection_rule(102) == GaussLegendre(panels=64)
-        assert projection_rule(103).panels == 65
+        assert projection_panels(102) == 64
+        assert projection_panels(103) == 65
         rules = []
-        monkeypatch.setattr(config, "resolve_data", lambda spec, n, rule: rules.append(rule))
+        monkeypatch.setattr(config, "resolve_data", lambda spec, n, panels: rules.append(panels))
         ExperimentConfig(N=1000, quad_panels=900).data("parabola")
-        assert [rule.panels for rule in rules] == [900]
+        assert rules == [900]
 
     @pytest.mark.parametrize("n_modes,panels", [(100, None), (1000, None), (3000, None), (1000, 64)])
     def test_fft_projection_matches_dense_product(self, n_modes, panels):
         # 64 panels do not resolve the modes above about 170 (the parabola's
         # coefficients come out wrong by up to 2.3), and there the FFT must alias
         # exactly as the dense product does: modes k and k + 128 share a panel sum
-        rule = GaussLegendre(panels=panels) if panels else projection_rule(n_modes)
-        nodes, weights = rule.nodes_weights(0.0, math.pi)
+        rule_panels = panels or projection_panels(n_modes)
+        nodes, weights = nodes_weights(rule_panels, 0.0, math.pi)
         weighted = weights * parabola(nodes)
         dense = eigenfunction_matrix(n_modes, nodes) @ weighted
-        fft = project(parabola, n_modes, rule).coefficients
+        fft = project(parabola, n_modes, rule_panels).coefficients
         assert np.abs(fft - dense).max() <= 1e-13 * np.abs(weighted).sum()
         if panels is None:
             k = np.arange(1, n_modes + 1)
@@ -207,8 +205,7 @@ class TestProject:
             project(parabola, 0)
 
     def test_parseval_upper_bound(self):
-        rule = GaussLegendre(panels=128)
-        l2 = math.sqrt(integrate(rule, lambda x: parabola(x) ** 2, 0.0, math.pi))
+        l2 = math.sqrt(integrate(128, lambda x: parabola(x) ** 2, 0.0, math.pi))
         assert l2 == pytest.approx(math.sqrt(math.pi**5 / 30.0), rel=1e-13)
         for n in (5, 20, 50):
             assert project(parabola, n).sobolev_norm(0) <= l2 + 1e-12

@@ -438,9 +438,14 @@ class TestSweep:
             assert z == "%.12e" % z_diagnostic(1000, ProblemClock(5.0, float(omega))).z
 
     def test_empty_omega_list_is_config_error(self, tmp_path, capsys):
-        code = main(["sweep", "--T", "5", "--out", str(tmp_path)])
-        assert code == 2
-        assert "omega" in capsys.readouterr().err
+        # every command that reads omega refuses an empty list, before making a directory
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"omega": []}))
+        for command in ("sweep", "solve", "denominators"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == "error: config field 'omega': expected at least one number\n"
+            assert not out.exists()
 
 
 class TestPaperTable:
@@ -674,13 +679,38 @@ class TestConfigPlumbing:
                      "--out", str(tmp_path)]) == 0
         assert read_manifest(tmp_path)["config"]["omega"] == 0.3
 
-    def test_sweep_needs_an_omega_list_not_a_number(self, tmp_path, capsys):
+    def test_sweep_reads_a_number_as_a_list_of_one(self, tmp_path):
+        # a config file's number, the --omega flag's and the default each sweep one
+        # frequency, and the manifest echoes a list that reruns the run
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"omega": 0.3}))
-        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert "sweep needs a nonempty omega list" in capsys.readouterr().err
-        assert main(["sweep", "--omega", "0.3", "--N", "8", "--out", str(tmp_path)]) == 0
-        assert read_manifest(tmp_path)["config"]["omega"] == [0.3]
+        cfg.write_text(json.dumps({"omega": 0.3, "N": 8}))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+        assert main(["sweep", "--omega", "0.3", "--N", "8", "--out", str(tmp_path / "flag")]) == 0
+        for run in ("file", "flag"):
+            assert read_manifest(tmp_path / run)["config"]["omega"] == [0.3]
+        sweep_csv = (tmp_path / "flag" / "sweep.csv").read_bytes()
+        assert (tmp_path / "file" / "sweep.csv").read_bytes() == sweep_csv
+        assert len(sweep_csv.splitlines()) == 2
+        echo = tmp_path / "echo.json"
+        echo.write_text(json.dumps(read_manifest(tmp_path / "flag")["config"]))
+        assert main(["sweep", "--config", str(echo), "--out", str(tmp_path / "rerun")]) == 0
+        assert (tmp_path / "rerun" / "sweep.csv").read_bytes() == sweep_csv
+        assert main(["sweep", "--N", "8", "--out", str(tmp_path / "default")]) == 0
+        assert read_manifest(tmp_path / "default")["config"]["omega"] == [0.01]
+
+    @pytest.mark.parametrize("given,field", [
+        (["--grid", "5"], "grid"), (["--grid", "ax5"], "grid"), (["--grid", "1x5"], "nx"), ({"nt": 1}, "nt"),
+    ])
+    def test_bad_grid_names_its_field(self, tmp_path, capsys, given, field):
+        # a grid error names the flag or the config key at fault, and no run starts
+        if isinstance(given, dict):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps(given))
+            given = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert main(["solve", "--N", "5", *given, "--out", str(out)]) == 2
+        assert f"error: config field '{field}': " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [",", " , ", "", "abc", "0.1,x"])
     def test_bad_omega_flag_is_config_error(self, tmp_path, capsys, text):

@@ -14,9 +14,8 @@ import json
 
 import pytest
 
-from specwave import basis, cli, phase, solution
+from specwave import basis, cli, phase, solution, verification
 from specwave.cli import main
-from specwave.quadrature import GaussLegendre
 from specwave.solution import SeriesSolution
 
 ARGV = {
@@ -32,7 +31,7 @@ SCALED = {
     "phi": (phase, "phi"),
     "sine_sums": (basis, "_sine_sums"),
     "chirp_sums": (solution, "_chirp_sums"),
-    "exp_moments": (GaussLegendre, "exp_moments"),
+    "exp_moments": (verification, "exp_moments"),
 }
 
 

@@ -16,7 +16,6 @@ from oracles import (
 )
 from specwave import (
     CauchyProblem,
-    GaussLegendre,
     NonlocalProblem,
     ProblemClock,
     SeriesSolution,
@@ -27,6 +26,7 @@ from specwave import (
 )
 from specwave import phase, solution
 from specwave.phase import _exact_phase, _uniform_phases
+from specwave.quadrature import nodes_weights
 from specwave.solution import _chirp_sums
 
 EPS = np.finfo(float).eps
@@ -354,8 +354,7 @@ class TestNormTrajectory:
         C = rng.standard_normal(60) + 1j * rng.standard_normal(60)
         D = rng.standard_normal(60) + 1j * rng.standard_normal(60)
         sol = SeriesSolution(2.0, C, D)
-        rule = GaussLegendre(panels=256)
-        nodes, weights = rule.nodes_weights(0.0, math.pi)
+        nodes, weights = nodes_weights(256, 0.0, math.pi)
         for t in (0.0, 0.9, 2.0):
             coeff_norm = float(norm_trajectory(sol, 0, [t])[0])
             values = field(sol, nodes, [t])[:, 0]
@@ -536,12 +535,11 @@ class TestRealImaginaryParts:
         assert np.abs(g.coefficients.imag).max() > 0.1
         problem = NonlocalProblem(ProblemClock(T, omega), SpectralVector(np.zeros(50)), g)
         sol = solve_nonlocal(problem)
-        rule = GaussLegendre(panels=400)
         for k, gamma_k in enumerate(g.coefficients):
             def y(t, k=k):
                 return mode_values(sol, t)[k]
-            re = integrate(rule, lambda t: np.cos(omega * t) * y(t).real - np.sin(omega * t) * y(t).imag, 0.0, T)
-            im = integrate(rule, lambda t: np.sin(omega * t) * y(t).real + np.cos(omega * t) * y(t).imag, 0.0, T)
+            re = integrate(400, lambda t: np.cos(omega * t) * y(t).real - np.sin(omega * t) * y(t).imag, 0.0, T)
+            im = integrate(400, lambda t: np.sin(omega * t) * y(t).real + np.cos(omega * t) * y(t).imag, 0.0, T)
             assert re == pytest.approx(gamma_k.real, abs=1e-12)
             assert im == pytest.approx(gamma_k.imag, abs=1e-12)
 

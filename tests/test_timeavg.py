@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oracles import integrate, mode_values
 from specwave import (
-    GaussLegendre,
     IllConditionedModeError,
     NonlocalProblem,
     ProblemClock,
@@ -21,6 +20,7 @@ from specwave import (
 from specwave import phase
 from specwave.config import ExperimentConfig
 from specwave.phase import LABELS
+from specwave.quadrature import nodes_weights
 
 
 def solved_report(problem):
@@ -81,9 +81,8 @@ class TestSolveNonlocalMode:
         clock = ProblemClock(1.0, 0.5)
         alpha, gamma = 1.0, 0.3 + 0.1j
         C, D = solve_mode(alpha, gamma, 1, clock)
-        rule = GaussLegendre(panels=128)
         moment = integrate(
-            rule,
+            128,
             lambda t: np.exp(1j * clock.omega * t)
             * (C * np.exp(-1j * t) + D * np.exp(1j * t)),
             0.0,
@@ -167,8 +166,7 @@ class TestSolveNonlocal:
         alpha = SpectralVector(rng.standard_normal(n))
         beta = SpectralVector(rng.standard_normal(n))
         reference = solve_cauchy(CauchyProblem(clock.T, alpha, beta))
-        rule = GaussLegendre(panels=max(64, int(n * clock.T)))
-        nodes, weights = rule.nodes_weights(0.0, clock.T)
+        nodes, weights = nodes_weights(max(64, int(n * clock.T)), 0.0, clock.T)
         gamma = mode_values(reference, nodes) @ (weights * np.exp(1j * clock.omega * nodes))
         recovered = solve_nonlocal(
             NonlocalProblem(clock, alpha, SpectralVector(gamma))
