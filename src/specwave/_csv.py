@@ -1,9 +1,9 @@
 """CSV lines formatted in NumPy: exactly the bytes of '%.12e' % x and str(v).
 
-A block of equal-length columns becomes one bytes object. Each cell is laid
-out in a fixed-width slot of uint8, NUL padded with its last byte free for the
-separator, and deleting the NULs of the whole block leaves the CSV text. Float
-cells are decided in NumPy only where that is provably exact; any other cell
+A block of equal-length columns becomes one (rows, words) uint32 row buffer: each
+cell owns a fixed run of 4-byte words, NUL padded, then one separator word, ','
+or '\\n' at the end of a row; deleting the buffer's NULs leaves the CSV text.
+Float cells are decided in NumPy only where that is provably exact; any other cell
 (non-finite, below 1e-296, or too near a rounding tie or a power of ten) is
 formatted by Python's own '%.12e'.
 """
@@ -23,13 +23,11 @@ E_MIN, E_MAX = -296, 308
 # The guard is twice that
 GUARD = 2e13 * np.finfo(float).eps
 
-# bytes of a float cell: '-d.d', 8 digits, 'ddde', '-XXX', and the separator
-FLOAT_WIDTH = 21
-
 # offsets into _text_table, after the 4-digit groups
-_LEAD, _TAIL, _EXPONENT, _NUL = 10**4, 10**4 + 200, 10**4 + 1200, 10**4 + 1200 + E_MAX - E_MIN + 1
+_LEAD, _TAIL, _EXPONENT = 10**4, 10**4 + 200, 10**4 + 1200
 
-_COMMA, _NEWLINE = b",\n"
+# the separator words: ',' after a cell, '\n' after the last cell of a row
+_COMMA, _NEWLINE = np.frombuffer(b",\0\0\0\n\0\0\0", np.uint32)
 
 
 @functools.cache
@@ -40,34 +38,24 @@ def _powers() -> np.ndarray:
 
 @functools.cache
 def _text_table() -> np.ndarray:
-    """Four-byte pieces of cell text as uint32: '0000' ... '9999'; from _LEAD,
-    '\\0a.b' and '-a.b' for the leading digits ab = 00 ... 99; from _TAIL, '000e'
-    ... '999e'; from _EXPONENT, '-296' ... '+308' NUL padded; at _NUL, NULs."""
+    """Four-byte pieces of cell text as uint32: '0000' ... '9999'; from _LEAD, '\\0a.b' and '-a.b' for
+    the leading digits ab = 00 ... 99; from _TAIL, '000e' ... '999e'; from _EXPONENT, '-296' ... '+308'."""
     n = np.arange(10**4)
     quads = (np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1) + ord("0")).astype(np.uint8)
     text = quads.tobytes()
     text += b"".join(sign + b"%d.%d" % divmod(ab, 10) for sign in (b"\0", b"-") for ab in range(100))
     text += b"".join(b"%03de" % n for n in range(1000))
-    text += b"".join((b"%+03d" % e).ljust(4, b"\0") for e in range(E_MIN, E_MAX + 1)) + bytes(4)
+    text += b"".join((b"%+03d" % e).ljust(4, b"\0") for e in range(E_MIN, E_MAX + 1))
     return np.frombuffer(text, np.uint32)
 
 
-def _split(m: np.ndarray, unit: float):
-    """floor(m / unit) and the remainder, for float64 integers 0 <= m < 2**52 and a
-    whole unit: exact, as m / unit rounds by less than 1 / unit, the least
-    distance of the true quotient below the next integer."""
-    q = np.floor(m / unit)
-    return q, m - q * unit
-
-
-def float_cells(x: np.ndarray) -> np.ndarray:
-    """'%.12e' % v of each float64 v, NUL padded: uint8 of shape x.shape + (FLOAT_WIDTH,)
-    whose last byte is free.
+def _float_words(x: np.ndarray) -> np.ndarray:
+    """'%.12e' % v of each float64 v in 5 NUL-padded words: uint32 of shape x.shape + (5,).
 
     With e = floor(log10|v|) and s = |v| 10**(12 - e), the digits are m = rint(s)
-    when 10**12 < m < 10**13 and s is further than GUARD from a tie: then m is
-    the exact s rounded to nearest, and e is the exponent however log10
-    rounded. Any other cell is formatted by Python.
+    when 10**12 < m < 10**13 and s is further than GUARD from a tie: then m is the
+    exact s rounded to nearest, and e is the exponent however log10 rounded. That m
+    is an integer below 10**13, so its int64 divmods are exact. Python formats the rest.
     """
     ax = np.abs(x)
     live = (ax > 0) & np.isfinite(ax)
@@ -78,58 +66,55 @@ def float_cells(x: np.ndarray) -> np.ndarray:
     m = np.rint(s)
     # zeros have s = m = 0 and print as 0.000000000000e+00
     exact = (ax == 0) | ((m > 1e12) & (m < 1e13) & (np.abs(s - m) < 0.5 - GUARD))
-    m[~exact] = 0
     # one gather of the text words: sign and 2 digits, 4 + 4 digits, 3 digits, exponent
-    index = np.empty(x.shape + (6,), np.intp)
-    lead, m = _split(m, 1e11)
+    index = np.empty(x.shape + (5,), np.intp)
+    lead, rest = np.divmod(np.where(exact, m, 0).astype(np.int64), 10**11)
     index[..., 0] = _LEAD + 100 * np.signbit(x) + lead
-    middle, index[..., 3] = _split(m, 1e3)
-    index[..., 1], index[..., 2] = _split(middle, 1e4)
+    middle, index[..., 3] = np.divmod(rest, 1000)
+    index[..., 1], index[..., 2] = np.divmod(middle, 10**4)
     index[..., 3] += _TAIL
     index[..., 4] = _EXPONENT - E_MIN + e
-    index[..., 5] = _NUL
     words = _text_table()[index]
     if not exact.all():
-        text = np.array([b"%.12e" % v for v in x[~exact].tolist()], dtype="S24")
-        words[~exact] = text.view(np.uint32).reshape(-1, 6)
-    return words.view(np.uint8)[..., :FLOAT_WIDTH]
+        text = np.array([b"%.12e" % v for v in x[~exact].tolist()], dtype="S20")
+        words[~exact] = text.view(np.uint32).reshape(-1, 5)
+    return words
 
 
-def int_cells(v: np.ndarray) -> np.ndarray:
-    """str(k) of each row number k in [0, 10**15), NUL padded: uint8 of shape (len(v), width),
-    last byte free. Any other integer is a ValueError: the CLI prints no other."""
-    if v.min() < 0 or v.max() >= 10**15:
-        raise ValueError("integer cells are row numbers in [0, 1e15)")
-    index = np.full((len(v), 5), _NUL, np.intp)
-    high, low = _split(v.astype(float), 1e8)
-    index[:, 0], index[:, 1] = _split(high, 1e4)
-    index[:, 2], index[:, 3] = _split(low, 1e4)
-    text = _text_table()[index].view(np.uint8)
-    digits = 1 + np.searchsorted(10 ** np.arange(1, 16), v, side="right")
-    text[:, :16][np.arange(16) < 16 - digits[:, None]] = 0  # leading zeros
-    return text[:, 16 - int(digits.max()):17]
-
-
-def text_cells(c: np.ndarray) -> np.ndarray:
-    """Each label as its bytes, NUL padded: uint8 of shape (len(c), width), last byte free."""
-    b = c.astype("S")
-    return b.astype(f"S{b.dtype.itemsize + 1}").view(np.uint8).reshape(len(b), -1)
+def _words(c: np.ndarray) -> int:
+    """Words per cell of column c: 5 for a float, ceil(digits / 4) of the largest row number,
+    ceil(bytes / 4) of a label. Integers are row numbers: any outside [0, 10**15) is a ValueError."""
+    if c.dtype.kind == "f":
+        return 5
+    if c.dtype.kind in "iu":
+        if c.min() < 0 or c.max() >= 10**15:
+            raise ValueError("integer cells are row numbers in [0, 1e15)")
+        return -(-len(str(c.max())) // 4)
+    return -(-c.dtype.itemsize // 4)
 
 
 def lines(columns) -> bytes:
     """The CSV lines of equal-length NumPy columns: float arrays as '%.12e',
-    integer arrays (row numbers) as str() and labels as their text; every float column
-    is formatted in one pass."""
-    cells = [None] * len(columns)
+    integer arrays (row numbers) as str() and labels (bytes) as their text. Each cell is
+    written in place into one row buffer; every float column is formatted in one pass."""
+    columns = [c if c.dtype.kind in "fiu" else c.astype("S") for c in columns]
+    words = [_words(c) for c in columns]
+    ends = np.cumsum(np.add(words, 1))  # one past each cell's separator word
+    block = np.zeros((len(columns[0]), ends[-1]), np.uint32)
+    block[:, ends - 1] = _COMMA
+    block[:, -1] = _NEWLINE
     floats = [j for j, c in enumerate(columns) if c.dtype.kind == "f"]
     if floats:
-        formatted = float_cells(np.stack([columns[j] for j in floats], axis=1, dtype=float))
-        for i, j in enumerate(floats):
-            cells[j] = formatted[:, i]
-    for j, c in enumerate(columns):
-        if cells[j] is None:
-            cells[j] = int_cells(c) if c.dtype.kind in "iu" else text_cells(c)
-    block = np.concatenate(cells, axis=1)
-    block[:, np.cumsum([c.shape[1] for c in cells]) - 1] = _COMMA
-    block[:, -1] = _NEWLINE
+        slots = ends[floats, None] - 6 + np.arange(5)
+        block[:, slots] = _float_words(np.stack([columns[j] for j in floats], axis=1, dtype=float))
+    for c, w, end in zip(columns, words, ends):
+        if c.dtype.kind in "iu":
+            # 4-digit groups, then NULs over the leading zeros
+            v = c.astype(np.int64)[:, None]
+            text = _text_table()[v // 10 ** (4 * np.arange(w - 1, -1, -1)) % 10**4].view(np.uint8)
+            digits = 1 + np.searchsorted(10 ** np.arange(1, 16), v, side="right")
+            text[np.arange(4 * w) < 4 * w - digits] = 0
+            block[:, end - 1 - w:end - 1] = text.view(np.uint32)
+        elif c.dtype.kind != "f":
+            block[:, end - 1 - w:end - 1] = c.astype(f"S{4 * w}").view(np.uint32).reshape(-1, w)
     return block.tobytes().translate(None, b"\0")

@@ -12,8 +12,8 @@ artifacts, then manifest.json, also when the run fails after making its output d
 `exit_code` and `error`); a run whose computation fails writes no other file. Exit code 0 iff
 every manifest check passed; 1 for a failed check, an ill-conditioned mode, an unwritable
 output or an allocation the machine refuses; 2 for a config error, an inadmissible omega, an
-overflowing phase, 2*omega*T or (omega +/- theta_k)*T, or an evaluation phase beyond exact
-reduction (2**43; the norms' phases 2 theta_k t reach it where theta_N t passes about 2**42).
+overflowing phase, 2*omega*T or (omega +/- theta_k)*T, or a phase beyond exact reduction
+(2**43): the denominators' (|omega| + theta_N) T, or the norms' 2 theta_k t (past theta_N T ~ 2**42).
 """
 
 from __future__ import annotations

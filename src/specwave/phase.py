@@ -221,11 +221,17 @@ def z_diagnostic(m: int, clock: ProblemClock) -> DenominatorReport:
     """The report of d_k = phi(omega + theta_k) - phi(omega - theta_k) and z(m), k = 1..m.
 
     The one place the per-mode determinant is computed; the solver eliminates
-    with its phi_minus, and every diagnostic reads it from here.
+    with its phi_minus, and every diagnostic reads it from here. A clock whose
+    (|omega| + theta_m) T reaches EXACT_PHASE_LIMIT raises ValueError: past exact
+    phase reduction d_k loses printed digits (3.6e-5 of d_1 at T = 1e13, omega = 0.3).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     theta = frequencies(m)
+    reach = (abs(clock.omega) + float(theta[-1])) * clock.T
+    if EXACT_PHASE_LIMIT <= reach < math.inf:  # an overflowing reach is phi's error
+        raise ValueError(f"phase beyond exact reduction: (|omega| + theta_{m}) T = {reach:.3e}, "
+                         "but phases must stay below 2**43 (~8.8e12)")
     phi_minus = phi(clock.omega - theta, clock.T)
     d = phi(clock.omega + theta, clock.T) - phi_minus
     return DenominatorReport(theta, d, np.abs(d) * (1.0 + theta), phi_minus, clock)

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import os
@@ -63,14 +64,24 @@ class TestWriteCsv:
         # a negative integer is no row number, and the writer refuses it
         with pytest.raises(ValueError, match="row numbers"):
             cli.write_csv(tmp_path / "negative.csv", header, [*columns[:2], np.arange(-3, floats.size - 3), labels])
+        # a cell's slot starts after the words of the cells before it, in any column order;
+        # labels of 3, 4, 5 and 8 bytes own 1, 1, 2 and 2 words
+        for width in (3, 4, 5, 8):
+            short = np.array([b"abcdefgh"[:width], b"z"] * 6)
+            for order in itertools.permutations([floats, ints, short]):
+                cli.write_csv(tmp_path / "order.csv", "a,b,c", order)
+                assert (tmp_path / "order.csv").read_text() == rowwise_csv("a,b,c", zip(*order)), width
 
     def test_rows_beyond_one_block(self, tmp_path, rng):
         n = 2 * cli._BLOCK_ROWS + 3
         values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        modes = np.arange(1, n + 1)
-        cli.write_csv(tmp_path / "long.csv", "k,v", [modes, values])
-        want = rowwise_csv("k,v", ([int(k), v] for k, v in zip(modes, values)))
-        assert (tmp_path / "long.csv").read_text() == want
+        # a row number owns the words the largest in its block needs: 9,999 -> 10,000 and
+        # 99,999,999 -> 100,000,000 cross a word inside the first block and at its end
+        for first in (1, 9996, 10000 - cli._BLOCK_ROWS, 99999996, 10**8 - cli._BLOCK_ROWS):
+            modes = np.arange(first, first + n)
+            cli.write_csv(tmp_path / "long.csv", "k,v", [modes, values])
+            want = rowwise_csv("k,v", ([int(k), v] for k, v in zip(modes, values)))
+            assert (tmp_path / "long.csv").read_text() == want, first
 
     def test_header_only_when_no_rows(self, tmp_path):
         cli.write_csv(tmp_path / "empty.csv", "a,b", [np.array([]), np.array([], dtype="S")])
@@ -961,6 +972,16 @@ class TestRunLifecycle:
         assert read_manifest(tmp_path)["files"] == ["manifest.json"]
         assert "error: phase beyond exact reduction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["denominators", "solve", "sweep"])
+    def test_denominator_phases_past_exact_reduction_exit_2(self, tmp_path, capsys, command):
+        # (|omega| + theta_5) T = 5.3e13 is past 2**43: d_1 would print 13 digits, 3.6e-5 off
+        code = main([command, "--T", "1e13", "--omega", "0.3", "--N", "5", "--out", str(tmp_path)])
+        assert code == 2
+        manifest = read_manifest(tmp_path)
+        assert "2**43" in manifest["error"]
+        assert manifest["files"] == ["manifest.json"]
+        assert capsys.readouterr().err == f"error: {manifest['error']}\n"
+
     def test_norms_refuse_before_the_field_at_n_1001(self, tmp_path, capsys):
         # at N = 1001 the norms' largest phase is their tail chirp's m^2 dt,
         # m <= 1001: 2**43 at T = 8.778e9. The field's phases reach it only
@@ -988,8 +1009,10 @@ class TestRunLifecycle:
         assert capsys.readouterr().err == f"error: {manifest['error']}\n"
 
     def test_ill_conditioned_solve_exits_1_with_the_mode_and_its_class(self, tmp_path, capsys):
-        # at T = 1e13 the floor 1e-12 T exceeds |d_3| (1 + 3) for omega = 0.3
-        code = main(["solve", "--T", "1e13", "--omega", "0.3", "--N", "3", "--out", str(tmp_path)])
+        # 3 T = 20000 pi, so beside omega = 1e-9 / T mode 3 falls below the floor 1e-12 T
+        with pytest.warns(UserWarning, match="multiple of 2\\*pi"):
+            code = main(["solve", "--T", "20943.951023931953", "--omega", "4.774648292756861e-14", "--N", "3",
+                         "--out", str(tmp_path)])
         assert code == 1
         manifest = read_manifest(tmp_path)
         assert manifest["exit_code"] == 1

@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 from specwave import _csv
 
 
+def column_texts(column):
+    """The cells `_csv.lines` writes for one column, one line per value."""
+    return _csv.lines([column]).split(b"\n")[:-1]
+
+
 def float_texts(values):
-    """The cells `_csv.float_cells` writes for `values`."""
-    cells = _csv.float_cells(np.array(values, dtype=float).reshape(-1, 1))[:, 0]
-    return [bytes(cell).replace(b"\0", b"") for cell in cells]
+    return column_texts(np.array(values, dtype=float))
 
 
 def int_texts(values, dtype=np.int64):
-    return [bytes(cell).replace(b"\0", b"") for cell in _csv.int_cells(np.array(values, dtype=dtype))]
+    return column_texts(np.array(values, dtype=dtype))
 
 
 def percent_e(values):
@@ -77,14 +80,6 @@ class TestFloatCells:
                   1.7976931348623157e308, -1.7976931348623157e308, 1e-296, 9.999999999999999e-297,
                   0.5, 1.0, 9.9999999999995, 9.99999999999949, 1000000000000.5]
         assert float_texts(values) == percent_e(values)
-
-    def test_block_shape_and_free_last_byte(self, rng):
-        x = rng.standard_normal((7, 3)) * 10.0 ** rng.integers(-300, 300, (7, 3))
-        cells = _csv.float_cells(x)
-        assert cells.shape == (7, 3, _csv.FLOAT_WIDTH)
-        assert not cells[..., -1].any()
-        texts = [bytes(c).replace(b"\0", b"") for c in cells.reshape(-1, _csv.FLOAT_WIDTH)]
-        assert texts == percent_e(x.ravel().tolist())
 
 
 class TestIntCells:

@@ -339,6 +339,14 @@ class TestZDiagnostic:
         with pytest.raises(ValueError):
             z_diagnostic(0, clock)
 
+    @pytest.mark.parametrize("omega", [0.0, -0.5])
+    def test_refuses_phases_past_exact_reduction(self, omega):
+        # (|omega| + theta_8) T reaches 2**43 exactly at T = 2**43 / (8 + |omega|)
+        T = EXACT_PHASE_LIMIT / (8.0 + abs(omega))
+        with pytest.raises(ValueError, match="2\\*\\*43"):
+            z_diagnostic(8, ProblemClock(T, omega))
+        assert np.isfinite(z_diagnostic(8, ProblemClock(np.nextafter(T, 0.0), omega)).values).all()
+
 
 @settings(max_examples=50, deadline=None)
 @given(x=st.floats(-1e6, 1e6))
